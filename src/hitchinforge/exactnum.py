@@ -397,12 +397,6 @@ class GaloisAction:
                 return s
         raise ValueError(f"no sign recorded for sqrt({radicand})")
 
-    def compose(self, other: "GaloisAction") -> "GaloisAction":
-        rads = {r for r, _ in self.signs} | {r for r, _ in other.signs}
-        return GaloisAction(
-            tuple(sorted((r, self.sign_of(r) * other.sign_of(r)) for r in rads))
-        )
-
 
 def apply_galois(action: GaloisAction, x: Scalar) -> Scalar:
     """Apply a Galois sign action; rationals are fixed."""
@@ -511,11 +505,6 @@ class ExactMatrix:
         zero = _zero_like(diag[0])
         n = len(diag)
         return cls([[diag[i] if i == j else zero for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int, like=None) -> "ExactMatrix":
-        zero = _zero_like(like) if like is not None else Fraction(0)
-        return cls([[zero] * cols for _ in range(rows)])
 
     # -- shape -----------------------------------------------------------
 

@@ -1,16 +1,19 @@
-"""Reduction of exact data modulo an odd prime, breadth-first closure of
-finite matrix groups with canonical byte-encoded hashing, the standard
-order formulas, trace sets and trace witnesses over finite fields, and the
-mod-p orbit-separation certificate.
+"""Reduction of exact data modulo an odd prime, one breadth-first walk of
+finite matrix groups and bounded words (elements as tuples of row codes,
+multiplied through lazily filled row-action tables), the standard order
+formulas, trace sets and trace witnesses over finite fields, Omega(4, p)
+from Schreier generators, and the mod-p orbit-separation certificate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import getitem
 from typing import Callable, Optional, Sequence, Union
 
 from .exactnum import ExactMatrix, FieldElem, square_free_part
+from .qforms import _is_prime
 from .symrep import tau, trace_poly
 
 DEFAULT_CLOSURE_CAP = 5_000_000
@@ -194,17 +197,6 @@ class ReductionContext:
         return cls(p, d, "inert", None)
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    k = 2
-    while k * k <= n:
-        if n % k == 0:
-            return False
-        k += 1
-    return True
-
-
 def reduce_scalar(x: Union[int, Fraction, FieldElem],
                   ctx: ReductionContext) -> FqElem:
     """Ring homomorphism onto the residue ring; denominators must be
@@ -258,212 +250,123 @@ def matrix_order(m: ExactMatrix, cap: int = 1_000_000) -> int:
     raise CapExceeded(cap)
 
 
-# -- packed rings and breadth-first closure ----------------------------------
+# -- the row-action walk ------------------------------------------------------
+#
+# A walked element is the tuple of its row codes.  An entry x + y*r of F_q
+# (q = p, or q = p^2 with r^2 = r2) is the integer u = x + p*y, and a row
+# (u_0, ..., u_(n-1)) is the code sum u_j q^j.  Right multiplication by a
+# generator maps each row code on its own, so it is n lookups in a table of
+# the generator's action on rows, filled the first time a row is met.
 
 
-class _PackedRing:
-    """Arithmetic for closure walks: elements are ints in [0, q).  Prime
-    fields use direct modular arithmetic; quadratic extensions pack x+y*r
-    as x + p*y and use multiplication tables."""
+class _Lazy(dict):
+    """A map filled on first lookup: a missing key k is stored as fn(k)."""
 
-    def __init__(self, p: int, r2: Optional[int] = None):
-        self.p = p
-        self.r2 = r2
-        self.q = p if r2 is None else p * p
-        if r2 is not None:
-            if self.q > 4096:
-                raise ValueError("quadratic packing is for small fields")
-            q, mul = self.q, [0] * (self.q * self.q)
-            for u in range(q):
-                ux, uy = u % p, u // p
-                for v in range(q):
-                    vx, vy = v % p, v // p
-                    x = (ux * vx + r2 * uy * vy) % p
-                    y = (ux * vy + uy * vx) % p
-                    mul[u * q + v] = x + p * y
-            self.mul_table = mul
+    __slots__ = ("fn",)
 
-    def pack(self, e: FqElem) -> int:
-        if self.r2 is None:
-            if e.y:
-                raise ValueError("element has degree 2, ring has degree 1")
-            return e.x
-        return e.x + self.p * e.y
+    def __init__(self, fn: Callable[[int], int]):
+        super().__init__()
+        self.fn = fn
 
-    def unpack(self, u: int) -> FqElem:
-        if self.r2 is None:
-            return FqElem(self.p, u)
-        return FqElem(self.p, u % self.p, u // self.p, self.r2)
-
-    def add(self, u: int, v: int) -> int:
-        if self.r2 is None:
-            return (u + v) % self.p
-        p = self.p
-        return (u + v) % p + p * ((u // p + v // p) % p)
+    def __missing__(self, key: int) -> int:
+        value = self[key] = self.fn(key)
+        return value
 
 
-def _detect_ring(gens: Sequence[ExactMatrix]) -> _PackedRing:
-    p = r2 = None
-    for g in gens:
-        for row in g.entries:
-            for e in row:
-                if not isinstance(e, FqElem):
-                    raise TypeError("closure needs FqElem entries")
-                if p is None:
-                    p = e.p
-                elif e.p != p:
-                    raise ValueError("mixed characteristics")
-                if e.r2 is not None:
-                    if r2 is not None and e.r2 != r2:
-                        raise ValueError("mixed quadratic extensions")
-                    r2 = e.r2
-    return _PackedRing(p, r2)
-
-
-def _pack_matrix(ring: _PackedRing, m: ExactMatrix) -> tuple[int, ...]:
-    return tuple(ring.pack(e if e.r2 is not None or ring.r2 is None
-                           else FqElem(ring.p, e.x, 0, ring.r2))
-                 for row in m.entries for e in row)
-
-
-def _encode(flat: tuple[int, ...], wide: bool) -> bytes:
-    if not wide:
-        return bytes(flat)
-    return b"".join(v.to_bytes(2, "little") for v in flat)
-
-
-def _matmul_prime(a: tuple, b_cols: list, n: int, p: int) -> tuple:
-    out = []
-    for i in range(n):
-        row = a[i * n:(i + 1) * n]
-        for col in b_cols:
-            out.append(sum(x * y for x, y in zip(row, col)) % p)
-    return tuple(out)
-
-
-def _prime_mul_fn(packed_gen: tuple, n: int, p: int):
-    """Right-multiplication by a fixed generator, unrolled for the small
-    dimensions the closure walks actually use."""
-    g = packed_gen
-    if n == 2:
-        g0, g1, g2, g3 = g
-
-        def mul2(a):
-            a0, a1, a2, a3 = a
-            return ((a0 * g0 + a1 * g2) % p, (a0 * g1 + a1 * g3) % p,
-                    (a2 * g0 + a3 * g2) % p, (a2 * g1 + a3 * g3) % p)
-        return mul2
-    if n == 3:
-        g0, g1, g2, g3, g4, g5, g6, g7, g8 = g
-
-        def mul3(a):
-            a0, a1, a2, a3, a4, a5, a6, a7, a8 = a
-            return ((a0 * g0 + a1 * g3 + a2 * g6) % p,
-                    (a0 * g1 + a1 * g4 + a2 * g7) % p,
-                    (a0 * g2 + a1 * g5 + a2 * g8) % p,
-                    (a3 * g0 + a4 * g3 + a5 * g6) % p,
-                    (a3 * g1 + a4 * g4 + a5 * g7) % p,
-                    (a3 * g2 + a4 * g5 + a5 * g8) % p,
-                    (a6 * g0 + a7 * g3 + a8 * g6) % p,
-                    (a6 * g1 + a7 * g4 + a8 * g7) % p,
-                    (a6 * g2 + a7 * g5 + a8 * g8) % p)
-        return mul3
-    if n == 4:
-        (g0, g1, g2, g3, g4, g5, g6, g7,
-         g8, g9, g10, g11, g12, g13, g14, g15) = g
-
-        def mul4(a):
-            out = []
-            for base in (0, 4, 8, 12):
-                a0, a1, a2, a3 = a[base], a[base + 1], a[base + 2], a[base + 3]
-                out.append((a0 * g0 + a1 * g4 + a2 * g8 + a3 * g12) % p)
-                out.append((a0 * g1 + a1 * g5 + a2 * g9 + a3 * g13) % p)
-                out.append((a0 * g2 + a1 * g6 + a2 * g10 + a3 * g14) % p)
-                out.append((a0 * g3 + a1 * g7 + a2 * g11 + a3 * g15) % p)
-            return tuple(out)
-        return mul4
-    cols = [g[j::n] for j in range(n)]
-
-    def mul_generic(a):
-        return _matmul_prime(a, cols, n, p)
-    return mul_generic
-
-
-def _matmul_table(a: tuple, b: tuple, n: int, ring: _PackedRing) -> tuple:
-    q = ring.q
-    p = ring.p
-    mul = ring.mul_table
-    out = []
-    for i in range(n):
-        base = i * n
-        for j in range(n):
-            accx = accy = 0
-            for k in range(n):
-                t = mul[a[base + k] * q + b[k * n + j]]
-                accx += t % p
-                accy += t // p
-            out.append(accx % p + p * (accy % p))
-    return tuple(out)
-
-
-def _closure_walk(gens: Sequence[ExactMatrix], cap: int,
-                  visit: Optional[Callable[[tuple, "_PackedRing", int], None]] = None
-                  ) -> int:
-    """BFS over products; returns the group order.  `visit` sees every
-    element once (packed flat tuple)."""
+def _field(gens: Sequence[ExactMatrix]) -> tuple[int, Optional[int]]:
+    """(p, r2) of the field that holds every generator entry; r2 is None
+    for the prime field."""
     if not gens:
         raise ValueError("need at least one generator")
-    ring = _detect_ring(gens)
-    n = gens[0].nrows
-    packed = [_pack_matrix(ring, g) for g in gens]
-    wide = ring.q > 256
-    if ring.r2 is None:
-        muls = [_prime_mul_fn(g, n, ring.p) for g in packed]
-    else:
-        muls = [(lambda a, g=g: _matmul_table(a, g, n, ring)) for g in packed]
-    ident = tuple(1 if i == j else 0 for i in range(n) for j in range(n))
-    seen = {_encode(ident, wide)}
-    if visit:
-        visit(ident, ring, n)
+    entries = [e for g in gens for row in g.entries for e in row]
+    if not all(isinstance(e, FqElem) for e in entries):
+        raise TypeError("closure needs FqElem entries")
+    if len({e.p for e in entries}) > 1:
+        raise ValueError("mixed characteristics")
+    r2s = {e.r2 for e in entries} - {None}
+    if len(r2s) > 1:
+        raise ValueError("mixed quadratic extensions")
+    return entries[0].p, next(iter(r2s), None)
+
+
+def _row_action(g: ExactMatrix, p: int, r2: Optional[int]) -> _Lazy:
+    """Lazy table from a row code to the code of that row times g."""
+    n = g.nrows
+    q = p if r2 is None else p * p
+    r2 = r2 or 0
+    powers = [q ** j for j in range(n)]
+    cols = [[(g.entries[j][k].x, g.entries[j][k].y) for j in range(n)]
+            for k in range(n)]
+
+    def image(code: int) -> int:
+        row = [(u % p, u // p) for u in (code // s % q for s in powers)]
+        out = 0
+        for col, s in zip(cols, powers):
+            x = y = 0
+            for (a, b), (c, d) in zip(row, col):
+                x += a * c + r2 * b * d
+                y += a * d + b * c
+            out += (x % p + p * (y % p)) * s
+        return out
+    return _Lazy(image)
+
+
+def _walk(gens: Sequence[ExactMatrix], cap: int,
+          depth: Optional[int] = None) -> set[tuple[int, ...]]:
+    """Breadth-first walk of the products of the generators from the
+    identity: the whole group when depth is None, else the words of length
+    at most depth.  Returns the set of elements; raises CapExceeded (with
+    the partial count, cap + 1) as soon as the set outgrows the cap."""
+    p, r2 = _field(gens)
+    q = p if r2 is None else p * p
+    steps = [_row_action(g, p, r2).__getitem__ for g in gens]
+    ident = tuple(q ** i for i in range(gens[0].nrows))
+    seen = {ident}
     frontier = [ident]
-    count = 1
-    while frontier:
+    level = 0
+    while frontier and (depth is None or level < depth):
+        level += 1
         new = []
         for m in frontier:
-            for mul in muls:
-                prod = mul(m)
-                key = _encode(prod, wide)
-                if key not in seen:
-                    seen.add(key)
-                    count += 1
-                    if count > cap:
-                        raise CapExceeded(count)
-                    if visit:
-                        visit(prod, ring, n)
+            for step in steps:
+                prod = tuple(map(step, m))
+                if prod not in seen:
+                    seen.add(prod)
+                    if len(seen) > cap:
+                        raise CapExceeded(len(seen))
                     new.append(prod)
         frontier = new
-    return count
+    return seen
+
+
+def _traces(elements: set[tuple[int, ...]], p: int,
+            r2: Optional[int]) -> frozenset[FqElem]:
+    """Trace set of walked elements.  Row i contributes its i-th
+    coordinate x + y*r as the integer x + big*y, so one integer sum per
+    element carries both coordinates of the trace."""
+    n = len(next(iter(elements)))
+    q = p if r2 is None else p * p
+    big = n * p
+    diagonal = [_Lazy(lambda code, s=q ** i: code // s % q % p
+                      + big * (code // s % q // p)) for i in range(n)]
+    sums = {sum(map(getitem, diagonal, m)) for m in elements}
+    return frozenset(FqElem(p, s % big, s // big, r2) for s in sums)
 
 
 def group_closure(gens: Sequence[ExactMatrix],
                   cap: int = DEFAULT_CLOSURE_CAP) -> int:
     """Exact order of the group generated by invertible FqElem matrices,
-    by breadth-first closure with canonical byte-encoded dedup.  Raises
-    CapExceeded (with the partial count) past the cap."""
-    return _closure_walk(gens, cap)
+    by the breadth-first row-action walk.  Raises CapExceeded (with the
+    partial count) past the cap."""
+    return len(_walk(gens, cap))
 
 
 def group_closure_and_traces(gens: Sequence[ExactMatrix],
                              cap: int = DEFAULT_CLOSURE_CAP
                              ) -> tuple[int, frozenset[FqElem]]:
-    """Order and full trace set in a single walk."""
-    traces: set[FqElem] = set()
-
-    def visit(flat, ring, n):
-        traces.add(_packed_trace(flat, ring, n))
-
-    order = _closure_walk(gens, cap, visit)
-    return order, frozenset(traces)
+    """Order and full trace set from a single walk."""
+    elements = _walk(gens, cap)
+    return len(elements), _traces(elements, *_field(gens))
 
 
 def group_order_formula(family: str, n: int, q: int) -> int:
@@ -580,6 +483,17 @@ def so4_order(p: int) -> int:
     return p * p * (p * p - 1) ** 2
 
 
+_SO4_VECTORS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
+                (1, 1, 0, 0), (1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0),
+                (1, 1, 1, 0), (1, 1, 1, 1), (1, 2, 0, 0), (1, 0, 2, 0))
+
+
+def _so4_anisotropic(p: int) -> list[tuple[tuple[int, ...], int]]:
+    """The vectors v of _SO4_VECTORS with Q(v) = v.v nonzero mod p, paired
+    with Q(v); e1 comes first."""
+    return [(v, nv) for v in _SO4_VECTORS if (nv := sum(x * x for x in v) % p)]
+
+
 def so4_generators(p: int) -> list[ExactMatrix]:
     """A small verified generating set of SO(I_4, F_p): products of the
     reflection in e1 with reflections in a fixed spanning set of
@@ -587,23 +501,15 @@ def so4_generators(p: int) -> list[ExactMatrix]:
     closed form."""
     if p == 2:
         raise ValueError("odd characteristic only")
-    vs = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
-          (1, 1, 0, 0), (1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0),
-          (1, 1, 1, 0), (1, 1, 1, 1), (1, 2, 0, 0), (1, 0, 2, 0)]
 
-    def reflection(v):
-        nv = sum(x * x for x in v) % p
-        if nv == 0:
-            return None
-        inv2 = (2 * pow(nv, -1, p)) % p
+    def reflection(v, nv):
+        inv2 = 2 * pow(nv, -1, p)
         return [[(int(r == c) - inv2 * v[r] * v[c]) % p for c in range(4)]
                 for r in range(4)]
 
-    refs = [reflection(v) for v in vs]
-    refs = [r for r in refs if r is not None]
-    base = refs[0]
+    base, *refs = [reflection(v, nv) for v, nv in _so4_anisotropic(p)]
     gens = []
-    for h in refs[1:]:
+    for h in refs:
         prod = [[sum(base[r][k] * h[k][c] for k in range(4)) % p
                  for c in range(4)] for r in range(4)]
         gens.append(ExactMatrix([[FqElem(p, e) for e in row] for row in prod]))
@@ -613,62 +519,26 @@ def so4_generators(p: int) -> list[ExactMatrix]:
 
 
 def omega4_elements(p: int, cap: int = DEFAULT_CLOSURE_CAP) -> tuple[int, set]:
-    """The commutator subgroup of SO(I_4, F_p): returns (order of SO, the
-    set of packed elements of the index-2 subgroup), computed as the
-    normal closure of the generators' commutators."""
+    """Omega(4, p), the commutator subgroup of SO(I_4, F_p): returns (order
+    of SO, the set of walked elements of the index-2 subgroup).
+
+    Omega is the kernel of the spinor norm, and the spinor norm of
+    r_e1 r_v is the square class of Q(v).  With t a generator of non-square
+    norm, {1, t} is a transversal, so Omega is generated by the Schreier
+    generators: g and t g t^-1 for g of square norm, g t^-1 and t g for g
+    of non-square norm."""
     gens = so4_generators(p)
+    square = [pow(nv, (p - 1) // 2, p) == 1 for _, nv in _so4_anisotropic(p)[1:]]
+    t = next(g for g, sq in zip(gens, square) if not sq)
+    t_inv = t.inverse()
+    schreier = []
+    for g, sq in zip(gens, square):
+        schreier += [g, t * g * t_inv] if sq else [g * t_inv, t * g]
     so_order = so4_order(p)
-    ring = _PackedRing(p)
-    n = 4
-    packed_gens = [_pack_matrix(ring, g) for g in gens]
-
-    def as_matrix(a):
-        return ExactMatrix([[FqElem(p, a[i * n + j]) for j in range(n)]
-                            for i in range(n)])
-
-    def inv(a):
-        return _pack_matrix(ring, as_matrix(a).inverse())
-
-    mul_by: dict[tuple, Callable] = {}
-
-    def mul(a, b):
-        fn = mul_by.get(b)
-        if fn is None:
-            fn = _prime_mul_fn(b, n, p)
-            mul_by[b] = fn
-        return fn(a)
-
-    comms = set()
-    for g in packed_gens:
-        for h in packed_gens:
-            c = mul(mul(g, h), inv(mul(h, g)))
-            comms.add(c)
-            comms.add(inv(c))
-    ident = tuple(int(i == j) for i in range(n) for j in range(n))
-    comms.discard(ident)
-    comm_muls = [_prime_mul_fn(c, n, p) for c in comms]
-    conj_pairs = [(inv(g), _prime_mul_fn(g, n, p)) for g in packed_gens]
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        new = []
-        for m in frontier:
-            for cm in comm_muls:
-                prod = cm(m)
-                if prod not in seen:
-                    seen.add(prod)
-                    if len(seen) > cap:
-                        raise CapExceeded(len(seen))
-                    new.append(prod)
-            for g_inv, g_mul in conj_pairs:
-                conj = g_mul(mul(g_inv, m))
-                if conj not in seen:
-                    seen.add(conj)
-                    if len(seen) > cap:
-                        raise CapExceeded(len(seen))
-                    new.append(conj)
-        frontier = new
-    return so_order, seen
+    elements = _walk(schreier, cap)
+    if 2 * len(elements) != so_order:
+        raise AssertionError("Schreier generators fail to give an index-2 subgroup")
+    return so_order, elements
 
 
 # -- trace sets ---------------------------------------------------------------
@@ -679,43 +549,8 @@ def trace_set_of_generators(gens: Sequence[ExactMatrix],
                             word_length: Optional[int] = None
                             ) -> frozenset[FqElem]:
     """Traces over the full closure, or over words of bounded length when
-    word_length is given."""
-    traces: set[FqElem] = set()
-
-    if word_length is None:
-        def visit(flat, ring, n):
-            traces.add(_packed_trace(flat, ring, n))
-        _closure_walk(gens, cap, visit)
-        return frozenset(traces)
-
-    ring = _detect_ring(gens)
-    n = gens[0].nrows
-    packed = [_pack_matrix(ring, g) for g in gens]
-    if ring.r2 is None:
-        muls = [_prime_mul_fn(g, n, ring.p) for g in packed]
-    else:
-        muls = [(lambda a, g=g: _matmul_table(a, g, n, ring)) for g in packed]
-    frontier = [tuple(int(i == j) for i in range(n) for j in range(n))]
-    traces.add(_packed_trace(frontier[0], ring, n))
-    seen = set(frontier)
-    for _ in range(word_length):
-        new = []
-        for m in frontier:
-            for mul in muls:
-                prod = mul(m)
-                if prod not in seen:
-                    seen.add(prod)
-                    traces.add(_packed_trace(prod, ring, n))
-                    new.append(prod)
-        frontier = new
-    return frozenset(traces)
-
-
-def _packed_trace(flat: tuple, ring: _PackedRing, n: int) -> FqElem:
-    acc = ring.unpack(0)
-    for i in range(n):
-        acc = acc + ring.unpack(flat[i * n + i])
-    return acc
+    word_length is given; the cap bounds either walk."""
+    return _traces(_walk(gens, cap, word_length), *_field(gens))
 
 
 def trace_set(family_or_gens, n: Optional[int] = None, p: Optional[int] = None,
@@ -737,8 +572,7 @@ def trace_set(family_or_gens, n: Optional[int] = None, p: Optional[int] = None,
             if n != 4:
                 raise ValueError("commutator orthogonal group is built for n = 4")
             _, elements = omega4_elements(p, cap)
-            ring = _PackedRing(p)
-            return frozenset(_packed_trace(m, ring, 4) for m in elements)
+            return _traces(elements, p, None)
         else:
             raise ValueError(f"unknown family {family!r}")
         return trace_set_of_generators(gens, cap, word_length)
@@ -959,34 +793,3 @@ def find_nonsurjective_prime(n: int, bound: int = 50) -> Optional[int]:
         if _is_prime(p) and len(poly.image_mod(p)) < p:
             return p
     return None
-
-
-# -- exploratory: traces of the exceptional group mod p ----------------------
-
-
-def g2_trace_probe(p: int, word_length: int = 6) -> dict:
-    """Word-sampled trace set of integral exceptional-group elements mod p
-    (symmetric-power images of the modular group plus the diagonal
-    bending family).  Exploratory only: reports coverage of F_p, proves
-    nothing beyond the sampled words."""
-    from .exactnum import fundamental_unit
-    from .bender import b0_family
-
-    s = ExactMatrix([[0, -1], [1, 0]])
-    t = ExactMatrix([[1, 1], [0, 1]])
-    gens = [reduce_int_matrix(tau(7, s), p), reduce_int_matrix(tau(7, t), p)]
-    unit = fundamental_unit(3).value
-    if 3 % p:
-        try:
-            ctx = ReductionContext.build(p, 3)
-            gens.append(reduce_matrix(b0_family("G2", 7, unit), ctx))
-        except ValueError:
-            pass
-    traces = trace_set_of_generators(gens, word_length=word_length)
-    values = sorted({t.x for t in traces if t.y == 0})
-    return {
-        "p": p,
-        "word_length": word_length,
-        "traces": values,
-        "covers_field": len(values) == p,
-    }

@@ -12,13 +12,17 @@ from hitchinforge.modp import (
     group_closure,
     group_order_formula,
     matrix_order,
+    group_closure_and_traces,
     omega4_elements,
     reduce_scalar,
     separation_certificate,
     sl_generators,
+    so4_generators,
+    so4_order,
     sp_generators,
     su3_generators,
     trace_set,
+    trace_set_of_generators,
     trace_witness,
 )
 from hitchinforge.modp import _non_residue
@@ -90,6 +94,12 @@ def test_group_closure_cap():
     assert exc.value.partial == 101
 
 
+def test_word_walk_cap():
+    with pytest.raises(CapExceeded) as exc:
+        trace_set_of_generators(sl_generators(3, 5), cap=10, word_length=5)
+    assert exc.value.partial == 11
+
+
 def test_order_formulas():
     assert group_order_formula("SL", 3, 5) == 372000
     assert group_order_formula("SL", 3, 3) == 5616
@@ -108,6 +118,17 @@ def test_closures_match_formulas_small():
 def test_omega_index_two():
     so_order, omega = omega4_elements(3)
     assert so_order == 576 and len(omega) == 288
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_omega_matches_commutator_closure(p):
+    # Omega(4, p) by definition: the group generated by the commutators
+    # [g, h] of SO(I_4, F_p) generators, multiplied out as exact matrices
+    gens = so4_generators(p)
+    comms = [g * h * g.inverse() * h.inverse() for g in gens for h in gens]
+    order, traces = group_closure_and_traces(comms)
+    assert order == so4_order(p) // 2 == len(omega4_elements(p)[1])
+    assert traces == trace_set("Omega", 4, p)
 
 
 def test_trace_sets_match_lemmas():
