@@ -16,6 +16,8 @@ from .exactnum import (
     ExactMatrix,
     FieldElem,
     GaloisAction,
+    _is_zero,
+    _one_like,
     apply_galois,
     span_dimension,
 )
@@ -140,7 +142,14 @@ def b0_breaking_profile(kind: Union[B0Kind, str], b: ExactMatrix,
     """The membership/breaking pattern asserted for each family: which of
     the possible closed subgroups the matrix stays in and which it leaves."""
     if isinstance(kind, str):
-        kind = B0Kind.from_name(kind)
+        B0Kind.from_name(kind)
+    return _closure_profile(b, n)
+
+
+def _closure_profile(b: ExactMatrix, n: int) -> dict[str, bool]:
+    """Which of the candidate closed subgroups contain b: the one
+    computation behind both the family profiles and the "breaks" of a
+    density certificate."""
     profile = {
         "preserves_form": preserves_form(b, j_matrix(n), up_to_scalar=True),
         "tau_pgl2": is_tau_pgl2_diagonal(b),
@@ -266,7 +275,7 @@ class BendingSpec:
             return [(self.curve.gamma_name, 1)]
         if self.curve.kind == "separating":
             return self.presentation.boundary_word(self.curve.h)
-        return [(self.curve.stable + "_core", 1)]  # placeholder, unused
+        raise ValueError("a non-separating curve has no boundary word")
 
     def curve_image(self) -> ExactMatrix:
         if self.curve.kind == "nonseparating":
@@ -290,9 +299,7 @@ class BendingSpec:
         if bg != gb:
             issues.append("bending matrix does not commute with the curve image")
         for name, m in self.assignment.items():
-            one = m.entries[0][0] * 0 + 1
-            from .exactnum import _is_zero
-            if not _is_zero(m.det() - one):
+            if not _is_zero(m.det() - _one_like(m.entries[0][0])):
                 issues.append(f"assignment of {name} has determinant != 1")
         return issues
 
@@ -434,9 +441,7 @@ def _sl2_density_evidence(gens: Mapping[str, ExactMatrix]) -> Sl2Evidence:
         nxt = []
         for word, m in frontier:
             t = m.trace()
-            big = (t * t - 4)
-            sign = big.signum() if hasattr(big, "signum") else (1 if big > 0 else -1 if big < 0 else 0)
-            if sign > 0:
+            if t * t - 4 > 0:
                 witness_word, witness = word, m
                 break
             for name in names:
@@ -488,14 +493,9 @@ def density_certificate(spec: BendingSpec, target: str) -> DensityCertificate:
         raise ValueError(
             "density certification needs the 2x2 provenance of the assignment")
     sl2 = _sl2_density_evidence(spec.sl2_assignment)
-    b = spec.b_matrix
     n = spec.n
-    breaks = {
-        "preserves_form": not preserves_form(b, j_matrix(n), up_to_scalar=True),
-        "tau_pgl2": not is_tau_pgl2_diagonal(b),
-    }
-    if n == 7:
-        breaks["in_g2"] = not in_g2(b)
+    breaks = {name: not kept
+              for name, kept in _closure_profile(spec.b_matrix, n).items()}
     return DensityCertificate(
         target=target,
         n=n,

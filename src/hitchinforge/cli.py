@@ -27,14 +27,14 @@ from .bender import (
 )
 from .exactnum import (
     ExactMatrix,
-    FieldElem,
-    field,
+    _one_like,
+    common_field,
     format_scalar,
     fundamental_unit,
     parse_scalar,
 )
 from .g2core import in_g2
-from .lattices import LatticeSpec, containment_check
+from .lattices import LatticeSpec, containment_check, preserves_form
 from .modp import (
     ReductionContext,
     find_nonsurjective_prime,
@@ -90,15 +90,9 @@ def _load_matrix(text: str) -> ExactMatrix:
         raise UsageError(f"matrix is neither a built-in name nor JSON: {e}")
     if not isinstance(rows, list) or not rows:
         raise UsageError("matrix JSON must be a nonempty array of rows")
-    parsed = [[parse_scalar(str(e)) for e in row] for row in rows]
-    rads = sorted({r for row in parsed for e in row
-                   if isinstance(e, FieldElem) for r in e.desc.radicands})
-    if rads:
-        desc = field(*rads)
-        parsed = [[e.extend(desc) if isinstance(e, FieldElem)
-                   else FieldElem.from_rational(desc, e) for e in row]
-                  for row in parsed]
-    return ExactMatrix(parsed)
+    m = ExactMatrix([[parse_scalar(str(e)) for e in row] for row in rows])
+    desc = common_field(e for row in m.entries for e in row)
+    return m.lift(desc) if desc.k else m
 
 
 def _emit(args, payload: dict, exit_code: int = 0) -> int:
@@ -162,9 +156,6 @@ def _cmd_classify_form(args) -> int:
 def _cmd_symrep(args) -> int:
     m = _load_matrix(args.matrix)
     image = tau(args.n, m)
-    j = j_matrix(args.n)
-    one = image.entries[0][0] * 0 + 1
-    jj = j.map_entries(lambda e: e * one)
     poly = trace_poly(args.n)
     return _emit(args, {
         "command": "symrep",
@@ -172,7 +163,7 @@ def _cmd_symrep(args) -> int:
         "matrix": _matrix_to_json(m),
         "image": _matrix_to_json(image),
         "det": format_scalar(image.det()),
-        "preserves_invariant_form": image.transpose() * jj * image == jj,
+        "preserves_invariant_form": preserves_form(image, j_matrix(args.n)),
         "trace": format_scalar(image.trace()),
         "trace_polynomial_coefficients": [str(c) for c in poly.coefficients],
     })
@@ -252,17 +243,20 @@ def _load_bending_spec(text: str) -> BendingSpec:
     except json.JSONDecodeError:
         with open(text) as fh:
             data = json.load(fh)
+    if not isinstance(data, dict):
+        raise UsageError("bending spec must be a JSON object")
+    for key in ("n", "sl2_assignment"):
+        if key not in data:
+            raise UsageError(f"bending spec has no {key!r}")
+    if "b0" not in data and "b_matrix" not in data:
+        raise UsageError("bending spec has neither 'b0' nor 'b_matrix'")
     n = data["n"]
     sl2 = {name: _load_matrix(json.dumps(rows))
            for name, rows in data["sl2_assignment"].items()}
-    rads = sorted({r for m in sl2.values() for row in m.entries
-                   for e in row if isinstance(e, FieldElem)
-                   for r in e.desc.radicands})
-    if rads:
-        desc = field(*rads)
-        sl2 = {name: m.map_entries(
-            lambda e: e.extend(desc) if isinstance(e, FieldElem)
-            else FieldElem.from_rational(desc, e)) for name, m in sl2.items()}
+    desc = common_field(e for m in sl2.values() for row in m.entries
+                        for e in row)
+    if desc.k:
+        sl2 = {name: m.lift(desc) for name, m in sl2.items()}
     assignment = {name: tau(n, m) for name, m in sl2.items()}
     if "b0" in data:
         spec_b = data["b0"]
@@ -279,7 +273,7 @@ def _load_bending_spec(text: str) -> BendingSpec:
                           stable=curve_data.get("stable", "s"))
     else:
         curve = CurveSpec("free", gamma_name=curve_data.get("gamma"))
-    one = next(iter(assignment.values())).entries[0][0] * 0 + 1
+    one = _one_like(next(iter(assignment.values())).entries[0][0])
     b = b.map_entries(lambda e: e * one)
     return BendingSpec(n=n, assignment=assignment, b_matrix=b, curve=curve,
                        presentation=presentation, sl2_assignment=sl2)

@@ -137,9 +137,7 @@ class FieldElem:
 
     @classmethod
     def one(cls, desc: FieldDescriptor) -> "FieldElem":
-        c = [Fraction(0)] * desc.dim
-        c[0] = Fraction(1)
-        return cls(desc, c)
+        return cls.from_rational(desc, 1)
 
     @classmethod
     def from_rational(cls, desc: FieldDescriptor, q: Union[int, Fraction]) -> "FieldElem":
@@ -457,7 +455,11 @@ def fundamental_unit(d: int) -> FundamentalUnit:
     raise RuntimeError(f"continued fraction for sqrt({d}) did not close")
 
 
-# -- matrices ------------------------------------------------------------
+# -- the scalar ring protocol ---------------------------------------------
+#
+# FieldElem, QuatElem and FqElem answer zero_like, one_like, is_zero and
+# inverse themselves; these helpers are the one place where bare rationals
+# join that protocol.
 
 
 def _zero_like(x):
@@ -470,6 +472,38 @@ def _one_like(x):
     if isinstance(x, (int, Fraction)):
         return Fraction(1)
     return x.one_like()
+
+
+def _is_zero(x) -> bool:
+    if isinstance(x, (int, Fraction)):
+        return x == 0
+    return x.is_zero()
+
+
+def _invert(x):
+    if isinstance(x, (int, Fraction)):
+        return Fraction(1) / x
+    return x.inverse()
+
+
+def lift(x: Scalar, desc: FieldDescriptor) -> FieldElem:
+    """x as an element of the field desc: rationals embed, elements of a
+    subfield extend."""
+    if isinstance(x, FieldElem):
+        return x if x.desc == desc else x.extend(desc)
+    if isinstance(x, (int, Fraction)):
+        return FieldElem.from_rational(desc, x)
+    raise ValueError(f"{x} is not a rational or field element")
+
+
+def common_field(scalars: Iterable) -> FieldDescriptor:
+    """The smallest field containing every given scalar (Q when all are
+    rational)."""
+    return field(*(r for x in scalars if isinstance(x, FieldElem)
+                   for r in x.desc.radicands))
+
+
+# -- matrices ------------------------------------------------------------
 
 
 class ExactMatrix:
@@ -501,7 +535,6 @@ class ExactMatrix:
 
     @classmethod
     def diagonal(cls, diag: Sequence) -> "ExactMatrix":
-        diag = [Fraction(e) if isinstance(e, int) else e for e in diag]
         zero = _zero_like(diag[0])
         n = len(diag)
         return cls([[diag[i] if i == j else zero for j in range(n)] for i in range(n)])
@@ -581,6 +614,10 @@ class ExactMatrix:
 
     def map_entries(self, fn: Callable) -> "ExactMatrix":
         return ExactMatrix([[fn(e) for e in row] for row in self.entries])
+
+    def lift(self, desc: FieldDescriptor) -> "ExactMatrix":
+        """Every entry lifted into the field desc (see `lift`)."""
+        return self.map_entries(lambda e: lift(e, desc))
 
     def trace(self):
         if not self.is_square():
@@ -670,7 +707,7 @@ class ExactMatrix:
         if self.nrows != other.nrows or self.ncols != other.ncols:
             return False
         return all(
-            _entries_equal(a, b)
+            a == b
             for ra, rb in zip(self.entries, other.entries)
             for a, b in zip(ra, rb)
         )
@@ -709,24 +746,6 @@ def _dot(row, col):
     for a, b in it:
         acc = acc + a * b
     return acc
-
-
-def _is_zero(x) -> bool:
-    if isinstance(x, Fraction):
-        return x == 0
-    return x.is_zero()
-
-
-def _invert(x):
-    if isinstance(x, Fraction):
-        return Fraction(1) / x
-    return x.inverse()
-
-
-def _entries_equal(a, b) -> bool:
-    if isinstance(a, Fraction) and isinstance(b, FieldElem):
-        return b == a
-    return a == b
 
 
 def galois_matrix(action: GaloisAction, m: ExactMatrix) -> ExactMatrix:
@@ -797,10 +816,6 @@ def format_scalar(x: Scalar) -> str:
     Monomials over several radicands print as c*sqrt(m) with m the
     square-free radicand of the product.
     """
-    if isinstance(x, int):
-        return str(x)
-    if isinstance(x, Fraction):
-        return str(x)
     if not isinstance(x, FieldElem):
         return str(x)
     parts: list[str] = []

@@ -7,12 +7,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Sequence
 
-from .exactnum import ExactMatrix, FieldElem, _is_zero, _one_like, _zero_like
+from .exactnum import ExactMatrix, Scalar, _is_zero, _one_like, _zero_like
 from .symrep import j_matrix
-
-Scalar = Union[Fraction, FieldElem]
 
 J7 = j_matrix(7)
 
@@ -51,7 +49,7 @@ class Vec7:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Vec7):
             return NotImplemented
-        return all(_is_zero(a - b) for a, b in zip(self.coords, other.coords))
+        return self.coords == other.coords
 
     def __hash__(self) -> int:
         return hash(self.coords)
@@ -111,11 +109,6 @@ class Octonion:
     def __sub__(self, other: "Octonion") -> "Octonion":
         return Octonion(self.t - other.t, self.v - other.v)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Octonion):
-            return NotImplemented
-        return _is_zero(self.t - other.t) and self.v == other.v
-
 
 def oct_mul(p: Octonion, q: Octonion) -> Octonion:
     """(t,v)(s,w) = (ts - v^T J7 w, tw + sv + v x w)."""
@@ -143,7 +136,7 @@ def in_g2(m: ExactMatrix) -> bool:
     J = J7.map_entries(lambda e: e * one)
     if m.transpose() * J * m != J:
         return False
-    if not _is_zero(m.det() - one):
+    if m.det() != one:
         return False
     cols = [Vec7([m.entries[r][c] for r in range(7)]) for c in range(7)]
     for i, j in _BASIS_PAIRS:

@@ -13,10 +13,12 @@ from typing import Optional
 
 from .exactnum import (
     ExactMatrix,
-    FieldDescriptor,
     FieldElem,
     GaloisAction,
+    _invert,
     _is_zero,
+    _one_like,
+    apply_galois,
     field,
     galois_matrix,
     square_free_part,
@@ -41,25 +43,13 @@ def is_integral_matrix(m: ExactMatrix) -> bool:
     return all(is_integral_scalar(e) for row in m.entries for e in row)
 
 
-def _as_field_matrix(m: ExactMatrix, desc: FieldDescriptor) -> ExactMatrix:
-    def conv(e):
-        if isinstance(e, Fraction):
-            return FieldElem.from_rational(desc, e)
-        if isinstance(e, FieldElem):
-            if e.desc == desc:
-                return e
-            return e.extend(desc)
-        raise ValueError("entry is not a field element")
-    return m.map_entries(conv)
-
-
 def in_slnz(m: ExactMatrix) -> bool:
     """SL(n, Z): integer entries and determinant one."""
     if not m.is_square():
         return False
     if not is_integral_matrix(m):
         return False
-    return m.det() == ExactMatrix.identity(m.nrows, like=m.entries[0][0]).entries[0][0]
+    return m.det() == _one_like(m.entries[0][0])
 
 
 def in_su_sqrt_d(m: ExactMatrix, n: int, d: int) -> bool:
@@ -77,7 +67,7 @@ def in_su_sqrt_d(m: ExactMatrix, n: int, d: int) -> bool:
             if isinstance(e, FieldElem) and e.desc != desc:
                 if any(r != d for r in e.desc.radicands):
                     raise ValueError(f"entry {e} is not in Q(sqrt({d}))")
-    mm = _as_field_matrix(m, desc)
+    mm = m.lift(desc)
     if not is_integral_matrix(mm):
         return False
     if mm.det() != FieldElem.one(desc):
@@ -96,7 +86,7 @@ def diagonal_su_nonsplit_conditions(m: ExactMatrix, d: int) -> bool:
     if not m.is_diagonal():
         return False
     desc = field(d)
-    mm = _as_field_matrix(m, desc)
+    mm = m.lift(desc)
     if not is_integral_matrix(mm):
         return False
     w = list(mm.diagonal_entries())
@@ -107,7 +97,6 @@ def diagonal_su_nonsplit_conditions(m: ExactMatrix, d: int) -> bool:
     if det != FieldElem.one(desc):
         return False
     tau_d = GaloisAction.flipping(d)
-    from .exactnum import apply_galois
     for i in range(n):
         if w[i] != w[n - 1 - i]:
             return False
@@ -121,7 +110,7 @@ def preserves_form(m: ExactMatrix, j: ExactMatrix,
     """M^T J M = J, or = lambda*J for some scalar when up_to_scalar."""
     if m.ncols != j.nrows or not m.is_square() or not j.is_square():
         raise ValueError("incompatible dimensions")
-    one = m.entries[0][0] * 0 + 1
+    one = _one_like(m.entries[0][0])
     jj = j.map_entries(lambda e: e * one)
     got = m.transpose() * jj * m
     if got == jj:
@@ -132,17 +121,13 @@ def preserves_form(m: ExactMatrix, j: ExactMatrix,
     for i in range(j.nrows):
         for k in range(j.ncols):
             if not _is_zero(jj.entries[i][k]):
-                lam = got.entries[i][k] * _inv(jj.entries[i][k])
+                lam = got.entries[i][k] * _invert(jj.entries[i][k])
                 break
         if lam is not None:
             break
     if lam is None:
         raise ValueError("form matrix is zero")
     return got == jj.map_entries(lambda e: e * lam)
-
-
-def _inv(x):
-    return (Fraction(1) / x) if isinstance(x, Fraction) else x.inverse()
 
 
 def is_tau_pgl2_diagonal(b: ExactMatrix) -> bool:
@@ -156,8 +141,8 @@ def is_tau_pgl2_diagonal(b: ExactMatrix) -> bool:
         raise ValueError("diagonal entries must be nonzero")
     if len(diag) == 1:
         return True
-    ratio = diag[0] * _inv(diag[1])
-    return all(diag[i] * _inv(diag[i + 1]) == ratio
+    ratio = diag[0] * _invert(diag[1])
+    return all(diag[i] * _invert(diag[i + 1]) == ratio
                for i in range(1, len(diag) - 1))
 
 
@@ -194,8 +179,7 @@ def _quat_block_det_is_one(m: ExactMatrix) -> bool:
     big = [[None] * (2 * size) for _ in range(2 * size)]
     for i in range(size):
         for j in range(size):
-            blk = _as_field_matrix(blocks[i][j], desc) if (
-                blocks[i][j].entries[0][0].desc != desc) else blocks[i][j]
+            blk = blocks[i][j].lift(desc)
             for r in range(2):
                 for c in range(2):
                     big[2 * i + r][2 * j + c] = blk.entries[r][c]
@@ -212,10 +196,7 @@ def in_sp(m: ExactMatrix, n: int, integral: bool = True) -> bool:
         return False
     if integral and not is_integral_matrix(m):
         return False
-    j = symplectic_form(n)
-    one = m.entries[0][0] * 0 + 1
-    jj = j.map_entries(lambda e: e * one)
-    return m.transpose() * jj * m == jj
+    return preserves_form(m, symplectic_form(n))
 
 
 def symplectic_form(n: int) -> ExactMatrix:
@@ -233,11 +214,7 @@ def in_so_q(m: ExactMatrix, q: ExactMatrix, integral: bool = True) -> bool:
         return False
     if integral and not is_integral_matrix(m):
         return False
-    one = m.entries[0][0] * 0 + 1
-    qq = q.map_entries(lambda e: e * one)
-    if m.transpose() * qq * m != qq:
-        return False
-    return _is_zero(m.det() - one)
+    return preserves_form(m, q) and m.det() == _one_like(m.entries[0][0])
 
 
 def in_g2z(m: ExactMatrix) -> bool:
@@ -384,14 +361,13 @@ def containment_check(a: int, b: int, n: int,
         for p in patterns
     }
     hmats = {
-        p: hermitian_h(n, a, b, p).map_entries(
-            lambda e: FieldElem.from_rational(desc, e))
+        p: hermitian_h(n, a, b, p).lift(desc)
         for p in patterns
     }
     failures = []
     checked = 0
     for g in elements:
-        m = tau(n, _as_field_matrix(g.matrix(), desc))
+        m = tau(n, g.matrix().lift(desc))
         for p in patterns:
             checked += 1
             h = hmats[p]

@@ -8,19 +8,22 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
 from .exactnum import (
     ExactMatrix,
     FieldDescriptor,
     FieldElem,
     GaloisAction,
+    Scalar,
+    _invert,
+    _is_zero,
+    apply_galois,
+    common_field,
     field,
+    lift,
     square_free_part,
 )
 from .qforms import Place, hasse_scan_places, hilbert_symbol
-
-CoeffScalar = Union[int, Fraction, FieldElem]
 
 
 @dataclass(frozen=True)
@@ -56,7 +59,7 @@ class QuatAlgebra:
         return QuatElem(self, 0, 0, 0, 1)
 
 
-def _coerce_coeff(x) -> CoeffScalar:
+def _coerce_coeff(x) -> Scalar:
     if isinstance(x, int):
         return Fraction(x)
     return x
@@ -136,7 +139,7 @@ class QuatElem:
         x0, x1, x2, x3 = self.coords
         return QuatElem(self.algebra, x0, -x1, -x2, -x3)
 
-    def nred(self) -> CoeffScalar:
+    def nred(self) -> Scalar:
         """Reduced norm x * conj(x) = x0^2 - a*x1^2 - b*x2^2 + ab*x3^2."""
         a, b = self.algebra.a, self.algebra.b
         x0, x1, x2, x3 = self.coords
@@ -144,9 +147,9 @@ class QuatElem:
 
     def inverse(self) -> "QuatElem":
         n = self.nred()
-        if _scalar_is_zero(n):
+        if _is_zero(n):
             raise ZeroDivisionError("quaternion has reduced norm zero")
-        inv = (Fraction(1) / n) if isinstance(n, Fraction) else n.inverse()
+        inv = _invert(n)
         return QuatElem(self.algebra, *(c * inv for c in self.conj().coords))
 
     def __pow__(self, e: int) -> "QuatElem":
@@ -163,14 +166,13 @@ class QuatElem:
 
     def apply_galois(self, action: GaloisAction) -> "QuatElem":
         """Galois action on the coordinates only (quaternion basis fixed)."""
-        from .exactnum import apply_galois
         return QuatElem(self.algebra, *(apply_galois(action, c) for c in self.coords))
 
     def is_zero(self) -> bool:
-        return all(_scalar_is_zero(c) for c in self.coords)
+        return all(_is_zero(c) for c in self.coords)
 
     def is_scalar(self) -> bool:
-        return all(_scalar_is_zero(c) for c in self.coords[1:])
+        return all(_is_zero(c) for c in self.coords[1:])
 
     def __eq__(self, other) -> bool:
         o = self._coerce(other)
@@ -185,30 +187,12 @@ class QuatElem:
         names = ("", "i", "j", "ij")
         parts = []
         for c, name in zip(self.coords, names):
-            if _scalar_is_zero(c):
+            if _is_zero(c):
                 continue
             parts.append(f"({c}){name}" if name else f"({c})")
         return " + ".join(parts) if parts else "0"
 
     __repr__ = __str__
-
-
-def _scalar_is_zero(x) -> bool:
-    if isinstance(x, Fraction):
-        return x == 0
-    return x.is_zero()
-
-
-def quat_mul(x: QuatElem, y: QuatElem) -> QuatElem:
-    return x * y
-
-
-def quat_conj(x: QuatElem) -> QuatElem:
-    return x.conj()
-
-
-def nred(x: QuatElem) -> CoeffScalar:
-    return x.nred()
 
 
 # -- the embedding into 2x2 matrices ---------------------------------------
@@ -230,14 +214,9 @@ def embed_m2(x: QuatElem) -> ExactMatrix:
     Q(sqrt(d)); the target field then adjoins d as well.
     """
     alg = x.algebra
-    desc = splitting_field(alg)
-    extra = [r for c in x.coords if isinstance(c, FieldElem)
-             for r in c.desc.radicands]
-    if extra:
-        desc = field(*(desc.radicands + tuple(extra)))
-    coords = [c.extend(desc) if isinstance(c, FieldElem)
-              else FieldElem.from_rational(desc, c) for c in x.coords]
-    x0, x1, x2, x3 = coords
+    desc = field(*splitting_field(alg).radicands,
+                 *common_field(x.coords).radicands)
+    x0, x1, x2, x3 = (lift(c, desc) for c in x.coords)
     sa = FieldElem.sqrt_int(desc, alg.a)
     sb = FieldElem.sqrt_int(desc, alg.b)
     sab = sa * sb

@@ -21,6 +21,8 @@ from .exactnum import (
     _is_zero,
     _one_like,
     _zero_like,
+    apply_galois,
+    field,
     is_square,
     square_free_part,
 )
@@ -106,7 +108,7 @@ class TracePoly:
         return len(self.coefficients) - 1
 
     def __call__(self, t):
-        acc = _zero_like(t) if not isinstance(t, int) else 0
+        acc = 0
         for c in reversed(self.coefficients):
             acc = acc * t + c
         return acc
@@ -356,8 +358,6 @@ def so_form_from_cocycle(n: int, a: int, b: int, case: CaseName) -> SoFormResult
                                square_free_part(a_sf * b_sf) == 1):
         raise ValueError("degree-4 case needs a, b, ab all non-square")
 
-    from .exactnum import field
-
     if case == "trivial":
         desc = field()
     elif case == "degree-2":
@@ -366,7 +366,8 @@ def so_form_from_cocycle(n: int, a: int, b: int, case: CaseName) -> SoFormResult
         desc = field(a_sf, b_sf)
 
     group = _galois_group(case, a_sf, b_sf)
-    weights = {signs: tau_of_lifted_cocycle(n, signs) for signs, _ in group}
+    weights = {signs: tau_of_lifted_cocycle(n, signs).lift(desc)
+               for signs, _ in group}
     vs = _averaging_vectors(n, case, desc)
 
     def average(vec: list[FieldElem]) -> list[FieldElem]:
@@ -374,23 +375,19 @@ def so_form_from_cocycle(n: int, a: int, b: int, case: CaseName) -> SoFormResult
         for signs, action in group:
             w = weights[signs]
             moved = [
-                sum((FieldElem.from_rational(desc, w.entries[r][c])
-                     * _apply(action, vec[c]) for c in range(n)),
+                sum((w.entries[r][c] * apply_galois(action, vec[c])
+                     for c in range(n)),
                     FieldElem.zero(desc))
                 for r in range(n)
             ]
             out = [x + y for x, y in zip(out, moved)]
         return out
 
-    def _apply(action: GaloisAction, x: FieldElem) -> FieldElem:
-        from .exactnum import apply_galois
-        return apply_galois(action, x)
-
     columns = [average(vec) for vec in vs]
     s_inv = ExactMatrix(list(zip(*columns)))
     if _is_zero(s_inv.det()):
         raise AssertionError("averaged vectors are not a basis")
-    J = j_matrix(n).map_entries(lambda e: FieldElem.from_rational(desc, e))
+    J = j_matrix(n).lift(desc)
     D = s_inv.transpose() * J * s_inv
     if not D.is_diagonal():
         if case != "trivial":
@@ -398,17 +395,10 @@ def so_form_from_cocycle(n: int, a: int, b: int, case: CaseName) -> SoFormResult
         # identity cocycle reproduces the antidiagonal form; finish by
         # congruence diagonalization
         dg = diagonalize_qform(j_matrix(n))
-        witness = dg.witness.map_entries(
-            lambda e: FieldElem.from_rational(desc, e))
-        s_inv = s_inv * witness
+        s_inv = s_inv * dg.witness.lift(desc)
         D = s_inv.transpose() * J * s_inv
-    diag = []
-    for e in D.diagonal_entries():
-        if isinstance(e, FieldElem):
-            diag.append(e.rational_value())
-        else:
-            diag.append(Fraction(e))
-    D_rat = ExactMatrix.diagonal(diag)
+    D_rat = ExactMatrix.diagonal([e.rational_value()
+                                  for e in D.diagonal_entries()])
     inv = form_invariants(D_rat)
     closed = {}
     classes = diagonalize_qform(D_rat).classes

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -145,6 +146,15 @@ def test_relator_fails_with_noncommuting_bending():
     assert "does not commute" in spec.invariant_violations()[0]
     check = relator_ok(spec)
     assert not check.ok
+
+
+def test_nonseparating_curve_has_image_but_no_boundary_word():
+    b = b0_family("SU_split_a", 3, OM)
+    spec = replace(_genus2_spec(3, b),
+                   curve=CurveSpec("nonseparating", stable="a1"))
+    assert spec.curve_image() == spec.assignment["a1"]
+    with pytest.raises(ValueError, match="no boundary word"):
+        spec.curve_word()
 
 
 def test_relator_free_mode_flagged():

@@ -1,4 +1,7 @@
 import json
+from pathlib import Path
+
+import pytest
 
 from hitchinforge.cli import run
 
@@ -183,6 +186,22 @@ def test_output_file(tmp_path, capsys):
     assert doc["unit"] == "1+sqrt(2)" and doc["norm"] == -1
 
 
+@pytest.mark.parametrize("missing, named", [
+    ("n", "'n'"),
+    ("sl2_assignment", "'sl2_assignment'"),
+    ("b0", "'b_matrix'"),
+])
+def test_malformed_bending_spec_is_one_line_usage_error(capsys, missing, named):
+    data = json.loads(GENUS2_SPEC)
+    del data[missing]
+    assert run(["bend", "--spec", json.dumps(data), "--check-relator"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: bending spec ")
+    assert named in lines[0]
+
+
 def test_unknown_matrix_is_usage_error(capsys):
     assert run(["classify-form", "--matrix", "J99"]) == 2
     assert run(["classify-form", "--matrix", "notjson"]) == 2
@@ -197,3 +216,39 @@ def test_named_bending_matrix(capsys):
     assert code == 0 and doc["in_g2"]
     code, doc = run_json(capsys, ["g2-check", "--matrix", "B0:SO_n7:7"])
     assert code == 1 and not doc["in_g2"]
+
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+# every README example; bend and certify-density read the genus-2 spec,
+# which is the README's spec.json
+README_EXAMPLES = {
+    "pell": (["pell", "--d", "3"], 0),
+    "quat-info": (["quat-info", "--a", "3", "--b", "3", "--height", "2"], 0),
+    "classify-form": (["classify-form", "--matrix", "J5"], 0),
+    "symrep": (["symrep", "--n", "3", "--matrix", '[["1","1"],["0","1"]]'], 0),
+    "so-form": (["so-form", "--n", "5", "--a", "3", "--b", "5",
+                 "--case", "degree-2"], 0),
+    "lattice-check": (["lattice-check", "--kind", "SU_sqrt_d", "--n", "5",
+                       "--d", "3", "--matrix", "B0:SU_split_a:5"], 0),
+    "containment": (["containment", "--a", "3", "--b", "3", "--n", "5",
+                     "--height", "4"], 0),
+    "g2-check": (["g2-check", "--tau-word", "t s t^-1"], 0),
+    "bend": (["bend", "--spec", GENUS2_SPEC, "--check-relator"], 0),
+    "certify-density": (["certify-density", "--spec", GENUS2_SPEC,
+                         "--target", "SLn"], 1),
+    "reduce-modp": (["reduce-modp", "--p", "11", "--d", "3",
+                     "--value", "2+sqrt(3)"], 0),
+    "trace-set": (["trace-set", "--family", "SU", "--n", "3", "--p", "3"], 0),
+    "orbit-separate": (["orbit-separate", "--n", "3", "--p", "5",
+                        "--B", "SU_split_a"], 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(README_EXAMPLES))
+def test_readme_example_golden_stdout(capsys, name):
+    argv, expected_code = README_EXAMPLES[name]
+    code = run(argv)
+    out = capsys.readouterr().out
+    assert code == expected_code
+    assert out == (GOLDEN_DIR / f"{name}.json").read_text()

@@ -7,16 +7,24 @@ from hitchinforge.exactnum import (
     FieldDescriptor,
     FieldElem,
     GaloisAction,
+    _invert,
+    _is_zero,
+    _one_like,
+    _zero_like,
     apply_galois,
+    common_field,
     field,
     format_scalar,
     fundamental_unit,
     galois_matrix,
+    lift,
     parse_scalar,
     span_dimension,
     square_class,
     square_free_decomposition,
 )
+from hitchinforge.modp import FqElem
+from hitchinforge.quatalg import QuatAlgebra
 from hitchinforge.symrep import tau
 
 
@@ -201,3 +209,49 @@ def test_scalar_parsing_roundtrip():
     assert format_scalar(parse_scalar("sqrt(12)")) == "2sqrt(3)"
     with pytest.raises(ValueError):
         parse_scalar("sqrt(-3)+")
+
+
+RING_SAMPLES = {
+    "Q": Fraction(-3, 7),
+    "Q(sqrt3)": parse_scalar("2+sqrt(3)"),
+    "Q(sqrt2,sqrt3)": FieldElem(field(2, 3), [Fraction(1, 2), 1, 0, -3]),
+    "F5": FqElem(5, 3),
+    "F9": FqElem(3, 1, 2, r2=2),
+    "(3,5)": QuatAlgebra(3, 5)(1, 2, 0, -1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RING_SAMPLES))
+def test_scalar_ring_protocol(name):
+    x = RING_SAMPLES[name]
+    zero, one = _zero_like(x), _one_like(x)
+    assert type(zero) is type(one) is type(x)
+    assert zero == x - x
+    assert one * x == x and x * one == x
+    assert _is_zero(zero) and not _is_zero(one) and not _is_zero(x)
+    assert x * _invert(x) == one
+
+
+def test_lift_and_common_field():
+    small, big = field(3), field(2, 3)
+    s3 = FieldElem.sqrt_int(small, 3)
+    m = ExactMatrix([[Fraction(1, 2), s3], [s3 + 1, 0]])
+    assert common_field(e for row in m.entries for e in row) == small
+    assert common_field([Fraction(1), 2]) == field()
+    assert common_field([s3, FieldElem.sqrt_int(field(2), 2)]) == big
+    expected = ExactMatrix([
+        [FieldElem.from_rational(big, Fraction(1, 2)), s3.extend(big)],
+        [(s3 + 1).extend(big), FieldElem.from_rational(big, 0)],
+    ])
+    lifted = m.lift(big)
+    assert lifted == expected
+    assert all(e.desc == big for row in lifted.entries for e in row)
+    assert lift(s3, small) is s3
+    with pytest.raises(ValueError):
+        lift(FqElem(5, 1), big)
+    # a rational matrix equals its lift whichever side the comparison starts on
+    rational = ExactMatrix([[1, Fraction(-2, 3)], [0, 5]])
+    rational_lift = rational.lift(small)
+    assert rational == rational_lift and rational_lift == rational
+    other = (rational * 2).lift(small)
+    assert rational != other and other != rational
