@@ -259,16 +259,7 @@ class FieldElem:
         return self.inverse() * other
 
     def __pow__(self, e: int) -> "FieldElem":
-        if e < 0:
-            return self.inverse() ** (-e)
-        out = FieldElem.one(self.desc)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return _power(self, e, FieldElem.one(self.desc))
 
     # -- predicates and accessors --------------------------------------
 
@@ -486,6 +477,21 @@ def _invert(x):
     return x.inverse()
 
 
+def _power(x, e: int, one):
+    """x ** e by square-and-multiply from the unit one; a negative e
+    inverts x first."""
+    if e < 0:
+        x, e = _invert(x), -e
+    out = one
+    while e:
+        if e & 1:
+            out = out * x
+        e >>= 1
+        if e:
+            x = x * x
+    return out
+
+
 def lift(x: Scalar, desc: FieldDescriptor) -> FieldElem:
     """x as an element of the field desc: rationals embed, elements of a
     subfield extend."""
@@ -598,16 +604,7 @@ class ExactMatrix:
     def __pow__(self, e: int) -> "ExactMatrix":
         if not self.is_square():
             raise ValueError("power of a non-square matrix")
-        if e < 0:
-            return self.inverse() ** (-e)
-        out = ExactMatrix.identity(self.nrows, like=self.entries[0][0])
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return _power(self, e, ExactMatrix.identity(self.nrows, like=self.entries[0][0]))
 
     def transpose(self) -> "ExactMatrix":
         return ExactMatrix(list(zip(*self.entries)))
@@ -628,32 +625,22 @@ class ExactMatrix:
         return t
 
     def det(self):
-        """Determinant by exact Gaussian elimination (commutative entries)."""
+        """Determinant by exact Gaussian elimination (commutative entries):
+        the signed product of the echelon pivots."""
         self._require_commutative()
         if not self.is_square():
             raise ValueError("determinant of a non-square matrix")
-        n = self.nrows
         rows = [list(r) for r in self.entries]
-        det = _one_like(rows[0][0])
-        sign = 1
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if not _is_zero(rows[r][col])), None)
-            if pivot is None:
-                return _zero_like(rows[0][0])
-            if pivot != col:
-                rows[col], rows[pivot] = rows[pivot], rows[col]
-                sign = -sign
-            pv = rows[col][col]
-            det = det * pv
-            inv = _invert(pv)
-            for r in range(col + 1, n):
-                if _is_zero(rows[r][col]):
-                    continue
-                factor = rows[r][col] * inv
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
+        pivots, sign = _echelon(rows, self.ncols)
+        if len(pivots) < self.nrows:
+            return _zero_like(rows[0][0])
+        det = rows[0][0]
+        for i in range(1, self.nrows):
+            det = det * rows[i][i]
         return det if sign == 1 else -det
 
     def inverse(self) -> "ExactMatrix":
+        """Inverse by elimination on [A | I] and back-substitution."""
         self._require_commutative()
         if not self.is_square():
             raise ValueError("inverse of a non-square matrix")
@@ -662,38 +649,22 @@ class ExactMatrix:
         one = _one_like(self.entries[0][0])
         aug = [list(r) + [one if i == j else zero for j in range(n)]
                for i, r in enumerate(self.entries)]
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if not _is_zero(aug[r][col])), None)
-            if pivot is None:
-                raise ZeroDivisionError("matrix is singular")
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-            inv = _invert(aug[col][col])
-            aug[col] = [e * inv for e in aug[col]]
-            for r in range(n):
-                if r == col or _is_zero(aug[r][col]):
-                    continue
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-        return ExactMatrix([row[n:] for row in aug])
+        if len(_echelon(aug, n)[0]) < n:
+            raise ZeroDivisionError("matrix is singular")
+        out: list = [None] * n
+        for i in reversed(range(n)):
+            row = aug[i][n:]
+            for j in range(i + 1, n):
+                if not _is_zero(aug[i][j]):
+                    factor = aug[i][j]
+                    row = [a - factor * b for a, b in zip(row, out[j])]
+            inv = _invert(aug[i][i])
+            out[i] = [e * inv for e in row]
+        return ExactMatrix(out)
 
     def rank(self) -> int:
         self._require_commutative()
-        rows = [list(r) for r in self.entries]
-        rank = 0
-        for col in range(self.ncols):
-            pivot = next((r for r in range(rank, self.nrows)
-                          if not _is_zero(rows[r][col])), None)
-            if pivot is None:
-                continue
-            rows[rank], rows[pivot] = rows[pivot], rows[rank]
-            inv = _invert(rows[rank][col])
-            rows[rank] = [e * inv for e in rows[rank]]
-            for r in range(self.nrows):
-                if r != rank and not _is_zero(rows[r][col]):
-                    factor = rows[r][col]
-                    rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
-            rank += 1
-        return rank
+        return len(_echelon([list(r) for r in self.entries], self.ncols)[0])
 
     def _require_commutative(self) -> None:
         if getattr(self.entries[0][0], "noncommutative", False):
@@ -739,6 +710,36 @@ class ExactMatrix:
     __repr__ = __str__
 
 
+def _echelon(rows: list[list], ncols: int) -> tuple[list[int], int]:
+    """Bring rows to row echelon form in place by exact Gaussian
+    elimination on the first ncols columns.  Returns the pivot columns
+    (row i holds the pivot of column pivots[i]) and the sign of the row
+    permutation.  A pivot is inverted only when a row below needs
+    clearing."""
+    pivots: list[int] = []
+    sign = 1
+    for col in range(ncols):
+        top = len(pivots)
+        pivot = next((r for r in range(top, len(rows))
+                      if not _is_zero(rows[r][col])), None)
+        if pivot is None:
+            continue
+        if pivot != top:
+            rows[top], rows[pivot] = rows[pivot], rows[top]
+            sign = -sign
+        pivots.append(col)
+        below = [r for r in range(top + 1, len(rows)) if not _is_zero(rows[r][col])]
+        if below:
+            prow = rows[top][col:]
+            inv = _invert(prow[0])
+            for r in below:
+                row = rows[r]
+                factor = row[col] * inv
+                # entries left of col are zero in every row from top down
+                rows[r] = row[:col] + [a - factor * b for a, b in zip(row[col:], prow)]
+    return pivots, sign
+
+
 def _dot(row, col):
     it = iter(zip(row, col))
     a, b = next(it)
@@ -765,26 +766,13 @@ def span_dimension(mats: Sequence[ExactMatrix]) -> int:
             raise ValueError("all matrices must be square of equal size")
     cap = n * n
 
-    basis: dict[int, list] = {}  # pivot index -> reduced vector
-
-    def reduce_vector(vec: list) -> Optional[tuple[int, list]]:
-        vec = list(vec)
-        for pivot, bv in sorted(basis.items()):
-            if not _is_zero(vec[pivot]):
-                factor = vec[pivot]
-                vec = [a - factor * b for a, b in zip(vec, bv)]
-        for i, e in enumerate(vec):
-            if not _is_zero(e):
-                inv = _invert(e)
-                return i, [x * inv for x in vec]
-        return None
+    basis: list[list] = []  # echelon rows of the vectorized span
 
     def add_matrix(m: ExactMatrix) -> bool:
-        vec = [e for row in m.entries for e in row]
-        red = reduce_vector(vec)
-        if red is None:
+        rows = basis + [[e for row in m.entries for e in row]]
+        if len(_echelon(rows, cap)[0]) == len(basis):
             return False
-        basis[red[0]] = red[1]
+        basis[:] = rows
         return True
 
     frontier = [ExactMatrix.identity(n, like=mats[0].entries[0][0])]

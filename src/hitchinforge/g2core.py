@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exactnum import ExactMatrix, Scalar, _is_zero, _one_like, _zero_like
+from .exactnum import ExactMatrix, Scalar, _dot, _is_zero, _one_like
 from .symrep import j_matrix
 
 J7 = j_matrix(7)
@@ -148,8 +148,4 @@ def in_g2(m: ExactMatrix) -> bool:
 
 
 def _apply(m: ExactMatrix, v: Vec7) -> Vec7:
-    return Vec7([
-        sum((m.entries[r][c] * v.coords[c] for c in range(7)),
-            _zero_like(m.entries[0][0]))
-        for r in range(7)
-    ])
+    return Vec7([_dot(row, v.coords) for row in m.entries])

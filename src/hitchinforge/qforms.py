@@ -204,8 +204,10 @@ def diagonalize_qform(S: ExactMatrix) -> Diagonalization:
         raise ValueError("quadratic form matrix must be square")
     if S != S.transpose():
         raise ValueError("quadratic form matrix must be symmetric")
+    if not all(isinstance(x, Fraction) for row in S.entries for x in row):
+        raise ValueError("quadratic form matrix must be rational")
     n = S.nrows
-    a = [[Fraction(x) for x in row] for row in S.entries]
+    a = [list(row) for row in S.entries]
     p = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
 
     def add_col(dst: int, src: int, factor: Fraction) -> None:

@@ -17,6 +17,7 @@ from .exactnum import (
     Scalar,
     _invert,
     _is_zero,
+    _power,
     apply_galois,
     common_field,
     field,
@@ -153,16 +154,7 @@ class QuatElem:
         return QuatElem(self.algebra, *(c * inv for c in self.conj().coords))
 
     def __pow__(self, e: int) -> "QuatElem":
-        if e < 0:
-            return self.inverse() ** (-e)
-        out = self.algebra.one()
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return _power(self, e, self.algebra.one())
 
     def apply_galois(self, action: GaloisAction) -> "QuatElem":
         """Galois action on the coordinates only (quaternion basis fixed)."""

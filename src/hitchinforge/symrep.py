@@ -18,6 +18,7 @@ from .exactnum import (
     ExactMatrix,
     FieldElem,
     GaloisAction,
+    _dot,
     _is_zero,
     _one_like,
     _zero_like,
@@ -371,16 +372,10 @@ def so_form_from_cocycle(n: int, a: int, b: int, case: CaseName) -> SoFormResult
     vs = _averaging_vectors(n, case, desc)
 
     def average(vec: list[FieldElem]) -> list[FieldElem]:
-        out = [FieldElem.zero(desc) for _ in range(n)]
+        out = [FieldElem.zero(desc)] * n
         for signs, action in group:
-            w = weights[signs]
-            moved = [
-                sum((w.entries[r][c] * apply_galois(action, vec[c])
-                     for c in range(n)),
-                    FieldElem.zero(desc))
-                for r in range(n)
-            ]
-            out = [x + y for x, y in zip(out, moved)]
+            moved = [apply_galois(action, x) for x in vec]
+            out = [x + _dot(row, moved) for x, row in zip(out, weights[signs].entries)]
         return out
 
     columns = [average(vec) for vec in vs]

@@ -202,6 +202,23 @@ def test_malformed_bending_spec_is_one_line_usage_error(capsys, missing, named):
     assert named in lines[0]
 
 
+def test_irrational_form_is_one_line_usage_error(capsys):
+    matrix = json.dumps([["1", "sqrt(2)"], ["sqrt(2)", "-2"]])
+    assert run(["classify-form", "--matrix", matrix]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: quadratic form matrix must be rational"]
+
+
+def test_lattice_check_names_the_foreign_entry(capsys):
+    matrix = json.dumps([["1", "sqrt(2)"], ["0", "1"]])
+    assert run(["lattice-check", "--kind", "SU_sqrt_d", "--d", "3",
+                "--matrix", matrix]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: entry sqrt(2) is not in Q(sqrt(3))\n"
+
+
 def test_unknown_matrix_is_usage_error(capsys):
     assert run(["classify-form", "--matrix", "J99"]) == 2
     assert run(["classify-form", "--matrix", "notjson"]) == 2

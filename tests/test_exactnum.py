@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 
@@ -255,3 +256,117 @@ def test_lift_and_common_field():
     assert rational == rational_lift and rational_lift == rational
     other = (rational * 2).lift(small)
     assert rational != other and other != rational
+
+
+# -- elimination and power oracles ----------------------------------------
+
+ELIMINATION_RINGS = {
+    "Q": lambda r: Fraction(r.randint(-4, 4), r.randint(1, 3)),
+    "Q(sqrt3)": lambda r: FieldElem(field(3), [r.randint(-3, 3) for _ in range(2)]),
+    "Q(sqrt2,sqrt3)": lambda r: FieldElem(field(2, 3),
+                                          [r.randint(-2, 2) for _ in range(4)]),
+    "F5": lambda r: FqElem(5, r.randrange(5)),
+    "F9": lambda r: FqElem(3, r.randrange(3), r.randrange(3), r2=2),
+}
+
+
+def _seeded_matrix(rng, ring, nrows, ncols, rank=None):
+    """Random matrix over the ring; about a third of the entries are zero.
+    With rank given, a product of nrows x rank and rank x ncols factors."""
+    draw = ELIMINATION_RINGS[ring]
+
+    def entry():
+        x = draw(rng)
+        return _zero_like(x) if rng.random() < 0.3 else x
+    if rank is None:
+        return ExactMatrix([[entry() for _ in range(ncols)] for _ in range(nrows)])
+    left = ExactMatrix([[entry() for _ in range(rank)] for _ in range(nrows)])
+    right = ExactMatrix([[entry() for _ in range(ncols)] for _ in range(rank)])
+    return left * right
+
+
+def _leibniz(rows):
+    """Determinant as the signed sum over all permutations."""
+    n = len(rows)
+    total = _zero_like(rows[0][0])
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = _one_like(rows[0][0])
+        for i, j in enumerate(perm):
+            term = term * rows[i][j]
+        total = total - term if inversions % 2 else total + term
+    return total
+
+
+def _largest_nonzero_minor(m):
+    for k in range(min(m.nrows, m.ncols), 0, -1):
+        for rs in combinations(range(m.nrows), k):
+            for cs in combinations(range(m.ncols), k):
+                if not _is_zero(_leibniz([[m[r, c] for c in cs] for r in rs])):
+                    return k
+    return 0
+
+
+@pytest.mark.parametrize("ring", sorted(ELIMINATION_RINGS))
+def test_det_matches_leibniz(ring, rng):
+    singular = 0
+    for n in (1, 2, 3, 4):
+        for rank in (None, None, None, n - 1):
+            if rank == 0:
+                continue
+            m = _seeded_matrix(rng, ring, n, n, rank)
+            d = m.det()
+            assert d == _leibniz(m.entries)
+            singular += _is_zero(d)
+    assert singular >= 3
+
+
+@pytest.mark.parametrize("ring", sorted(ELIMINATION_RINGS))
+def test_rank_matches_largest_nonzero_minor(ring, rng):
+    for nrows, ncols in ((3, 3), (3, 5), (4, 4)):
+        for rank in (None, 1, 2, min(nrows, ncols) - 1):
+            m = _seeded_matrix(rng, ring, nrows, ncols, rank)
+            assert m.rank() == _largest_nonzero_minor(m)
+            assert m.transpose().rank() == m.rank()
+
+
+@pytest.mark.parametrize("ring", sorted(ELIMINATION_RINGS))
+def test_inverse_is_two_sided(ring, rng):
+    inverted = 0
+    for n in (1, 2, 3, 4):
+        for rank in (None, None, None, n - 1):
+            if rank == 0:
+                continue
+            m = _seeded_matrix(rng, ring, n, n, rank)
+            if _is_zero(m.det()):
+                with pytest.raises(ZeroDivisionError):
+                    m.inverse()
+                continue
+            inverted += 1
+            ident = ExactMatrix.identity(n, like=m[0, 0])
+            assert m * m.inverse() == ident and m.inverse() * m == ident
+    assert inverted >= 5
+
+
+POWER_SAMPLES = {
+    "Q(sqrt2,sqrt3)": FieldElem(field(2, 3), [Fraction(1, 2), 1, 0, -3]),
+    "F9": FqElem(3, 1, 2, r2=2),
+    "F5": FqElem(5, 3),
+    "(3,5)": QuatAlgebra(3, 5)(1, 2, 0, -1),
+    "M3(Q(sqrt3))": ExactMatrix([[2, parse_scalar("sqrt(3)"), 0], [1, 1, 0], [0, 0, 3]]),
+    "M2(F9)": ExactMatrix([[FqElem(3, 1, 1, r2=2), FqElem(3, 0, 0, r2=2)],
+                           [FqElem(3, 2, 0, r2=2), FqElem(3, 0, 1, r2=2)]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(POWER_SAMPLES))
+def test_power_matches_repeated_products(name):
+    x = POWER_SAMPLES[name]
+    one = x ** 0
+    assert one * x == x and x * one == x
+    for e in range(-3, 6):
+        expected = one
+        for _ in range(abs(e)):
+            expected = expected * (x if e > 0 else x.inverse())
+        assert x ** e == expected
+        assert x ** e * x ** -e == one

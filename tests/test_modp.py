@@ -131,6 +131,11 @@ def test_omega_matches_commutator_closure(p):
     assert traces == trace_set("Omega", 4, p)
 
 
+@pytest.mark.parametrize("p", [3, 5])
+def test_so4_generators_generate_so(p):
+    assert group_closure(so4_generators(p)) == so4_order(p)
+
+
 def test_trace_sets_match_lemmas():
     assert {t.x for t in trace_set("SL", 2, 3)} == {0, 1, 2}
     assert len(trace_set("SU", 3, 3)) == 9
