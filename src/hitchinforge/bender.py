@@ -198,10 +198,7 @@ class SurfacePresentation:
         return out
 
     def relator(self) -> list[tuple[str, int]]:
-        word: list[tuple[str, int]] = []
-        for i in range(1, self.genus + 1):
-            word += [(f"a{i}", 1), (f"b{i}", 1), (f"a{i}", -1), (f"b{i}", -1)]
-        return word
+        return self.boundary_word(self.genus)
 
     def boundary_word(self, h: int) -> list[tuple[str, int]]:
         """Product of the first h commutators: the separating curve that

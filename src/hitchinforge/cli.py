@@ -22,6 +22,7 @@ from .bender import (
     b0_family,
     bend_eval,
     density_certificate,
+    evaluate_word,
     parse_word,
     relator_ok,
 )
@@ -34,7 +35,7 @@ from .exactnum import (
     parse_scalar,
 )
 from .g2core import in_g2
-from .lattices import LatticeSpec, containment_check, preserves_form
+from .lattices import LATTICE_KINDS, LatticeSpec, containment_check, preserves_form
 from .modp import (
     ReductionContext,
     find_nonsurjective_prime,
@@ -220,15 +221,13 @@ def _cmd_g2_check(args) -> int:
         word = parse_word(args.tau_word)
         gens = {"s": ExactMatrix([[0, -1], [1, 0]]),
                 "t": ExactMatrix([[1, 1], [0, 1]])}
-        m2 = None
-        for name, exp in word:
-            if name not in gens:
-                raise UsageError("tau words use generators s and t")
-            step = gens[name] ** exp
-            m2 = step if m2 is None else m2 * step
-        m = tau(7, m2)
-    else:
+        if any(name not in gens for name, _ in word):
+            raise UsageError("tau words use generators s and t")
+        m = tau(7, evaluate_word(gens, word))
+    elif args.matrix is not None:
         m = _load_matrix(args.matrix)
+    else:
+        raise UsageError("g2-check needs --matrix or --tau-word")
     member = in_g2(m)
     return _emit(args, {
         "command": "g2-check",
@@ -404,9 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_so_form)
 
     p = sub.add_parser("lattice-check", help="arithmetic group membership")
-    p.add_argument("--kind", required=True,
-                   choices=["SLnZ", "SU_sqrt_d", "SU_quat", "Sp", "SO_Q",
-                            "SL_quat", "G2Z"])
+    p.add_argument("--kind", required=True, choices=list(LATTICE_KINDS))
     p.add_argument("--matrix", required=True)
     p.add_argument("--n", type=int, default=0)
     p.add_argument("--d", type=int, default=0)

@@ -15,19 +15,14 @@ from fractions import Fraction
 from math import isqrt
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
-Rational = Fraction
-
 Scalar = Union[int, Fraction, "FieldElem"]
 
 
-def square_free_decomposition(n: int) -> tuple[int, int]:
-    """Write n = s**2 * m with m square-free.  Returns (s, m); the sign of
-    n stays on m."""
-    if n == 0:
-        return 1, 0
-    sign = -1 if n < 0 else 1
+def _factor(n: int) -> dict[int, int]:
+    """Prime factorisation {prime: exponent} of |n| by trial division;
+    empty for |n| <= 1."""
     n = abs(n)
-    s, m = 1, 1
+    out: dict[int, int] = {}
     d = 2
     while d * d <= n:
         if n % d == 0:
@@ -35,12 +30,28 @@ def square_free_decomposition(n: int) -> tuple[int, int]:
             while n % d == 0:
                 n //= d
                 e += 1
-            s *= d ** (e // 2)
-            if e % 2:
-                m *= d
+            out[d] = e
         d += 1 if d == 2 else 2
-    m *= n
-    return s, sign * m
+    if n > 1:
+        out[n] = 1
+    return out
+
+
+def _is_prime(n: int) -> bool:
+    return _factor(n) == {n: 1}
+
+
+def square_free_decomposition(n: int) -> tuple[int, int]:
+    """Write n = s**2 * m with m square-free.  Returns (s, m); the sign of
+    n stays on m."""
+    if n == 0:
+        return 1, 0
+    s, m = 1, 1
+    for q, e in _factor(n).items():
+        s *= q ** (e // 2)
+        if e % 2:
+            m *= q
+    return s, m if n > 0 else -m
 
 
 def square_free_part(n: int) -> int:
@@ -274,13 +285,6 @@ class FieldElem:
             raise ValueError(f"{self} is not rational")
         return self.coeffs[0]
 
-    def coefficient(self, *radicands: int) -> Fraction:
-        """Coefficient of the monomial sqrt(prod(radicands))."""
-        mask = 0
-        for r in radicands:
-            mask |= 1 << self.desc.radicands.index(r)
-        return self.coeffs[mask]
-
     def extend(self, desc: FieldDescriptor) -> "FieldElem":
         """Reinterpret in a larger field containing all current radicands."""
         out = [Fraction(0)] * desc.dim
@@ -371,10 +375,8 @@ class GaloisAction:
     signs: tuple[tuple[int, int], ...]
 
     @classmethod
-    def flipping(cls, *flipped: int, fixed: Iterable[int] = ()) -> "GaloisAction":
-        pairs = [(square_free_part(r), -1) for r in flipped]
-        pairs += [(square_free_part(r), 1) for r in fixed]
-        return cls(tuple(sorted(set(pairs))))
+    def flipping(cls, *flipped: int) -> "GaloisAction":
+        return cls(tuple(sorted({(square_free_part(r), -1) for r in flipped})))
 
     @classmethod
     def from_signs(cls, signs: Mapping[int, int]) -> "GaloisAction":
@@ -561,9 +563,6 @@ class ExactMatrix:
     def __getitem__(self, idx: tuple[int, int]):
         i, j = idx
         return self.entries[i][j]
-
-    def row(self, i: int) -> tuple:
-        return self.entries[i]
 
     # -- arithmetic --------------------------------------------------------
 
@@ -754,6 +753,33 @@ def galois_matrix(action: GaloisAction, m: ExactMatrix) -> ExactMatrix:
     return m.map_entries(lambda e: apply_galois(action, e))
 
 
+def preserves_form(m: ExactMatrix, j: ExactMatrix,
+                   twist: Optional[Callable] = None,
+                   up_to_scalar: bool = False) -> bool:
+    """twist(M)^T J M = J, or = lambda*J for some scalar when up_to_scalar.
+
+    twist is an entrywise map (the identity when None): a Galois action
+    for unitary groups, a quaternion conjugation, a Frobenius.  Rational
+    entries of J are cast once into the ring of M, so the products do not
+    coerce them again."""
+    if m.ncols != j.nrows or not m.is_square() or not j.is_square():
+        raise ValueError("incompatible dimensions")
+    one = _one_like(m.entries[0][0])
+    jj = j.map_entries(lambda e: e * one if isinstance(e, Fraction) else e)
+    mt = m if twist is None else m.map_entries(twist)
+    got = mt.transpose() * jj * m
+    if got == jj:
+        return True
+    if not up_to_scalar:
+        return False
+    pivot = next(((g, e) for grow, jrow in zip(got.entries, jj.entries)
+                  for g, e in zip(grow, jrow) if not _is_zero(e)), None)
+    if pivot is None:
+        raise ValueError("form matrix is zero")
+    lam = pivot[0] * _invert(pivot[1])
+    return got == jj.map_entries(lambda e: e * lam)
+
+
 def span_dimension(mats: Sequence[ExactMatrix]) -> int:
     """Dimension of the algebra spanned by all products of the inputs of
     length at most 2n-1 (including the empty product), by exact Gaussian
@@ -827,9 +853,9 @@ def format_scalar(x: Scalar) -> str:
     return "".join(parts)
 
 
-def parse_scalar(text: str, desc: Optional[FieldDescriptor] = None) -> Scalar:
+def parse_scalar(text: str) -> Scalar:
     """Parse the CLI scalar grammar.  Returns a Fraction when no radical
-    appears and no descriptor is supplied, else a FieldElem."""
+    appears, else a FieldElem of the field the radicals generate."""
     text = text.strip().replace(" ", "")
     if not text:
         raise ValueError("empty scalar")
@@ -853,10 +879,9 @@ def parse_scalar(text: str, desc: Optional[FieldDescriptor] = None) -> Scalar:
             terms.append((coeff, 1))
         pos = m.end()
     rads = sorted({r for _, r in terms if r != 1})
-    if not rads and desc is None:
+    if not rads:
         return sum((c for c, _ in terms), Fraction(0))
-    if desc is None:
-        desc = field(*rads)
+    desc = field(*rads)
     out = FieldElem.zero(desc)
     for c, r in terms:
         if r == 1:

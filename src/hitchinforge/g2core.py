@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exactnum import ExactMatrix, Scalar, _dot, _is_zero, _one_like
+from .exactnum import ExactMatrix, Scalar, _dot, _is_zero, _one_like, preserves_form
 from .symrep import j_matrix
 
 J7 = j_matrix(7)
@@ -132,11 +132,9 @@ def in_g2(m: ExactMatrix) -> bool:
     all 21 basis pairs (bilinearity makes those sufficient)."""
     if m.nrows != 7 or m.ncols != 7:
         return False
-    one = _one_like(m.entries[0][0])
-    J = J7.map_entries(lambda e: e * one)
-    if m.transpose() * J * m != J:
+    if not preserves_form(m, J7):
         return False
-    if m.det() != one:
+    if m.det() != _one_like(m.entries[0][0]):
         return False
     cols = [Vec7([m.entries[r][c] for r in range(7)]) for c in range(7)]
     for i, j in _BASIS_PAIRS:

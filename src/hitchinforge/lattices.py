@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Optional
 
 from .exactnum import (
@@ -20,7 +21,7 @@ from .exactnum import (
     _one_like,
     apply_galois,
     field,
-    galois_matrix,
+    preserves_form,
     square_free_part,
 )
 from .g2core import in_g2
@@ -73,8 +74,7 @@ def in_su_sqrt_d(m: ExactMatrix, n: int, d: int) -> bool:
     if mm.det() != FieldElem.one(desc):
         return False
     sigma = GaloisAction.flipping(d)
-    return galois_matrix(sigma, mm).transpose() * mm == ExactMatrix.identity(
-        n, like=FieldElem.one(desc))
+    return preserves_form(mm, ExactMatrix.identity(n), partial(apply_galois, sigma))
 
 
 def diagonal_su_nonsplit_conditions(m: ExactMatrix, d: int) -> bool:
@@ -89,45 +89,12 @@ def diagonal_su_nonsplit_conditions(m: ExactMatrix, d: int) -> bool:
     mm = m.lift(desc)
     if not is_integral_matrix(mm):
         return False
-    w = list(mm.diagonal_entries())
-    n = len(w)
-    det = FieldElem.one(desc)
-    for e in w:
-        det = det * e
-    if det != FieldElem.one(desc):
+    if mm.det() != FieldElem.one(desc):
         return False
+    w = mm.diagonal_entries()
     tau_d = GaloisAction.flipping(d)
-    for i in range(n):
-        if w[i] != w[n - 1 - i]:
-            return False
-        if w[i] * apply_galois(tau_d, w[n - 1 - i]) != FieldElem.one(desc):
-            return False
-    return True
-
-
-def preserves_form(m: ExactMatrix, j: ExactMatrix,
-                   up_to_scalar: bool = False) -> bool:
-    """M^T J M = J, or = lambda*J for some scalar when up_to_scalar."""
-    if m.ncols != j.nrows or not m.is_square() or not j.is_square():
-        raise ValueError("incompatible dimensions")
-    one = _one_like(m.entries[0][0])
-    jj = j.map_entries(lambda e: e * one)
-    got = m.transpose() * jj * m
-    if got == jj:
-        return True
-    if not up_to_scalar:
-        return False
-    lam = None
-    for i in range(j.nrows):
-        for k in range(j.ncols):
-            if not _is_zero(jj.entries[i][k]):
-                lam = got.entries[i][k] * _invert(jj.entries[i][k])
-                break
-        if lam is not None:
-            break
-    if lam is None:
-        raise ValueError("form matrix is zero")
-    return got == jj.map_entries(lambda e: e * lam)
+    return all(x == y and x * apply_galois(tau_d, y) == FieldElem.one(desc)
+               for x, y in zip(w, reversed(w)))
 
 
 def is_tau_pgl2_diagonal(b: ExactMatrix) -> bool:
@@ -151,9 +118,19 @@ def in_su_quat(m: ExactMatrix, size: int, a: int, b: int, d: int) -> bool:
     with coordinates integral over Z[sqrt(d)], the twisted conjugate
     transpose is the inverse, and the reduced-norm determinant (via the
     2x2 embedding) is one."""
-    d = square_free_part(d)
     if m.nrows != size or m.ncols != size:
         return False
+    _check_quat_entries(m, a, b)
+    if not is_integral_matrix(m):
+        return False
+    tau_d = GaloisAction.flipping(d)
+    if not preserves_form(m, ExactMatrix.identity(size),
+                          lambda q: q.conj().apply_galois(tau_d)):
+        return False
+    return _quat_block_det_is_one(m)
+
+
+def _check_quat_entries(m: ExactMatrix, a: int, b: int) -> None:
     for row in m.entries:
         for e in row:
             if not isinstance(e, QuatElem):
@@ -161,15 +138,6 @@ def in_su_quat(m: ExactMatrix, size: int, a: int, b: int, d: int) -> bool:
             if (square_free_part(e.algebra.a) != square_free_part(a)
                     or square_free_part(e.algebra.b) != square_free_part(b)):
                 raise ValueError("entries lie in the wrong quaternion algebra")
-    if not is_integral_matrix(m):
-        return False
-    tau_d = GaloisAction.flipping(d)
-    twisted = m.map_entries(lambda q: q.conj().apply_galois(tau_d)).transpose()
-    prod = twisted * m
-    ident = ExactMatrix.identity(size, like=m.entries[0][0])
-    if prod != ident:
-        return False
-    return _quat_block_det_is_one(m)
 
 
 def _quat_block_det_is_one(m: ExactMatrix) -> bool:
@@ -187,14 +155,14 @@ def _quat_block_det_is_one(m: ExactMatrix) -> bool:
     return det == FieldElem.one(desc)
 
 
-def in_sp(m: ExactMatrix, n: int, integral: bool = True) -> bool:
-    """Symplectic group for the block-diagonal form with 2x2 blocks
-    [[0,1],[-1,0]]; with integrality this is the Z-point lattice."""
+def in_sp(m: ExactMatrix, n: int) -> bool:
+    """The Z-point lattice of the symplectic group for the block-diagonal
+    form with 2x2 blocks [[0,1],[-1,0]]."""
     if n % 2:
         raise ValueError("symplectic dimension must be even")
     if m.nrows != n or m.ncols != n:
         return False
-    if integral and not is_integral_matrix(m):
+    if not is_integral_matrix(m):
         return False
     return preserves_form(m, symplectic_form(n))
 
@@ -228,20 +196,30 @@ def in_sl_quat(m: ExactMatrix, size: int, a: int, b: int) -> bool:
     entries with reduced-norm determinant one."""
     if m.nrows != size or m.ncols != size:
         return False
-    for row in m.entries:
-        for e in row:
-            if not isinstance(e, QuatElem):
-                raise ValueError("entries must be quaternions")
+    _check_quat_entries(m, a, b)
     if not is_integral_matrix(m):
         return False
     return _quat_block_det_is_one(m)
+
+
+# kind -> membership predicate of a LatticeSpec; the CLI offers the kinds
+# in this order
+LATTICE_KINDS = {
+    "SLnZ": lambda s, m: m.nrows == s.n and in_slnz(m),
+    "SU_sqrt_d": lambda s, m: in_su_sqrt_d(m, s.n, s.d),
+    "SU_quat": lambda s, m: in_su_quat(m, s.n, s.a, s.b, s.d),
+    "Sp": lambda s, m: in_sp(m, s.n),
+    "SO_Q": lambda s, m: in_so_q(m, s.q_matrix),
+    "SL_quat": lambda s, m: in_sl_quat(m, s.n, s.a, s.b),
+    "G2Z": lambda s, m: m.nrows == 7 and in_g2z(m),
+}
 
 
 @dataclass(frozen=True)
 class LatticeSpec:
     """A named arithmetic group with parameters; dispatches membership."""
 
-    kind: str  # SLnZ | SU_sqrt_d | SU_quat | Sp | SO_Q | SL_quat | G2Z
+    kind: str  # a key of LATTICE_KINDS
     n: int = 0
     d: int = 0
     a: int = 0
@@ -249,8 +227,7 @@ class LatticeSpec:
     q_matrix: Optional[ExactMatrix] = None
 
     def __post_init__(self) -> None:
-        kinds = {"SLnZ", "SU_sqrt_d", "SU_quat", "Sp", "SO_Q", "SL_quat", "G2Z"}
-        if self.kind not in kinds:
+        if self.kind not in LATTICE_KINDS:
             raise ValueError(f"unknown lattice kind {self.kind!r}")
         if self.kind == "SU_sqrt_d" and square_free_part(self.d) <= 1:
             raise ValueError("SU_sqrt_d needs a positive non-square d")
@@ -265,19 +242,7 @@ class LatticeSpec:
             raise ValueError("G2Z lives in dimension 7")
 
     def contains(self, m: ExactMatrix) -> bool:
-        if self.kind == "SLnZ":
-            return m.nrows == self.n and in_slnz(m)
-        if self.kind == "SU_sqrt_d":
-            return in_su_sqrt_d(m, self.n, self.d)
-        if self.kind == "SU_quat":
-            return in_su_quat(m, self.n, self.a, self.b, self.d)
-        if self.kind == "Sp":
-            return in_sp(m, self.n)
-        if self.kind == "SO_Q":
-            return in_so_q(m, self.q_matrix)
-        if self.kind == "SL_quat":
-            return in_sl_quat(m, self.n, self.a, self.b)
-        return m.nrows == 7 and in_g2z(m)
+        return LATTICE_KINDS[self.kind](self, m)
 
 
 # -- batch containment -------------------------------------------------------
@@ -355,9 +320,9 @@ def containment_check(a: int, b: int, n: int,
     elements = gamma_enumerate(a, b, height)
     rads = sorted({a_sf, b_sf})
     desc = field(*rads)
-    actions = {
-        p: GaloisAction.from_signs(
-            {a_sf: p[0], b_sf: p[1]} if a_sf != b_sf else {a_sf: p[0]})
+    twists = {
+        p: partial(apply_galois, GaloisAction.from_signs(
+            {a_sf: p[0], b_sf: p[1]} if a_sf != b_sf else {a_sf: p[0]}))
         for p in patterns
     }
     hmats = {
@@ -370,8 +335,7 @@ def containment_check(a: int, b: int, n: int,
         m = tau(n, g.matrix().lift(desc))
         for p in patterns:
             checked += 1
-            h = hmats[p]
-            if galois_matrix(actions[p], m).transpose() * h * m != h:
+            if not preserves_form(m, hmats[p], twists[p]):
                 failures.append((g.quadruple(), p))
     return ContainmentReport(a, b, n, height, tuple(patterns),
                              checked, checked - len(failures),

@@ -12,8 +12,15 @@ from fractions import Fraction
 from operator import getitem
 from typing import Callable, Optional, Sequence, Union
 
-from .exactnum import ExactMatrix, FieldElem, _power, square_free_part
-from .qforms import _is_prime
+from .exactnum import (
+    ExactMatrix,
+    FieldElem,
+    _is_prime,
+    _power,
+    preserves_form,
+    square_free_part,
+)
+from .qforms import _legendre
 from .symrep import tau, trace_poly
 
 DEFAULT_CLOSURE_CAP = 5_000_000
@@ -187,7 +194,7 @@ class ReductionContext:
             raise ValueError("d must be a positive non-square")
         if d % p == 0:
             raise ValueError(f"{p} divides {d}; reduction context undefined")
-        if pow(d % p, (p - 1) // 2, p) == 1:
+        if _legendre(d, p) == 1:
             root = next(r for r in range(1, p) if r * r % p == d % p)
             return cls(p, d, "split", root)
         return cls(p, d, "inert", None)
@@ -222,14 +229,11 @@ def reduce_int_matrix(m: ExactMatrix, p: int) -> ExactMatrix:
 
 
 def matrix_order(m: ExactMatrix, cap: int = 1_000_000) -> int:
-    """Multiplicative order of an invertible FqElem matrix."""
-    ident = ExactMatrix.identity(m.nrows, like=m.entries[0][0])
-    acc = m
-    for k in range(1, cap + 1):
-        if acc == ident:
-            return k
-        acc = acc * m
-    raise CapExceeded(cap)
+    """Multiplicative order of an invertible FqElem matrix: the size of
+    the cyclic group it generates, by the row-action walk."""
+    if m.det() == 0:
+        raise ValueError("a singular matrix has no multiplicative order")
+    return len(_walk([m], cap))
 
 
 # -- the row-action walk ------------------------------------------------------
@@ -429,7 +433,7 @@ def su3_generators(p: int) -> tuple[list[ExactMatrix], ExactMatrix, int]:
 
 
 def _non_residue(p: int) -> int:
-    return next(r for r in range(2, p) if pow(r, (p - 1) // 2, p) == p - 1)
+    return next(r for r in range(2, p) if _legendre(r, p) == -1)
 
 
 def sp_generators(n: int, p: int) -> list[ExactMatrix]:
@@ -516,7 +520,7 @@ def omega4_elements(p: int, cap: int = DEFAULT_CLOSURE_CAP) -> tuple[int, set]:
     does not, so the group G generated by the reflection products holds
     the walk and its coset under t, and |SO| >= |G| >= 2 |walk| = |SO|."""
     gens = so4_generators(p)
-    square = [pow(nv, (p - 1) // 2, p) == 1 for _, nv in _so4_anisotropic(p)[1:]]
+    square = [_legendre(nv, p) == 1 for _, nv in _so4_anisotropic(p)[1:]]
     t = next(g for g, sq in zip(gens, square) if not sq)
     t_inv = t.inverse()
     schreier = []
@@ -548,6 +552,14 @@ def trace_set(family_or_gens, n: Optional[int] = None, p: Optional[int] = None,
     full closure, or of an explicit generator list."""
     if isinstance(family_or_gens, str):
         family = family_or_gens
+        if not _is_prime(p):
+            raise ValueError(f"p = {p} is not prime")
+        if p == 2 and family in ("SU", "Omega"):
+            raise ValueError(f"{family} is built for odd p")
+        if n < 2:
+            raise ValueError("n must be at least 2")
+        if family == "Sp" and n % 2:
+            raise ValueError("symplectic dimension must be even")
         if family == "SL":
             gens = sl_generators(n, p)
         elif family == "SU":
@@ -602,7 +614,7 @@ def trace_witness(family: str, n: int, p: int, a) -> TraceWitness:
         m = _block_witness(n, p, shift)
         from .lattices import symplectic_form
         form = reduce_int_matrix(symplectic_form(n), p)
-        assert m.transpose() * form * m == form
+        assert preserves_form(m, form)
         assert m.trace() == FqElem(p, a_int)
         return TraceWitness("Sp", m, form, FqElem(p, a_int))
     if family == "SU":
@@ -653,8 +665,7 @@ def _su3_witness(p: int, a) -> TraceWitness:
     ])
     form = hermitian_3form(p, r2)
     _check_det_one(m)
-    frob = m.map_entries(FqElem.frobenius)
-    if frob.transpose() * form * m != form:
+    if not preserves_form(m, form, FqElem.frobenius):
         raise AssertionError("unitary witness fails its form equation")
     assert m.trace() == a - 1
     return TraceWitness("SU", m, form, a - one)
@@ -674,7 +685,7 @@ def _omega4_witness(p: int, a) -> TraceWitness:
     form = ExactMatrix([[FqElem(p, 1 if i + j == 3 else 0) for j in range(4)]
                         for i in range(4)])
     _check_det_one(m)
-    if m.transpose() * form * m != form:
+    if not preserves_form(m, form):
         raise AssertionError("orthogonal witness fails its form equation")
     m2 = m * m
     expected = FqElem(p, -2 * a_int + 4)

@@ -9,27 +9,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 from typing import Optional, Sequence, Union
 
 from .exactnum import (
     ExactMatrix,
     FieldElem,
     GaloisAction,
+    _factor,
+    _is_prime,
     galois_matrix,
     square_class,
     square_free_part,
 )
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1 if d == 2 else 2
-    return True
 
 
 @dataclass(frozen=True, order=True)
@@ -106,21 +98,18 @@ def hilbert_symbol(a: Union[int, Fraction], b: Union[int, Fraction],
 
 
 def _legendre(u: int, p: int) -> int:
+    """Legendre symbol of u prime to the odd prime p, by Euler's
+    criterion."""
     r = pow(u % p, (p - 1) // 2, p)
     return 1 if r == 1 else -1
 
 
 # -- independent solvability oracle ---------------------------------------
 
-_SQUARE_SETS: dict[int, frozenset[int]] = {}
 
-
+@lru_cache(maxsize=None)
 def _squares_mod(q: int) -> frozenset[int]:
-    s = _SQUARE_SETS.get(q)
-    if s is None:
-        s = frozenset(z * z % q for z in range(q))
-        _SQUARE_SETS[q] = s
-    return s
+    return frozenset(z * z % q for z in range(q))
 
 
 @lru_cache(maxsize=None)
@@ -164,20 +153,7 @@ def hilbert_symbol_oracle(a: Union[int, Fraction], b: Union[int, Fraction],
 def hasse_scan_places(*values: Union[int, Fraction]) -> list[Place]:
     """2, the real place, and the odd primes dividing any of the inputs;
     Hilbert symbols of the inputs are +1 everywhere else."""
-    primes = set()
-    for v in values:
-        v = abs(square_class(v))
-        while v % 2 == 0:
-            v //= 2
-        d = 3
-        while d * d <= v:
-            if v % d == 0:
-                primes.add(d)
-                while v % d == 0:
-                    v //= d
-            d += 2
-        if v > 2:
-            primes.add(v)
+    primes = {p for v in values for p in _factor(square_class(v))} - {2}
     places = [Place.finite(2)] + [Place.finite(p) for p in sorted(primes)]
     places.append(Place.real())
     return places
@@ -276,7 +252,7 @@ class FormInvariants:
 def invariants_from_classes(classes: Sequence[int]) -> FormInvariants:
     if any(c == 0 for c in classes):
         raise ValueError("form is degenerate")
-    disc = square_free_part(_product(classes))
+    disc = square_free_part(prod(classes))
     pos = sum(1 for c in classes if c > 0)
     neg = len(classes) - pos
     minus = set()
@@ -290,13 +266,6 @@ def invariants_from_classes(classes: Sequence[int]) -> FormInvariants:
     if len(minus) % 2:
         raise AssertionError("Hilbert reciprocity violated")  # unreachable
     return FormInvariants(len(classes), disc, (pos, neg), frozenset(minus))
-
-
-def _product(xs: Sequence[int]) -> int:
-    out = 1
-    for x in xs:
-        out *= x
-    return out
 
 
 def form_invariants(S: ExactMatrix) -> FormInvariants:

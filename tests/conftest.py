@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -35,6 +36,15 @@ def random_sl2q(rng: random.Random, entry_bound: int = 50) -> ExactMatrix:
     ok = all(abs(e.numerator) <= entry_bound and e.denominator <= entry_bound
              for row in conj.entries for e in row)
     return conj if ok else m
+
+
+def primes_up_to(limit: int) -> set[int]:
+    """Sieve of Eratosthenes."""
+    flags = [False, False] + [True] * (limit - 1)
+    for i in range(2, isqrt(limit) + 1):
+        if flags[i]:
+            flags[i * i::i] = [False] * len(range(i * i, limit + 1, i))
+    return {i for i, prime in enumerate(flags) if prime}
 
 
 @pytest.fixture

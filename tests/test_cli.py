@@ -115,6 +115,28 @@ def test_g2_check(capsys):
     assert code == 1 and not doc["in_g2"]
 
 
+def test_g2_check_usage_errors(capsys):
+    for argv, message in ((["g2-check"], "g2-check needs --matrix or --tau-word"),
+                          (["g2-check", "--tau-word", "s u"],
+                           "tau words use generators s and t")):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("family, n, p", [
+    ("SL", 2, 4), ("SL", 2, 9), ("SL", 2, -3), ("Sp", 3, 3), ("SL", 1, 3),
+    ("SU", 3, 2), ("SU", 3, 9), ("Omega", 4, 2),
+])
+def test_trace_set_bad_family_parameters(capsys, family, n, p):
+    assert run(["trace-set", "--family", family, "--n", str(n),
+                "--p", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 def test_bend_relator(capsys):
     code, doc = run_json(capsys, ["bend", "--spec", GENUS2_SPEC,
                                   "--check-relator"])

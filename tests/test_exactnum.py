@@ -1,5 +1,7 @@
 from fractions import Fraction
+from functools import partial
 from itertools import combinations, permutations
+from math import prod
 
 import pytest
 
@@ -8,7 +10,9 @@ from hitchinforge.exactnum import (
     FieldDescriptor,
     FieldElem,
     GaloisAction,
+    _factor,
     _invert,
+    _is_prime,
     _is_zero,
     _one_like,
     _zero_like,
@@ -20,13 +24,15 @@ from hitchinforge.exactnum import (
     galois_matrix,
     lift,
     parse_scalar,
+    preserves_form,
     span_dimension,
     square_class,
     square_free_decomposition,
 )
-from hitchinforge.modp import FqElem
-from hitchinforge.quatalg import QuatAlgebra
-from hitchinforge.symrep import tau
+from hitchinforge.modp import FqElem, trace_witness
+from hitchinforge.quatalg import QuatAlgebra, gamma_enumerate
+from hitchinforge.symrep import hermitian_h, tau
+from conftest import primes_up_to
 
 
 def brute_force_pell(d: int, x_bound: int = 100000):
@@ -370,3 +376,67 @@ def test_power_matches_repeated_products(name):
             expected = expected * (x if e > 0 else x.inverse())
         assert x ** e == expected
         assert x ** e * x ** -e == one
+
+
+PRIMES = primes_up_to(1000)
+NONZERO = [n for n in range(-1000, 1001) if n]
+
+
+def test_factor_multiplies_back_over_primes():
+    for n in NONZERO:
+        f = _factor(n)
+        assert set(f) <= PRIMES and all(e > 0 for e in f.values())
+        assert prod(q ** e for q, e in f.items()) == abs(n)
+
+
+def test_square_free_decomposition_oracle():
+    for n in NONZERO:
+        s, m = square_free_decomposition(n)
+        assert s > 0 and s * s * m == n
+        assert all(m % (q * q) for q in PRIMES if q * q <= abs(m))
+
+
+def test_is_prime_matches_sieve():
+    assert {n for n in range(-10, 1001) if _is_prime(n)} == PRIMES
+
+
+def _galois_case():
+    """tau(3) of a norm-one quaternion of (3,3) against its Hermitian
+    matrix, and a corrupted copy."""
+    desc = field(3)
+    m = tau(3, gamma_enumerate(3, 3, 1)[0].matrix().lift(desc))
+    rows = [list(r) for r in m.entries]
+    rows[0][0] = rows[0][0] + 1
+    h = hermitian_h(3, 3, 3, (-1, -1)).lift(desc)
+    return (partial(apply_galois, GaloisAction.flipping(3)), h, m,
+            ExactMatrix(rows))
+
+
+def _frobenius_case():
+    """The unitary trace witness over F_9 and a corrupted copy."""
+    w = trace_witness("SU", 3, 3, 1)
+    rows = [list(r) for r in w.matrix.entries]
+    rows[0][1] = rows[0][1] + 1
+    return FqElem.frobenius, w.form, w.matrix, ExactMatrix(rows)
+
+
+def _quaternion_case():
+    """diag(u*g, g) over (3,3) with Q(sqrt 3) coordinates, u the
+    fundamental unit and g of reduced norm one, so that the
+    conjugate-Galois twist of each entry inverts it; 2*u*g does not."""
+    sigma = GaloisAction.flipping(3)
+    u = fundamental_unit(3).value
+    g = next(e.quaternion() for e in gamma_enumerate(3, 3, 1) if e.x2)
+    zero = g.zero_like()
+    return (lambda q: q.conj().apply_galois(sigma), ExactMatrix.identity(2),
+            ExactMatrix([[g * u, zero], [zero, g]]),
+            ExactMatrix([[g * u * 2, zero], [zero, g]]))
+
+
+@pytest.mark.parametrize("case", [_galois_case, _frobenius_case, _quaternion_case],
+                         ids=["galois", "frobenius", "quaternion"])
+def test_preserves_form_twists_match_the_product(case):
+    twist, j, good, bad = case()
+    for m, expected in ((good, True), (bad, False)):
+        assert (m.map_entries(twist).transpose() * j * m == j) is expected
+        assert preserves_form(m, j, twist) is expected

@@ -125,6 +125,8 @@ def test_in_sl_quat():
     assert in_sl_quat(m, 2, 3, 3)
     m_frac = ExactMatrix([[alg(Fraction(1, 2)), alg(0)], [alg(0), alg(2)]])
     assert not in_sl_quat(m_frac, 2, 3, 3)
+    with pytest.raises(ValueError):
+        in_sl_quat(m, 2, 3, 5)
 
 
 def test_lattice_spec_dispatch():

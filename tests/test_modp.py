@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -188,6 +189,31 @@ def test_trace_witness_sp():
 def test_matrix_order():
     m = ExactMatrix([[FqElem(7, 0), FqElem(7, -1)], [FqElem(7, 1), FqElem(7, 0)]])
     assert matrix_order(m) == 4
+
+
+@pytest.mark.parametrize("p, r2", [(5, None), (3, 2)])
+def test_matrix_order_is_least_power_to_identity(p, r2):
+    """F_5 and F_9: the walk's order is the least k > 0 with m**k = 1, and
+    a singular matrix is refused."""
+    rng = random.Random(11)
+    coords = [(x, y) for x in range(p) for y in range(p if r2 else 1)]
+    orders, singular = [], 0
+    while len(orders) < 8:
+        n = rng.choice([2, 3])
+        m = ExactMatrix([[FqElem(p, *rng.choice(coords), r2) for _ in range(n)]
+                         for _ in range(n)])
+        if m.det() == 0:
+            singular += 1
+            with pytest.raises(ValueError):
+                matrix_order(m)
+            continue
+        ident = ExactMatrix.identity(n, like=m[0, 0])
+        k, power = 1, m
+        while power != ident:
+            k, power = k + 1, power * m
+        assert matrix_order(m) == k
+        orders.append(k)
+    assert singular and len(set(orders)) > 2
 
 
 def brute_poly_image(coeffs, p):

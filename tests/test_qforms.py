@@ -1,11 +1,13 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
-from hitchinforge.exactnum import ExactMatrix, FieldElem, field
+from hitchinforge.exactnum import ExactMatrix, FieldElem, field, square_class
 from hitchinforge.qforms import (
     Place,
+    _legendre,
     diagonalize_qform,
     form_invariants,
     forms_equivalent,
@@ -17,6 +19,7 @@ from hitchinforge.qforms import (
     is_norm_from,
 )
 from hitchinforge.symrep import j_matrix
+from conftest import primes_up_to
 
 INF = Place.real()
 P2 = Place.finite(2)
@@ -206,3 +209,24 @@ def test_hermitian_invariants_nontrivial_sigma_entries():
     assert hi.rank == 2
     # det = 1 - (1+s3)(1-s3) = 1 - (-2) = 3, not a norm up to sign
     assert hi.disc_rep == 3
+
+
+def test_legendre_is_membership_in_the_squares():
+    for p in sorted(primes_up_to(60) - {2}):
+        squares = {z * z % p for z in range(1, p)}
+        for u in range(-p, 2 * p):
+            if u % p:
+                assert _legendre(u, p) == (1 if u % p in squares else -1)
+
+
+def test_hasse_scan_places_brute_force():
+    rng = random.Random(7)
+    odd_primes = sorted(primes_up_to(10_000) - {2})
+    grid = ([n for n in range(-60, 61) if n]
+            + [Fraction(a, b) for a in (-98, -15, 7, 45) for b in (11, 26, 99)])
+    for _ in range(150):
+        values = rng.sample(grid, rng.randint(1, 3))
+        classes = [square_class(v) for v in values]
+        odd = [p for p in odd_primes if any(c % p == 0 for c in classes)]
+        assert hasse_scan_places(*values) == (
+            [P2] + [Place.finite(p) for p in odd] + [INF])
