@@ -16,7 +16,6 @@ from .exactnum import (
     ExactMatrix,
     FieldElem,
     GaloisAction,
-    _is_zero,
     _one_like,
     apply_galois,
     span_dimension,
@@ -296,7 +295,7 @@ class BendingSpec:
         if bg != gb:
             issues.append("bending matrix does not commute with the curve image")
         for name, m in self.assignment.items():
-            if not _is_zero(m.det() - _one_like(m.entries[0][0])):
+            if m.det() - _one_like(m.entries[0][0]):
                 issues.append(f"assignment of {name} has determinant != 1")
         return issues
 

@@ -190,8 +190,7 @@ def _cmd_so_form(args) -> int:
 def _cmd_lattice_check(args) -> int:
     m = _load_matrix(args.matrix)
     q = _load_matrix(args.q_matrix) if args.q_matrix else None
-    spec = LatticeSpec(kind=args.kind, n=args.n or m.nrows, d=args.d,
-                       a=args.a, b=args.b, q_matrix=q)
+    spec = LatticeSpec(kind=args.kind, n=args.n or m.nrows, d=args.d, q_matrix=q)
     member = spec.contains(m)
     code = 0 if member else 1
     return _emit(args, {
@@ -403,12 +402,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_so_form)
 
     p = sub.add_parser("lattice-check", help="arithmetic group membership")
-    p.add_argument("--kind", required=True, choices=list(LATTICE_KINDS))
+    # _load_matrix parses no quaternion scalars, so the quaternion kinds
+    # could never answer from the command line
+    p.add_argument("--kind", required=True,
+                   choices=[k for k in LATTICE_KINDS if not k.endswith("_quat")])
     p.add_argument("--matrix", required=True)
     p.add_argument("--n", type=int, default=0)
     p.add_argument("--d", type=int, default=0)
-    p.add_argument("--a", type=int, default=0)
-    p.add_argument("--b", type=int, default=0)
     p.add_argument("--q-matrix", default=None)
     p.set_defaults(fn=_cmd_lattice_check)
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import isqrt
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
-Scalar = Union[int, Fraction, "FieldElem"]
+Scalar = Union[int, Fraction, "RingElem"]
 
 
 def _factor(n: int) -> dict[int, int]:
@@ -122,10 +122,108 @@ def field(*radicands: int) -> FieldDescriptor:
     return FieldDescriptor(tuple(rads))
 
 
-RATIONAL_FIELD = FieldDescriptor(())
+# -- the scalar ring protocol ---------------------------------------------
+#
+# Every scalar is an int, a Fraction or a RingElem (FieldElem here, QuatElem
+# and FqElem in their modules), and every scalar is falsy exactly when it
+# is zero.  A RingElem subclass supplies only what differs between rings:
+# _coerce (the other operand in its own ring, or None), the same-ring
+# kernels _add, _sub and _mul, __neg__, inverse, is_zero, __eq__ and
+# __hash__.  RingElem derives every other operator from these once.  The
+# helpers below are the one place where bare rationals join the protocol.
 
 
-class FieldElem:
+def _zero_like(x):
+    if isinstance(x, (int, Fraction)):
+        return Fraction(0)
+    return x.zero_like()
+
+
+def _one_like(x):
+    if isinstance(x, (int, Fraction)):
+        return Fraction(1)
+    return x.one_like()
+
+
+def _invert(x):
+    if isinstance(x, (int, Fraction)):
+        return Fraction(1) / x
+    return x.inverse()
+
+
+def _power(x, e: int, one):
+    """x ** e by square-and-multiply from the unit one; a negative e
+    inverts x first."""
+    if e < 0:
+        x, e = _invert(x), -e
+    out = one
+    while e:
+        if e & 1:
+            out = out * x
+        e >>= 1
+        if e:
+            x = x * x
+    return out
+
+
+def _operator_fallbacks(kernel: Callable):
+    """The forward and reflected operator of one same-ring kernel, as
+    fractions.Fraction builds its operators: each coerces the other
+    operand into the ring of self and keeps the order of the operands."""
+
+    def forward(a, b):
+        o = a._coerce(b)
+        if o is None:
+            return NotImplemented
+        return kernel(a, o)
+
+    def reverse(b, a):
+        o = b._coerce(a)
+        if o is None:
+            return NotImplemented
+        return kernel(o, b)
+
+    return forward, reverse
+
+
+class RingElem:
+    """Base class of the exact ring elements.  Division is right division,
+    a / b = a * b.inverse(), which matters only in a noncommutative ring."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        # Operators closed over this subclass's own kernels add one frame
+        # above the kernel and live on the subclass itself, where a
+        # per-class wrapper finds them (bench/tracer.py wraps FieldElem.__mul__).
+        mul = cls._mul
+
+        def div(a, b):
+            return mul(a, b.inverse())
+
+        for name, kernel in (("add", cls._add), ("sub", cls._sub),
+                             ("mul", mul), ("truediv", div)):
+            forward, reverse = _operator_fallbacks(kernel)
+            setattr(cls, f"__{name}__", forward)
+            setattr(cls, f"__r{name}__", reverse)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __pow__(self, e: int):
+        return _power(self, e, self._coerce(1))
+
+    def one_like(self):
+        return self._coerce(1)
+
+    def zero_like(self):
+        return self._coerce(0)
+
+    def __bool__(self) -> bool:
+        return not self.is_zero()
+
+
+class FieldElem(RingElem):
     """Element of a multiquadratic field, exact coefficients on the subset
     monomial basis."""
 
@@ -136,9 +234,6 @@ class FieldElem:
             raise ValueError("coefficient vector has wrong length")
         object.__setattr__(self, "desc", desc)
         object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in coeffs))
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError("FieldElem is immutable")
 
     # -- constructors -------------------------------------------------
 
@@ -173,7 +268,7 @@ class FieldElem:
                 return cls(desc, c)
         raise ValueError(f"sqrt({n}) does not lie in Q{desc.radicands}")
 
-    # -- coercion helpers ---------------------------------------------
+    # -- ring operations ----------------------------------------------
 
     def _coerce(self, other) -> Optional["FieldElem"]:
         if isinstance(other, FieldElem):
@@ -184,38 +279,16 @@ class FieldElem:
             return FieldElem.from_rational(self.desc, other)
         return None
 
-    def one_like(self) -> "FieldElem":
-        return FieldElem.one(self.desc)
-
-    def zero_like(self) -> "FieldElem":
-        return FieldElem.zero(self.desc)
-
-    # -- ring operations ----------------------------------------------
-
-    def __add__(self, other) -> "FieldElem":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    def _add(self, o: "FieldElem") -> "FieldElem":
         return FieldElem(self.desc, [a + b for a, b in zip(self.coeffs, o.coeffs)])
 
-    __radd__ = __add__
+    def _sub(self, o: "FieldElem") -> "FieldElem":
+        return FieldElem(self.desc, [a - b for a, b in zip(self.coeffs, o.coeffs)])
 
     def __neg__(self) -> "FieldElem":
         return FieldElem(self.desc, [-a for a in self.coeffs])
 
-    def __sub__(self, other) -> "FieldElem":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FieldElem(self.desc, [a - b for a, b in zip(self.coeffs, o.coeffs)])
-
-    def __rsub__(self, other) -> "FieldElem":
-        return (-self) + other
-
-    def __mul__(self, other) -> "FieldElem":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    def _mul(self, o: "FieldElem") -> "FieldElem":
         desc = self.desc
         out = [Fraction(0)] * desc.dim
         for s, cs in enumerate(self.coeffs):
@@ -228,8 +301,6 @@ class FieldElem:
                 common = desc.monomial_radicand(s & t)
                 out[s ^ t] += cs * ct * common
         return FieldElem(desc, out)
-
-    __rmul__ = __mul__
 
     def inverse(self) -> "FieldElem":
         if self.is_zero():
@@ -260,22 +331,10 @@ class FieldElem:
                 conj_coeffs[mask] = -conj_coeffs[mask]
         return FieldElem(self.desc, conj_coeffs) * ninv
 
-    def __truediv__(self, other) -> "FieldElem":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other) -> "FieldElem":
-        return self.inverse() * other
-
-    def __pow__(self, e: int) -> "FieldElem":
-        return _power(self, e, FieldElem.one(self.desc))
-
     # -- predicates and accessors --------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def is_rational(self) -> bool:
         return all(c == 0 for c in self.coeffs[1:])
@@ -307,9 +366,6 @@ class FieldElem:
         if self.is_rational():
             return hash(self.coeffs[0])
         return hash((self.desc, self.coeffs))
-
-    def __bool__(self) -> bool:
-        return not self.is_zero()
 
     # -- exact sign via rational interval refinement --------------------
 
@@ -351,12 +407,10 @@ class FieldElem:
         return lo, hi
 
     def __lt__(self, other) -> bool:
-        o = self._coerce(other)
-        return (self - o).signum() < 0
+        return (self - other).signum() < 0
 
     def __gt__(self, other) -> bool:
-        o = self._coerce(other)
-        return (self - o).signum() > 0
+        return (self - other).signum() > 0
 
     # -- printing -------------------------------------------------------
 
@@ -446,52 +500,6 @@ def fundamental_unit(d: int) -> FundamentalUnit:
         h, h_prev = a * h + h_prev, h
         k, k_prev = a * k + k_prev, k
     raise RuntimeError(f"continued fraction for sqrt({d}) did not close")
-
-
-# -- the scalar ring protocol ---------------------------------------------
-#
-# FieldElem, QuatElem and FqElem answer zero_like, one_like, is_zero and
-# inverse themselves; these helpers are the one place where bare rationals
-# join that protocol.
-
-
-def _zero_like(x):
-    if isinstance(x, (int, Fraction)):
-        return Fraction(0)
-    return x.zero_like()
-
-
-def _one_like(x):
-    if isinstance(x, (int, Fraction)):
-        return Fraction(1)
-    return x.one_like()
-
-
-def _is_zero(x) -> bool:
-    if isinstance(x, (int, Fraction)):
-        return x == 0
-    return x.is_zero()
-
-
-def _invert(x):
-    if isinstance(x, (int, Fraction)):
-        return Fraction(1) / x
-    return x.inverse()
-
-
-def _power(x, e: int, one):
-    """x ** e by square-and-multiply from the unit one; a negative e
-    inverts x first."""
-    if e < 0:
-        x, e = _invert(x), -e
-    out = one
-    while e:
-        if e & 1:
-            out = out * x
-        e >>= 1
-        if e:
-            x = x * x
-    return out
 
 
 def lift(x: Scalar, desc: FieldDescriptor) -> FieldElem:
@@ -644,17 +652,15 @@ class ExactMatrix:
         if not self.is_square():
             raise ValueError("inverse of a non-square matrix")
         n = self.nrows
-        zero = _zero_like(self.entries[0][0])
-        one = _one_like(self.entries[0][0])
-        aug = [list(r) + [one if i == j else zero for j in range(n)]
-               for i, r in enumerate(self.entries)]
+        ident = ExactMatrix.identity(n, like=self.entries[0][0])
+        aug = [list(r) + list(e) for r, e in zip(self.entries, ident.entries)]
         if len(_echelon(aug, n)[0]) < n:
             raise ZeroDivisionError("matrix is singular")
         out: list = [None] * n
         for i in reversed(range(n)):
             row = aug[i][n:]
             for j in range(i + 1, n):
-                if not _is_zero(aug[i][j]):
+                if aug[i][j]:
                     factor = aug[i][j]
                     row = [a - factor * b for a, b in zip(row, out[j])]
             inv = _invert(aug[i][i])
@@ -691,7 +697,7 @@ class ExactMatrix:
 
     def is_diagonal(self) -> bool:
         return self.is_square() and all(
-            _is_zero(self.entries[i][j])
+            not self.entries[i][j]
             for i in range(self.nrows) for j in range(self.ncols) if i != j
         )
 
@@ -720,14 +726,14 @@ def _echelon(rows: list[list], ncols: int) -> tuple[list[int], int]:
     for col in range(ncols):
         top = len(pivots)
         pivot = next((r for r in range(top, len(rows))
-                      if not _is_zero(rows[r][col])), None)
+                      if rows[r][col]), None)
         if pivot is None:
             continue
         if pivot != top:
             rows[top], rows[pivot] = rows[pivot], rows[top]
             sign = -sign
         pivots.append(col)
-        below = [r for r in range(top + 1, len(rows)) if not _is_zero(rows[r][col])]
+        below = [r for r in range(top + 1, len(rows)) if rows[r][col]]
         if below:
             prow = rows[top][col:]
             inv = _invert(prow[0])
@@ -773,7 +779,7 @@ def preserves_form(m: ExactMatrix, j: ExactMatrix,
     if not up_to_scalar:
         return False
     pivot = next(((g, e) for grow, jrow in zip(got.entries, jj.entries)
-                  for g, e in zip(grow, jrow) if not _is_zero(e)), None)
+                  for g, e in zip(grow, jrow) if e), None)
     if pivot is None:
         raise ValueError("form matrix is zero")
     lam = pivot[0] * _invert(pivot[1])

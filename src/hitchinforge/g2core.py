@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exactnum import ExactMatrix, Scalar, _dot, _is_zero, _one_like, preserves_form
+from .exactnum import ExactMatrix, Scalar, _dot, _one_like, preserves_form
 from .symrep import j_matrix
 
 J7 = j_matrix(7)
@@ -55,7 +55,7 @@ class Vec7:
         return hash(self.coords)
 
     def is_zero(self) -> bool:
-        return all(_is_zero(c) for c in self.coords)
+        return not any(self.coords)
 
     def pair_j7(self, other: "Vec7") -> Scalar:
         """v^T J7 w for the antidiagonal 7-dimensional form."""

@@ -17,7 +17,6 @@ from .exactnum import (
     FieldElem,
     GaloisAction,
     _invert,
-    _is_zero,
     _one_like,
     apply_galois,
     field,
@@ -104,7 +103,7 @@ def is_tau_pgl2_diagonal(b: ExactMatrix) -> bool:
     if not b.is_square() or not b.is_diagonal():
         raise ValueError("predicate is defined for diagonal matrices only")
     diag = b.diagonal_entries()
-    if any(_is_zero(e) for e in diag):
+    if not all(diag):
         raise ValueError("diagonal entries must be nonzero")
     if len(diag) == 1:
         return True

@@ -15,8 +15,8 @@ from typing import Callable, Optional, Sequence, Union
 from .exactnum import (
     ExactMatrix,
     FieldElem,
+    RingElem,
     _is_prime,
-    _power,
     preserves_form,
     square_free_part,
 )
@@ -46,7 +46,7 @@ def _mod_p(q: Union[int, Fraction], p: int) -> int:
 
 
 @dataclass(frozen=True)
-class FqElem:
+class FqElem(RingElem):
     """Element of F_p (degree 1) or F_p[r]/(r^2 - r2) (degree 2), with
     coordinates reduced mod p."""
 
@@ -68,9 +68,7 @@ class FqElem:
         return 1 if self.r2 is None else 2
 
     def _coerce(self, other) -> Optional["FqElem"]:
-        if isinstance(other, int):
-            return FqElem(self.p, other, 0, self.r2)
-        if isinstance(other, Fraction):
+        if isinstance(other, (int, Fraction)):
             return FqElem(self.p, _mod_p(other, self.p), 0, self.r2)
         if isinstance(other, FqElem):
             if other.p != self.p:
@@ -82,49 +80,27 @@ class FqElem:
             return other
         return None
 
-    def one_like(self) -> "FqElem":
-        return FqElem(self.p, 1, 0, self.r2)
-
-    def zero_like(self) -> "FqElem":
-        return FqElem(self.p, 0, 0, self.r2)
-
     def is_zero(self) -> bool:
         return self.x == 0 and self.y == 0
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    def _add(self, o: "FqElem") -> "FqElem":
         r2 = self.r2 if self.r2 is not None else o.r2
         return FqElem(self.p, self.x + o.x, self.y + o.y, r2)
 
-    __radd__ = __add__
+    def _sub(self, o: "FqElem") -> "FqElem":
+        r2 = self.r2 if self.r2 is not None else o.r2
+        return FqElem(self.p, self.x - o.x, self.y - o.y, r2)
 
     def __neg__(self):
         return FqElem(self.p, -self.x, -self.y, self.r2)
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        r2 = self.r2 if self.r2 is not None else o.r2
-        return FqElem(self.p, self.x - o.x, self.y - o.y, r2)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    def _mul(self, o: "FqElem") -> "FqElem":
         r2 = self.r2 if self.r2 is not None else o.r2
         if r2 is None:
             return FqElem(self.p, self.x * o.x)
         return FqElem(self.p,
                       self.x * o.x + r2 * self.y * o.y,
                       self.x * o.y + self.y * o.x, r2)
-
-    __rmul__ = __mul__
 
     def inverse(self) -> "FqElem":
         if self.is_zero():
@@ -135,21 +111,14 @@ class FqElem:
         ninv = pow(n, -1, self.p)
         return FqElem(self.p, self.x * ninv, -self.y * ninv, self.r2)
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __pow__(self, e: int) -> "FqElem":
-        return _power(self, e, self.one_like())
-
     def frobenius(self) -> "FqElem":
         return FqElem(self.p, self.x, -self.y, self.r2)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            return self.y == 0 and self.x == other % self.p
+        if isinstance(other, (int, Fraction)):
+            # a rational without a residue mod p equals no element
+            return (self.y == 0 and other.denominator % self.p != 0
+                    and self.x == _mod_p(other, self.p) % self.p)
         if not isinstance(other, FqElem):
             return NotImplemented
         if self.p != other.p:

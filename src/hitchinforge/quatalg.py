@@ -14,10 +14,9 @@ from .exactnum import (
     FieldDescriptor,
     FieldElem,
     GaloisAction,
+    RingElem,
     Scalar,
     _invert,
-    _is_zero,
-    _power,
     apply_galois,
     common_field,
     field,
@@ -66,8 +65,11 @@ def _coerce_coeff(x) -> Scalar:
     return x
 
 
-class QuatElem:
-    """Quaternion with coordinates in Q or in a multiquadratic field."""
+class QuatElem(RingElem):
+    """Quaternion with coordinates in Q or in a multiquadratic field.
+
+    Division is right division: q / r = q * r.inverse(), and x / r =
+    x * r.inverse() for a scalar x."""
 
     __slots__ = ("algebra", "coords")
     noncommutative = True
@@ -76,9 +78,6 @@ class QuatElem:
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "coords",
                            tuple(_coerce_coeff(c) for c in (x0, x1, x2, x3)))
-
-    def __setattr__(self, name, value) -> None:
-        raise AttributeError("QuatElem is immutable")
 
     def _coerce(self, other):
         if isinstance(other, QuatElem):
@@ -89,36 +88,16 @@ class QuatElem:
             return QuatElem(self.algebra, other, 0, 0, 0)
         return None
 
-    def one_like(self) -> "QuatElem":
-        return self.algebra.one()
-
-    def zero_like(self) -> "QuatElem":
-        return QuatElem(self.algebra)
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    def _add(self, o: "QuatElem") -> "QuatElem":
         return QuatElem(self.algebra, *(a + b for a, b in zip(self.coords, o.coords)))
 
-    __radd__ = __add__
+    def _sub(self, o: "QuatElem") -> "QuatElem":
+        return QuatElem(self.algebra, *(a - b for a, b in zip(self.coords, o.coords)))
 
     def __neg__(self):
         return QuatElem(self.algebra, *(-c for c in self.coords))
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return QuatElem(self.algebra, *(a - b for a, b in zip(self.coords, o.coords)))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    def _mul(self, o: "QuatElem") -> "QuatElem":
         a, b = self.algebra.a, self.algebra.b
         x0, x1, x2, x3 = self.coords
         y0, y1, y2, y3 = o.coords
@@ -129,12 +108,6 @@ class QuatElem:
             x0 * y2 + x2 * y0 + a * x1 * y3 - a * x3 * y1,
             x0 * y3 + x3 * y0 + x1 * y2 - x2 * y1,
         )
-
-    def __rmul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self
 
     def conj(self) -> "QuatElem":
         x0, x1, x2, x3 = self.coords
@@ -148,23 +121,20 @@ class QuatElem:
 
     def inverse(self) -> "QuatElem":
         n = self.nred()
-        if _is_zero(n):
+        if not n:
             raise ZeroDivisionError("quaternion has reduced norm zero")
         inv = _invert(n)
         return QuatElem(self.algebra, *(c * inv for c in self.conj().coords))
-
-    def __pow__(self, e: int) -> "QuatElem":
-        return _power(self, e, self.algebra.one())
 
     def apply_galois(self, action: GaloisAction) -> "QuatElem":
         """Galois action on the coordinates only (quaternion basis fixed)."""
         return QuatElem(self.algebra, *(apply_galois(action, c) for c in self.coords))
 
     def is_zero(self) -> bool:
-        return all(_is_zero(c) for c in self.coords)
+        return not any(self.coords)
 
     def is_scalar(self) -> bool:
-        return all(_is_zero(c) for c in self.coords[1:])
+        return not any(self.coords[1:])
 
     def __eq__(self, other) -> bool:
         o = self._coerce(other)
@@ -179,7 +149,7 @@ class QuatElem:
         names = ("", "i", "j", "ij")
         parts = []
         for c, name in zip(self.coords, names):
-            if _is_zero(c):
+            if not c:
                 continue
             parts.append(f"({c}){name}" if name else f"({c})")
         return " + ".join(parts) if parts else "0"

@@ -19,7 +19,6 @@ from .exactnum import (
     FieldElem,
     GaloisAction,
     _dot,
-    _is_zero,
     _one_like,
     _zero_like,
     apply_galois,
@@ -55,7 +54,7 @@ def tau(n: int, m: ExactMatrix) -> ExactMatrix:
     a, b = m.entries[0]
     c, d = m.entries[1]
     det = a * d - b * c
-    if _is_zero(det):
+    if not det:
         raise ValueError("matrix is singular")
     one = _one_like(a)
     zero = _zero_like(a)
@@ -380,7 +379,7 @@ def so_form_from_cocycle(n: int, a: int, b: int, case: CaseName) -> SoFormResult
 
     columns = [average(vec) for vec in vs]
     s_inv = ExactMatrix(list(zip(*columns)))
-    if _is_zero(s_inv.det()):
+    if not s_inv.det():
         raise AssertionError("averaged vectors are not a basis")
     J = j_matrix(n).lift(desc)
     D = s_inv.transpose() * J * s_inv

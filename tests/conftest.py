@@ -3,12 +3,20 @@ from fractions import Fraction
 from math import isqrt
 
 import pytest
+from hypothesis import settings
 
 from hitchinforge.exactnum import ExactMatrix
 
 S = ExactMatrix([[0, -1], [1, 0]])
 T = ExactMatrix([[1, 1], [0, 1]])
 T_INV = ExactMatrix([[1, -1], [0, 1]])
+
+# Property tests draw the same examples on every run, keep no example
+# database and have no deadline, so a slow moment of a shared machine
+# cannot fail them.
+settings.register_profile("hitchinforge", derandomize=True, deadline=None,
+                          database=None, max_examples=40)
+settings.load_profile("hitchinforge")
 
 
 def random_sl2z(rng: random.Random, entry_bound: int = 50,

@@ -241,6 +241,17 @@ def test_lattice_check_names_the_foreign_entry(capsys):
     assert captured.err == "error: entry sqrt(2) is not in Q(sqrt(3))\n"
 
 
+@pytest.mark.parametrize("kind", ["SU_quat", "SL_quat"])
+def test_lattice_check_has_no_quaternion_kinds(capsys, kind):
+    assert run(["lattice-check", "--kind", kind, "--d", "3", "--matrix", "J2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1
+    assert errors[0].startswith("hitchin-forge lattice-check: error: argument "
+                                f"--kind: invalid choice: '{kind}'")
+
+
 def test_unknown_matrix_is_usage_error(capsys):
     assert run(["classify-form", "--matrix", "J99"]) == 2
     assert run(["classify-form", "--matrix", "notjson"]) == 2

@@ -41,6 +41,16 @@ def test_fq_arithmetic():
     assert (b ** 24) == FqElem(5, 1, 0, 3)   # F_25 multiplicative order
 
 
+def test_fq_equals_rationals_through_their_residue():
+    x = FqElem(5, 3)
+    assert x == 3 and x == 8 and x == Fraction(3) and x == Fraction(1, 2)
+    assert Fraction(3) == x and Fraction(-7, 1) == x
+    assert x != Fraction(3, 5) and Fraction(3, 5) != x
+    assert x != Fraction(1, 3) and FqElem(3, 0, 1, r2=2) != Fraction(0)
+    ident = ExactMatrix.identity(2, like=x)
+    assert ident == ExactMatrix.identity(2) and ExactMatrix.identity(2) == ident
+
+
 def test_reduction_context_modes():
     ctx = ReductionContext.build(11, 3)
     assert ctx.mode == "split" and ctx.root == 5

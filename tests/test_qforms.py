@@ -141,8 +141,7 @@ def test_forms_equivalent_matches_congruence_search(rng):
     for e in itertools.product([-1, 0, 1, 2], repeat=3):
         a, b, c = e
         m = ExactMatrix([[a, b], [b, c]])
-        from hitchinforge.exactnum import _is_zero
-        if not _is_zero(m.det()):
+        if m.det():
             mats.append(m)
     ps = [ExactMatrix([[1, 1], [0, 1]]), ExactMatrix([[2, 1], [1, 1]]),
           ExactMatrix([[1, 0], [3, 1]]), ExactMatrix([[0, 1], [1, 0]])]
