@@ -16,7 +16,6 @@ from .exactnum import (
     ExactMatrix,
     FieldElem,
     GaloisAction,
-    _one_like,
     apply_galois,
     span_dimension,
 )
@@ -295,7 +294,7 @@ class BendingSpec:
         if bg != gb:
             issues.append("bending matrix does not commute with the curve image")
         for name, m in self.assignment.items():
-            if m.det() - _one_like(m.entries[0][0]):
+            if m.det() != 1:
                 issues.append(f"assignment of {name} has determinant != 1")
         return issues
 
@@ -418,7 +417,7 @@ class DensityCertificate:
 
 GUICHARD_ASSUMPTION = "Hitchin + Guichard classification"
 
-_TARGETS = {"SLn", "Sp", "SO", "G2"}
+DENSITY_TARGETS = ("SLn", "Sp", "SO", "G2")
 
 
 def _sl2_density_evidence(gens: Mapping[str, ExactMatrix]) -> Sl2Evidence:
@@ -483,7 +482,7 @@ def density_certificate(spec: BendingSpec, target: str) -> DensityCertificate:
     unbent 2x2 data is certified dense in SL2, and the bending matrix is
     certified to lie outside every smaller group on the classification
     list for the target."""
-    if target not in _TARGETS:
+    if target not in DENSITY_TARGETS:
         raise ValueError(f"unknown target {target!r}")
     if spec.sl2_assignment is None:
         raise ValueError(

@@ -15,6 +15,7 @@ import sys
 from typing import Optional, Sequence
 
 from .bender import (
+    DENSITY_TARGETS,
     B0Kind,
     BendingSpec,
     CurveSpec,
@@ -37,6 +38,8 @@ from .exactnum import (
 from .g2core import in_g2
 from .lattices import LATTICE_KINDS, LatticeSpec, containment_check, preserves_form
 from .modp import (
+    DEFAULT_CLOSURE_CAP,
+    FAMILIES,
     ReductionContext,
     find_nonsurjective_prime,
     reduce_matrix,
@@ -439,8 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify-density", help="Zariski-density certificate")
     p.add_argument("--spec", required=True)
-    p.add_argument("--target", required=True,
-                   choices=["SLn", "Sp", "SO", "G2"])
+    p.add_argument("--target", required=True, choices=DENSITY_TARGETS)
     p.set_defaults(fn=_cmd_certify_density)
 
     p = sub.add_parser("reduce-modp", help="reduce exact data modulo p")
@@ -451,13 +453,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_reduce_modp)
 
     p = sub.add_parser("trace-set", help="trace set of a finite matrix group")
-    p.add_argument("--family", required=True,
-                   choices=["SL", "SU", "Sp", "Omega"])
+    p.add_argument("--family", required=True, choices=FAMILIES)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--mode", default="full", choices=["full", "words"])
     p.add_argument("--length", type=int, default=6)
-    p.add_argument("--cap", type=int, default=5_000_000)
+    p.add_argument("--cap", type=int, default=DEFAULT_CLOSURE_CAP)
     p.set_defaults(fn=_cmd_trace_set)
 
     p = sub.add_parser("orbit-separate", help="mod-p orbit separation certificate")

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exactnum import ExactMatrix, Scalar, _dot, _one_like, preserves_form
+from .exactnum import ExactMatrix, Scalar, _dot, preserves_form
 from .symrep import j_matrix
 
 J7 = j_matrix(7)
@@ -134,7 +134,7 @@ def in_g2(m: ExactMatrix) -> bool:
         return False
     if not preserves_form(m, J7):
         return False
-    if m.det() != _one_like(m.entries[0][0]):
+    if m.det() != 1:
         return False
     cols = [Vec7([m.entries[r][c] for r in range(7)]) for c in range(7)]
     for i, j in _BASIS_PAIRS:

@@ -17,7 +17,6 @@ from .exactnum import (
     FieldElem,
     GaloisAction,
     _invert,
-    _one_like,
     apply_galois,
     field,
     preserves_form,
@@ -49,7 +48,7 @@ def in_slnz(m: ExactMatrix) -> bool:
         return False
     if not is_integral_matrix(m):
         return False
-    return m.det() == _one_like(m.entries[0][0])
+    return m.det() == 1
 
 
 def in_su_sqrt_d(m: ExactMatrix, n: int, d: int) -> bool:
@@ -70,7 +69,7 @@ def in_su_sqrt_d(m: ExactMatrix, n: int, d: int) -> bool:
     mm = m.lift(desc)
     if not is_integral_matrix(mm):
         return False
-    if mm.det() != FieldElem.one(desc):
+    if mm.det() != 1:
         return False
     sigma = GaloisAction.flipping(d)
     return preserves_form(mm, ExactMatrix.identity(n), partial(apply_galois, sigma))
@@ -88,7 +87,7 @@ def diagonal_su_nonsplit_conditions(m: ExactMatrix, d: int) -> bool:
     mm = m.lift(desc)
     if not is_integral_matrix(mm):
         return False
-    if mm.det() != FieldElem.one(desc):
+    if mm.det() != 1:
         return False
     w = mm.diagonal_entries()
     tau_d = GaloisAction.flipping(d)
@@ -150,8 +149,7 @@ def _quat_block_det_is_one(m: ExactMatrix) -> bool:
             for r in range(2):
                 for c in range(2):
                     big[2 * i + r][2 * j + c] = blk.entries[r][c]
-    det = ExactMatrix(big).det()
-    return det == FieldElem.one(desc)
+    return ExactMatrix(big).det() == 1
 
 
 def in_sp(m: ExactMatrix, n: int) -> bool:
@@ -181,7 +179,7 @@ def in_so_q(m: ExactMatrix, q: ExactMatrix, integral: bool = True) -> bool:
         return False
     if integral and not is_integral_matrix(m):
         return False
-    return preserves_form(m, q) and m.det() == _one_like(m.entries[0][0])
+    return preserves_form(m, q) and m.det() == 1
 
 
 def in_g2z(m: ExactMatrix) -> bool:

@@ -20,10 +20,12 @@ from .exactnum import (
     preserves_form,
     square_free_part,
 )
+from .lattices import symplectic_form
 from .qforms import _legendre
 from .symrep import tau, trace_poly
 
 DEFAULT_CLOSURE_CAP = 5_000_000
+FAMILIES = ("SL", "SU", "Sp", "Omega")
 
 
 class CapExceeded(Exception):
@@ -48,7 +50,9 @@ def _mod_p(q: Union[int, Fraction], p: int) -> int:
 @dataclass(frozen=True)
 class FqElem(RingElem):
     """Element of F_p (degree 1) or F_p[r]/(r^2 - r2) (degree 2), with
-    coordinates reduced mod p."""
+    coordinates reduced mod p.  It equals every rational of its residue
+    class (3 and 8 both equal FqElem(5, 3)), so no hash can agree with all
+    of them: an int or a Fraction never finds an equal FqElem in a set."""
 
     p: int
     x: int
@@ -105,11 +109,12 @@ class FqElem(RingElem):
     def inverse(self) -> "FqElem":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        if self.r2 is None:
-            return FqElem(self.p, pow(self.x, -1, self.p))
-        n = (self.x * self.x - self.r2 * self.y * self.y) % self.p
-        ninv = pow(n, -1, self.p)
+        ninv = pow(self.norm(), -1, self.p)
         return FqElem(self.p, self.x * ninv, -self.y * ninv, self.r2)
+
+    def norm(self) -> int:
+        """x * frobenius(x) = x^2 - r2 y^2 mod p."""
+        return (self.x * self.x - (self.r2 or 0) * self.y * self.y) % self.p
 
     def frobenius(self) -> "FqElem":
         return FqElem(self.p, self.x, -self.y, self.r2)
@@ -326,15 +331,11 @@ def group_closure_and_traces(gens: Sequence[ExactMatrix],
 
 def group_order_formula(family: str, n: int, q: int) -> int:
     """Textbook orders of the finite classical groups."""
-    if family == "SL":
+    if family in ("SL", "SU"):
+        sign = -1 if family == "SU" else 1
         out = q ** (n * (n - 1) // 2)
         for i in range(2, n + 1):
-            out *= q ** i - 1
-        return out
-    if family == "SU":
-        out = q ** (n * (n - 1) // 2)
-        for i in range(2, n + 1):
-            out *= q ** i - (-1) ** i
+            out *= q ** i - sign ** i
         return out
     if family == "Sp":
         if n % 2:
@@ -352,13 +353,11 @@ def group_order_formula(family: str, n: int, q: int) -> int:
 
 def sl_generators(n: int, p: int) -> list[ExactMatrix]:
     """An elementary transvection and a signed cycle generate SL(n, p)."""
-    e12 = [[FqElem(p, 1 if i == j else 0) for j in range(n)] for i in range(n)]
-    e12[0][1] = FqElem(p, 1)
-    cyc = [[FqElem(p, 0) for _ in range(n)] for _ in range(n)]
-    for i in range(n - 1):
-        cyc[i + 1][i] = FqElem(p, 1)
-    cyc[0][n - 1] = FqElem(p, (-1) ** (n - 1))
-    return [ExactMatrix(e12), ExactMatrix(cyc)]
+    e12 = [[int(i == j) for j in range(n)] for i in range(n)]
+    e12[0][1] = 1
+    cyc = [[int(i == j + 1) for j in range(n)] for i in range(n)]
+    cyc[0][n - 1] = (-1) ** (n - 1)
+    return [reduce_int_matrix(ExactMatrix(m), p) for m in (e12, cyc)]
 
 
 def hermitian_3form(p: int, r2: int) -> ExactMatrix:
@@ -372,18 +371,14 @@ def su3_generators(p: int) -> tuple[list[ExactMatrix], ExactMatrix, int]:
     Hermitian form over F_(p^2): the unipotent root elements together with
     a Weyl representative.  Returns (generators, form, r2)."""
     r2 = _non_residue(p)
-    q2 = p * p
 
     def fq(x, y=0):
         return FqElem(p, x, y, r2)
 
-    def norm(e: FqElem) -> int:
-        return (e.x * e.x - r2 * e.y * e.y) % p
-
     gens = []
     elements = [fq(x, y) for x in range(p) for y in range(p)]
     for a in elements:
-        na = norm(a)
+        na = a.norm()
         for c in elements:
             # condition for [[1,a,c],[0,1,-frob(a)],[0,0,1]] to be unitary
             if (c.x * 2 + na) % p == 0:
@@ -394,11 +389,9 @@ def su3_generators(p: int) -> tuple[list[ExactMatrix], ExactMatrix, int]:
                 ])
                 gens.append(u)
                 gens.append(u.transpose())
-    w = ExactMatrix([[fq(0), fq(0), fq(-1)],
-                     [fq(0), fq(-1), fq(0)],
-                     [fq(-1), fq(0), fq(0)]])
-    gens.append(w)
-    return gens, hermitian_3form(p, r2), r2
+    form = hermitian_3form(p, r2)
+    gens.append(-form)     # the Weyl representative
+    return gens, form, r2
 
 
 def _non_residue(p: int) -> int:
@@ -406,30 +399,16 @@ def _non_residue(p: int) -> int:
 
 
 def sp_generators(n: int, p: int) -> list[ExactMatrix]:
-    """Symplectic transvections x -> x + <x,v> v for a spanning set of v,
-    for the block-diagonal form."""
-    from .lattices import symplectic_form
+    """Symplectic transvections x -> x + <x,v> v, that is I + v (Jv)^T, for
+    the spanning set e_i, e_i + e_(i+1), e_1 + ... + e_n of v, for the
+    block-diagonal form J."""
     j = symplectic_form(n)
-    vs = []
-    for i in range(n):
-        e = [0] * n
-        e[i] = 1
-        vs.append(tuple(e))
-    for i in range(n - 1):
-        e = [0] * n
-        e[i] = 1
-        e[i + 1] = 1
-        vs.append(tuple(e))
-    e = [1] * n
-    vs.append(tuple(e))
-    gens = []
-    for v in vs:
-        jv = [sum(int(j.entries[r][c]) * v[c] for c in range(n)) % p
-              for r in range(n)]
-        rows = [[FqElem(p, (1 if r == c else 0) + v[r] * jv[c])
-                 for c in range(n)] for r in range(n)]
-        gens.append(ExactMatrix(rows))
-    return gens
+    vs = ([[int(k == i) for k in range(n)] for i in range(n)]
+          + [[int(k in (i, i + 1)) for k in range(n)] for i in range(n - 1)]
+          + [[1] * n])
+    ident = ExactMatrix.identity(n)
+    cols = [ExactMatrix([[x] for x in v]) for v in vs]
+    return [reduce_int_matrix(ident + v * (j * v).transpose(), p) for v in cols]
 
 
 def so4_order(p: int) -> int:
@@ -459,19 +438,15 @@ def so4_generators(p: int) -> list[ExactMatrix]:
     order at least 2 |walk of Omega| = |SO|."""
     if p == 2:
         raise ValueError("odd characteristic only")
+    ident = ExactMatrix.identity(4)
 
     def reflection(v, nv):
-        inv2 = 2 * pow(nv, -1, p)
-        return [[(int(r == c) - inv2 * v[r] * v[c]) % p for c in range(4)]
-                for r in range(4)]
+        """I - 2 v v^T / Q(v), with the residue nv standing for Q(v)."""
+        col = ExactMatrix([[x] for x in v])
+        return ident - col * col.transpose() * Fraction(2, nv)
 
     base, *refs = [reflection(v, nv) for v, nv in _so4_anisotropic(p)]
-    gens = []
-    for h in refs:
-        prod = [[sum(base[r][k] * h[k][c] for k in range(4)) % p
-                 for c in range(4)] for r in range(4)]
-        gens.append(ExactMatrix([[FqElem(p, e) for e in row] for row in prod]))
-    return gens
+    return [reduce_int_matrix(base * h, p) for h in refs]
 
 
 def omega4_elements(p: int, cap: int = DEFAULT_CLOSURE_CAP) -> tuple[int, set]:
@@ -514,38 +489,46 @@ def trace_set_of_generators(gens: Sequence[ExactMatrix],
     return _traces(_walk(gens, cap, word_length), *_field(gens))
 
 
+def _check_family(family: str, n: int, p: int) -> None:
+    """Raise ValueError unless family, one of FAMILIES, is built at (n, p):
+    p prime, odd for SU and Omega; n >= 2, even for Sp, 3 for SU, 4 for Omega."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    if not _is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
+    if p == 2 and family in ("SU", "Omega"):
+        raise ValueError(f"{family} is built for odd p")
+    if n < 2:
+        raise ValueError("n must be at least 2")
+    if family == "Sp" and n % 2:
+        raise ValueError("symplectic dimension must be even")
+    if family == "SU" and n != 3:
+        raise ValueError("unitary generators are built for n = 3")
+    if family == "Omega" and n != 4:
+        raise ValueError("commutator orthogonal group is built for n = 4")
+
+
 def trace_set(family_or_gens, n: Optional[int] = None, p: Optional[int] = None,
               cap: int = DEFAULT_CLOSURE_CAP,
               word_length: Optional[int] = None) -> frozenset[FqElem]:
     """Trace set of a named family (SL/SU/Sp/Omega at the given n, p) by
-    full closure, or of an explicit generator list."""
-    if isinstance(family_or_gens, str):
-        family = family_or_gens
-        if not _is_prime(p):
-            raise ValueError(f"p = {p} is not prime")
-        if p == 2 and family in ("SU", "Omega"):
-            raise ValueError(f"{family} is built for odd p")
-        if n < 2:
-            raise ValueError("n must be at least 2")
-        if family == "Sp" and n % 2:
-            raise ValueError("symplectic dimension must be even")
-        if family == "SL":
-            gens = sl_generators(n, p)
-        elif family == "SU":
-            if n != 3:
-                raise ValueError("unitary generators are built for n = 3")
-            gens = su3_generators(p)[0]
-        elif family == "Sp":
-            gens = sp_generators(n, p)
-        elif family == "Omega":
-            if n != 4:
-                raise ValueError("commutator orthogonal group is built for n = 4")
-            _, elements = omega4_elements(p, cap)
-            return _traces(elements, p, None)
-        else:
-            raise ValueError(f"unknown family {family!r}")
-        return trace_set_of_generators(gens, cap, word_length)
-    return trace_set_of_generators(family_or_gens, cap, word_length)
+    full closure, or of an explicit generator list.  Omega, walked from
+    Schreier generators, has no bounded-word mode."""
+    if not isinstance(family_or_gens, str):
+        return trace_set_of_generators(family_or_gens, cap, word_length)
+    family = family_or_gens
+    _check_family(family, n, p)
+    if family == "Omega":
+        if word_length is not None:
+            raise ValueError("Omega trace sets are computed by full closure only")
+        return _traces(omega4_elements(p, cap)[1], p, None)
+    if family == "SL":
+        gens = sl_generators(n, p)
+    elif family == "SU":
+        gens = su3_generators(p)[0]
+    else:
+        gens = sp_generators(n, p)
+    return trace_set_of_generators(gens, cap, word_length)
 
 
 # -- trace witnesses ----------------------------------------------------------
@@ -561,106 +544,73 @@ class TraceWitness:
 
 def trace_witness(family: str, n: int, p: int, a) -> TraceWitness:
     """An element of the family with prescribed trace behaviour, verified
-    against its defining equations mod p.
+    against its defining equations mod p: determinant one, the family's
+    form (Hermitian through the Frobenius for SU) and the trace.  A failed
+    check raises AssertionError.  A rational a stands for its residue mod p.
 
     SL and Sp: trace exactly a (companion 2x2 block, identity padding).
     SU (n = 3): the standard unitary witness with trace a - 1.
     Omega (n = 4): the squared orthogonal witness, trace -2a + 4 (a != 0).
     """
-    if family == "SL":
-        a_int = a.x if isinstance(a, FqElem) else a % p
-        shift = (a_int - (n - 2)) % p
-        m = _block_witness(n, p, shift)
-        w = TraceWitness("SL", m, None, FqElem(p, a_int))
-        _check_det_one(m)
-        assert m.trace() == FqElem(p, a_int)
-        return w
-    if family == "Sp":
-        if n % 2:
-            raise ValueError("symplectic dimension must be even")
-        a_int = a.x if isinstance(a, FqElem) else a % p
-        shift = (a_int - (n - 2)) % p
-        m = _block_witness(n, p, shift)
-        from .lattices import symplectic_form
-        form = reduce_int_matrix(symplectic_form(n), p)
-        assert preserves_form(m, form)
-        assert m.trace() == FqElem(p, a_int)
-        return TraceWitness("Sp", m, form, FqElem(p, a_int))
+    _check_family(family, n, p)
+    if not isinstance(a, FqElem):
+        a = FqElem(p, _mod_p(a, p))
     if family == "SU":
-        if n != 3:
-            raise ValueError("unitary witness is built for n = 3")
-        return _su3_witness(p, a)
-    if family == "Omega":
-        if n != 4:
-            raise ValueError("orthogonal witness is built for n = 4")
-        return _omega4_witness(p, a)
-    raise ValueError(f"unknown family {family!r}")
+        m, form, trace = _su3_witness(p, a)
+    elif family == "Omega":
+        m, form, trace = _omega4_witness(p, a.x)
+    else:
+        m = _block_witness(n, p, (a.x - (n - 2)) % p)
+        form = reduce_int_matrix(symplectic_form(n), p) if family == "Sp" else None
+        trace = FqElem(p, a.x)
+    if m.det() != 1:
+        raise AssertionError(f"{family} witness determinant is not 1")
+    twist = FqElem.frobenius if family == "SU" else None
+    if form is not None and not preserves_form(m, form, twist):
+        raise AssertionError(f"{family} witness fails its form equation")
+    if m.trace() != trace:
+        raise AssertionError(f"{family} witness trace is not {trace}")
+    return TraceWitness(family, m, form, trace)
 
 
 def _block_witness(n: int, p: int, a: int) -> ExactMatrix:
-    rows = [[FqElem(p, 1 if i == j else 0) for j in range(n)] for i in range(n)]
-    rows[0][0] = FqElem(p, a)
-    rows[0][1] = FqElem(p, 1)
-    rows[1][0] = FqElem(p, -1)
-    rows[1][1] = FqElem(p, 0)
-    return ExactMatrix(rows)
+    """The companion block [[a, 1], [-1, 0]] padded by the identity."""
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    rows[0][:2] = [a, 1]
+    rows[1][:2] = [-1, 0]
+    return reduce_int_matrix(ExactMatrix(rows), p)
 
 
-def _check_det_one(m: ExactMatrix) -> None:
-    one = m.entries[0][0].one_like()
-    if m.det() != one:
-        raise AssertionError("witness determinant is not 1")
-
-
-def _su3_witness(p: int, a) -> TraceWitness:
-    r2 = _non_residue(p)
-    if isinstance(a, FqElem):
-        a = FqElem(p, a.x, a.y, r2 if a.r2 is None else a.r2)
-        r2 = a.r2
-    else:
-        a = FqElem(p, a, 0, r2)
-
-    def norm(e: FqElem) -> int:
-        return (e.x * e.x - r2 * e.y * e.y) % p
-
+def _su3_witness(p: int, a: FqElem) -> tuple[ExactMatrix, ExactMatrix, FqElem]:
+    r2 = _non_residue(p) if a.r2 is None else a.r2
+    a = FqElem(p, a.x, a.y, r2)
     target = (-(a + a.frobenius()).x) % p
-    b = next(FqElem(p, x, y, r2) for x in range(p) for y in range(p)
-             if norm(FqElem(p, x, y, r2)) == target)
+    candidates = (FqElem(p, x, y, r2) for x in range(p) for y in range(p))
+    b = next(c for c in candidates if c.norm() == target)
     zero, one = FqElem(p, 0, 0, r2), FqElem(p, 1, 0, r2)
     m = ExactMatrix([
         [a, b, one],
         [b.frobenius(), -one, zero],
         [one, zero, zero],
     ])
-    form = hermitian_3form(p, r2)
-    _check_det_one(m)
-    if not preserves_form(m, form, FqElem.frobenius):
-        raise AssertionError("unitary witness fails its form equation")
-    assert m.trace() == a - 1
-    return TraceWitness("SU", m, form, a - one)
+    return m, hermitian_3form(p, r2), a - one
 
 
-def _omega4_witness(p: int, a) -> TraceWitness:
-    a_int = a.x if isinstance(a, FqElem) else a % p
-    if a_int % p == 0:
+def _omega4_witness(p: int, a_int: int) -> tuple[ExactMatrix, ExactMatrix, FqElem]:
+    if a_int == 0:
         raise ValueError("witness construction needs a != 0")
-    inv_a = pow(a_int, -1, p)
-    m = ExactMatrix([
-        [FqElem(p, 0), FqElem(p, 0), FqElem(p, -a_int), FqElem(p, a_int)],
-        [FqElem(p, 0), FqElem(p, 0), FqElem(p, 1), FqElem(p, 0)],
-        [FqElem(p, 1), FqElem(p, 1), FqElem(p, 0), FqElem(p, 0)],
-        [FqElem(p, inv_a), FqElem(p, 0), FqElem(p, 0), FqElem(p, 0)],
-    ])
-    form = ExactMatrix([[FqElem(p, 1 if i + j == 3 else 0) for j in range(4)]
-                        for i in range(4)])
-    _check_det_one(m)
+    m = reduce_int_matrix(ExactMatrix([
+        [0, 0, -a_int, a_int],
+        [0, 0, 1, 0],
+        [1, 1, 0, 0],
+        [Fraction(1, a_int), 0, 0, 0],
+    ]), p)
+    form = reduce_int_matrix(
+        ExactMatrix([[int(i + j == 3) for j in range(4)] for i in range(4)]), p)
     if not preserves_form(m, form):
         raise AssertionError("orthogonal witness fails its form equation")
-    m2 = m * m
-    expected = FqElem(p, -2 * a_int + 4)
-    assert m2.trace() == expected
     # squares of orthogonal elements land in the index-2 commutator subgroup
-    return TraceWitness("Omega", m2, form, expected)
+    return m * m, form, FqElem(p, -2 * a_int + 4)
 
 
 # -- orbit separation ---------------------------------------------------------
@@ -731,13 +681,10 @@ def separation_certificate(n: int, b: ExactMatrix, p: int,
 
     b_red = reduce_matrix(b, ctx)
     order = matrix_order(b_red)
-    ident = ExactMatrix.identity(n, like=b_red.entries[0][0])
-    order_ok = (b_red ** order) == ident
+    order_ok = (b_red ** order).is_identity()
 
-    unipotent_u = ExactMatrix([[1, 1], [0, 1]])
-    unipotent_l = ExactMatrix([[1, 0], [1, 1]])
-    gens = [reduce_int_matrix(tau(n, unipotent_u), p),
-            reduce_int_matrix(tau(n, unipotent_l), p)]
+    unipotents = (ExactMatrix([[1, 1], [0, 1]]), ExactMatrix([[1, 0], [1, 1]]))
+    gens = [reduce_int_matrix(tau(n, u), p) for u in unipotents]
     sampled = trace_set_of_generators(gens, word_length=word_length)
     sample_vals = sorted({t.x for t in sampled})
     inside = all(v in set(image) for v in sample_vals)

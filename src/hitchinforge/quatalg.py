@@ -137,12 +137,17 @@ class QuatElem(RingElem):
         return not any(self.coords[1:])
 
     def __eq__(self, other) -> bool:
+        if isinstance(other, QuatElem) and other.algebra != self.algebra:
+            return False
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         return self.coords == o.coords
 
     def __hash__(self) -> int:
+        # a scalar quaternion equals its coordinate, so it hashes like it
+        if self.is_scalar():
+            return hash(self.coords[0])
         return hash((self.algebra, self.coords))
 
     def __str__(self) -> str:

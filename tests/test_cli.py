@@ -124,13 +124,20 @@ def test_g2_check_usage_errors(capsys):
         assert captured.out == "" and captured.err == f"error: {message}\n"
 
 
-@pytest.mark.parametrize("family, n, p", [
-    ("SL", 2, 4), ("SL", 2, 9), ("SL", 2, -3), ("Sp", 3, 3), ("SL", 1, 3),
-    ("SU", 3, 2), ("SU", 3, 9), ("Omega", 4, 2),
-])
-def test_trace_set_bad_family_parameters(capsys, family, n, p):
+BAD_TRACE_SET_INPUTS = [
+    ("SL", 2, 4, []), ("SL", 2, 9, []), ("SL", 2, -3, []), ("Sp", 3, 3, []),
+    ("SL", 1, 3, []), ("SU", 3, 2, []), ("SU", 3, 9, []), ("Omega", 4, 2, []),
+    ("Omega", 4, 3, ["--mode", "words", "--length", "1"]),
+]
+
+
+# ids are family-n-p, followed by the mode when extra argv is given
+@pytest.mark.parametrize("family, n, p, extra", BAD_TRACE_SET_INPUTS,
+                         ids=["-".join([f, str(n), str(p)] + extra[1:2])
+                              for f, n, p, extra in BAD_TRACE_SET_INPUTS])
+def test_trace_set_bad_family_parameters(capsys, family, n, p, extra):
     assert run(["trace-set", "--family", family, "--n", str(n),
-                "--p", str(p)]) == 2
+                "--p", str(p), *extra]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()

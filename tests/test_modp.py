@@ -1,10 +1,21 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from hitchinforge.bender import b0_family
-from hitchinforge.exactnum import ExactMatrix, FieldElem, field, fundamental_unit
+from hitchinforge.exactnum import (
+    ExactMatrix,
+    FieldElem,
+    field,
+    fundamental_unit,
+    preserves_form,
+)
+from hitchinforge.lattices import symplectic_form
 from hitchinforge.modp import (
     CapExceeded,
     FqElem,
@@ -26,7 +37,9 @@ from hitchinforge.modp import (
     trace_set_of_generators,
     trace_witness,
 )
-from hitchinforge.modp import _non_residue
+from hitchinforge.modp import _non_residue, reduce_int_matrix
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_fq_arithmetic():
@@ -49,6 +62,14 @@ def test_fq_equals_rationals_through_their_residue():
     assert x != Fraction(1, 3) and FqElem(3, 0, 1, r2=2) != Fraction(0)
     ident = ExactMatrix.identity(2, like=x)
     assert ident == ExactMatrix.identity(2) and ExactMatrix.identity(2) == ident
+
+
+@pytest.mark.parametrize("p, r2", [(7, None), (5, 2), (7, 3)])
+def test_fq_norm_is_x_times_frobenius(p, r2):
+    for x in range(p):
+        for y in range(p if r2 else 1):
+            e = FqElem(p, x, y, r2)
+            assert e * e.frobenius() == e.norm()
 
 
 def test_reduction_context_modes():
@@ -147,11 +168,65 @@ def test_so4_generators_generate_so(p):
     assert group_closure(so4_generators(p)) == so4_order(p)
 
 
+@pytest.mark.parametrize("n", [2, 4, 6])
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_sp_generators_are_symplectic_transvections(n, p):
+    form = reduce_int_matrix(symplectic_form(n), p)
+    ident = ExactMatrix.identity(n, like=FqElem(p, 1))
+    for g in sp_generators(n, p):
+        assert g.det() == 1
+        assert preserves_form(g, form)
+        assert (g - ident).rank() == 1
+
+
 def test_trace_sets_match_lemmas():
     assert {t.x for t in trace_set("SL", 2, 3)} == {0, 1, 2}
     assert len(trace_set("SU", 3, 3)) == 9
     assert {t.x for t in trace_set("Sp", 4, 3)} == {0, 1, 2}
     assert {t.x for t in trace_set("Omega", 4, 3)} == {0, 1, 2}
+
+
+BAD_FAMILY_INPUTS = [("SL", 2, 4), ("Sp", 4, 9), ("Omega", 4, 9),
+                     ("SL", 3, -3), ("SL", 1, 7), ("SU", 3, 2),
+                     ("SP", 4, 3), ("Sp", 3, 3), ("SU", 4, 3), ("Omega", 3, 5)]
+
+
+@pytest.mark.parametrize("family, n, p", BAD_FAMILY_INPUTS)
+def test_trace_set_and_witness_share_the_family_check(family, n, p):
+    with pytest.raises(ValueError) as from_set:
+        trace_set(family, n, p)
+    with pytest.raises(ValueError) as from_witness:
+        trace_witness(family, n, p, 1)
+    assert str(from_set.value) == str(from_witness.value)
+
+
+# each replacement for _block_witness breaks one witness equation
+BROKEN_WITNESSES = {
+    "trace": ("SL", 3, 5, 1, "ExactMatrix.identity(n, like=modp.FqElem(p, 1))"),
+    "det": ("SL", 3, 5, 1, "ExactMatrix.identity(n, like=modp.FqElem(p, 1)) * 2"),
+    "form": ("Sp", 4, 5, 4, "modp.reduce_int_matrix(ExactMatrix("
+             "[[1, 0, 1, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]), p)"),
+}
+
+
+@pytest.mark.parametrize("family, n, p, a, matrix", BROKEN_WITNESSES.values(),
+                         ids=list(BROKEN_WITNESSES))
+def test_witness_check_survives_optimised_python(family, n, p, a, matrix):
+    """Under python -O a bare assert vanishes; the witness verification
+    must still refuse a matrix that fails one of its equations."""
+    code = (
+        "from hitchinforge import modp\n"
+        "from hitchinforge.exactnum import ExactMatrix\n"
+        f"modp._block_witness = lambda n, p, a: {matrix}\n"
+        "try:\n"
+        f"    modp.trace_witness({family!r}, {n}, {p}, {a})\n"
+        "except AssertionError:\n"
+        "    print('refused')\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                          text=True, env=env, check=True)
+    assert done.stdout == "refused\n"
 
 
 def test_trace_witness_sl():
@@ -162,6 +237,9 @@ def test_trace_witness_sl():
     for n in (3, 5):
         for a in range(7):
             assert trace_witness("SL", n, 7, a).trace == FqElem(7, a)
+    # a rational target is taken through its residue, as reduce_scalar does
+    assert trace_witness("SL", 2, 5, Fraction(1, 2)).trace == FqElem(5, 3)
+    assert trace_witness("SU", 3, 3, Fraction(1, 2)).trace == FqElem(3, 1, 0, 2)
 
 
 def test_trace_witness_su():

@@ -23,6 +23,16 @@ def test_algebra_normalization():
         QuatAlgebra(0, 3)
 
 
+def test_scalar_quaternions_hash_like_their_coordinate():
+    alg = QuatAlgebra(3, 5)
+    third = FieldElem(field(3), [Fraction(1, 3), Fraction(0)])
+    for x in (3, Fraction(1, 2), third):
+        q = alg(x)
+        assert q == x and x in {q} and q in {x}
+    assert alg.i() not in {0, 1} and alg(3) != QuatAlgebra(2, 5)(3)
+    assert len({alg(3), QuatAlgebra(2, 5)(3)}) == 2
+
+
 def test_basic_relations():
     alg = QuatAlgebra(3, 5)
     i, j, ij = alg.i(), alg.j(), alg.ij()
