@@ -4,7 +4,11 @@ actions, dense matrices over any of these rings, and Pell units.
 Everything in this module (and everything built on it) is exact; there is
 no floating point anywhere.  Field elements live in a tower
 Q(sqrt(d1),...,sqrt(dk)) with k <= 3, represented on the monomial basis
-indexed by subsets of the radicands.
+indexed by subsets of the radicands: integer numerators over one common
+positive denominator in lowest terms (Cohen, A Course in Computational
+Algebraic Number Theory, 4.2; FLINT's fmpq_poly), so a field operation is
+integer arithmetic plus one gcd.  Each field descriptor caches its product
+plan, the monomial pairs with the radicand factor their product picks up.
 """
 
 from __future__ import annotations
@@ -12,7 +16,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from functools import cached_property
+from math import gcd, isqrt, lcm
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 Scalar = Union[int, Fraction, "RingElem"]
@@ -103,9 +108,17 @@ class FieldDescriptor:
     def k(self) -> int:
         return len(self.radicands)
 
-    @property
+    @cached_property
     def dim(self) -> int:
         return 1 << len(self.radicands)
+
+    @cached_property
+    def plan(self) -> tuple[tuple[int, int, int, int], ...]:
+        """The product plan: one (s, t, s ^ t, common) entry per pair of
+        monomials, since sqrt(prod S) * sqrt(prod T) = common * sqrt(prod
+        S ^ T) with common = prod(S & T)."""
+        return tuple((s, t, s ^ t, self.monomial_radicand(s & t))
+                     for s in range(self.dim) for t in range(self.dim))
 
     def monomial_radicand(self, mask: int) -> int:
         n = 1
@@ -224,22 +237,51 @@ class RingElem:
 
 
 class FieldElem(RingElem):
-    """Element of a multiquadratic field, exact coefficients on the subset
-    monomial basis."""
+    """Element of a multiquadratic field on the subset monomial basis,
+    stored as integer numerators `nums` over one positive denominator
+    `den` in lowest terms: gcd(den, *nums) == 1, and zero has den == 1.
+    Equal elements therefore have equal (nums, den).  `coeffs` is the
+    read-only view of the coefficients as Fractions.
 
-    __slots__ = ("desc", "coeffs")
+    FieldElem(desc, coeffs) takes any rationals; FieldElem(desc, nums, den)
+    takes integer numerators over an integer denominator and divides out
+    their gcd.  Products run over the descriptor's `plan`."""
 
-    def __init__(self, desc: FieldDescriptor, coeffs: Sequence[Fraction]):
+    __slots__ = ("desc", "nums", "den")
+
+    def __init__(self, desc: FieldDescriptor, coeffs: Sequence,
+                 den: Optional[int] = None):
         if len(coeffs) != desc.dim:
             raise ValueError("coefficient vector has wrong length")
-        object.__setattr__(self, "desc", desc)
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in coeffs))
+        if den is None:
+            fracs = [Fraction(c) for c in coeffs]
+            den = lcm(*(c.denominator for c in fracs))
+            nums = tuple(c.numerator * (den // c.denominator) for c in fracs)
+        else:
+            if not den:
+                raise ZeroDivisionError("field element with zero denominator")
+            g = gcd(den, *coeffs)
+            if den < 0:
+                g = -g
+            if g != 1:
+                den //= g
+                nums = tuple(c // g for c in coeffs)
+            else:
+                nums = tuple(coeffs)
+        _set_desc(self, desc)
+        _set_nums(self, nums)
+        _set_den(self, den)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        den = self.den
+        return tuple(Fraction(n, den) for n in self.nums)
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def zero(cls, desc: FieldDescriptor) -> "FieldElem":
-        return cls(desc, [Fraction(0)] * desc.dim)
+        return cls(desc, [0] * desc.dim, 1)
 
     @classmethod
     def one(cls, desc: FieldDescriptor) -> "FieldElem":
@@ -247,9 +289,9 @@ class FieldElem(RingElem):
 
     @classmethod
     def from_rational(cls, desc: FieldDescriptor, q: Union[int, Fraction]) -> "FieldElem":
-        c = [Fraction(0)] * desc.dim
-        c[0] = Fraction(q)
-        return cls(desc, c)
+        nums = [0] * desc.dim
+        nums[0] = q.numerator
+        return cls(desc, nums, q.denominator)
 
     @classmethod
     def sqrt_int(cls, desc: FieldDescriptor, n: int) -> "FieldElem":
@@ -262,17 +304,16 @@ class FieldElem(RingElem):
         for mask in range(1, desc.dim):
             prod = desc.monomial_radicand(mask)
             if prod % m == 0 and is_square(prod // m):
-                t = isqrt(prod // m)
-                c = [Fraction(0)] * desc.dim
-                c[mask] = Fraction(s, t)
-                return cls(desc, c)
+                nums = [0] * desc.dim
+                nums[mask] = s
+                return cls(desc, nums, isqrt(prod // m))
         raise ValueError(f"sqrt({n}) does not lie in Q{desc.radicands}")
 
     # -- ring operations ----------------------------------------------
 
     def _coerce(self, other) -> Optional["FieldElem"]:
         if isinstance(other, FieldElem):
-            if other.desc != self.desc:
+            if other.desc is not self.desc and other.desc != self.desc:
                 raise ValueError("field descriptor mismatch")
             return other
         if isinstance(other, (int, Fraction)):
@@ -280,27 +321,28 @@ class FieldElem(RingElem):
         return None
 
     def _add(self, o: "FieldElem") -> "FieldElem":
-        return FieldElem(self.desc, [a + b for a, b in zip(self.coeffs, o.coeffs)])
+        da, db = self.den, o.den
+        if da == db:
+            return FieldElem(self.desc, [a + b for a, b in zip(self.nums, o.nums)], da)
+        return FieldElem(self.desc, [a * db + b * da for a, b in zip(self.nums, o.nums)],
+                         da * db)
 
     def _sub(self, o: "FieldElem") -> "FieldElem":
-        return FieldElem(self.desc, [a - b for a, b in zip(self.coeffs, o.coeffs)])
+        da, db = self.den, o.den
+        if da == db:
+            return FieldElem(self.desc, [a - b for a, b in zip(self.nums, o.nums)], da)
+        return FieldElem(self.desc, [a * db - b * da for a, b in zip(self.nums, o.nums)],
+                         da * db)
 
     def __neg__(self) -> "FieldElem":
-        return FieldElem(self.desc, [-a for a in self.coeffs])
+        return FieldElem(self.desc, [-a for a in self.nums], self.den)
 
     def _mul(self, o: "FieldElem") -> "FieldElem":
-        desc = self.desc
-        out = [Fraction(0)] * desc.dim
-        for s, cs in enumerate(self.coeffs):
-            if not cs:
-                continue
-            for t, ct in enumerate(o.coeffs):
-                if not ct:
-                    continue
-                # sqrt(prod S) * sqrt(prod T) = prod(S&T) * sqrt(prod S^T)
-                common = desc.monomial_radicand(s & t)
-                out[s ^ t] += cs * ct * common
-        return FieldElem(desc, out)
+        a, b = self.nums, o.nums
+        out = [0] * len(a)
+        for s, t, st, common in self.desc.plan:
+            out[st] += a[s] * b[t] * common
+        return FieldElem(self.desc, out, self.den * o.den)
 
     def inverse(self) -> "FieldElem":
         if self.is_zero():
@@ -310,62 +352,64 @@ class FieldElem(RingElem):
     def _inverse_rec(self, level: int) -> "FieldElem":
         """Invert by descending the tower: x = u + v*sqrt(r) with u, v in
         the subfield, so 1/x = (u - v*sqrt(r)) / (u^2 - r*v^2)."""
+        desc, nums, den = self.desc, self.nums, self.den
         if level == 0:
-            return FieldElem.from_rational(self.desc, Fraction(1) / self.coeffs[0])
+            out = [0] * desc.dim
+            out[0] = den
+            return FieldElem(desc, out, nums[0])
         bit = 1 << (level - 1)
-        r = self.desc.radicands[level - 1]
-        u = [Fraction(0)] * self.desc.dim
-        v = [Fraction(0)] * self.desc.dim
-        for mask, c in enumerate(self.coeffs):
+        r = desc.radicands[level - 1]
+        u = [0] * desc.dim
+        v = [0] * desc.dim
+        for mask, c in enumerate(nums):
             if mask & bit:
                 v[mask ^ bit] = c
             else:
                 u[mask] = c
-        ue = FieldElem(self.desc, u)
-        ve = FieldElem(self.desc, v)
+        ue = FieldElem(desc, u, den)
+        ve = FieldElem(desc, v, den)
         norm = ue * ue - (ve * ve) * r
         ninv = norm._inverse_rec(level - 1)
-        conj_coeffs = list(self.coeffs)
-        for mask in range(self.desc.dim):
-            if mask & bit:
-                conj_coeffs[mask] = -conj_coeffs[mask]
-        return FieldElem(self.desc, conj_coeffs) * ninv
+        conj = [-c if mask & bit else c for mask, c in enumerate(nums)]
+        return FieldElem(desc, conj, den) * ninv
 
     # -- predicates and accessors --------------------------------------
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.nums)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.nums[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.nums[0], self.den)
 
     def extend(self, desc: FieldDescriptor) -> "FieldElem":
         """Reinterpret in a larger field containing all current radicands."""
-        out = [Fraction(0)] * desc.dim
-        for mask, c in enumerate(self.coeffs):
+        out = [0] * desc.dim
+        for mask, c in enumerate(self.nums):
             new_mask = 0
             for i, r in enumerate(self.desc.radicands):
                 if mask >> i & 1:
                     new_mask |= 1 << desc.radicands.index(r)
             out[new_mask] = c
-        return FieldElem(desc, out)
+        return FieldElem(desc, out, self.den)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coeffs[0] == other
+            return (self.is_rational() and self.nums[0] == other.numerator
+                    and self.den == other.denominator)
         if not isinstance(other, FieldElem):
             return NotImplemented
-        return self.desc == other.desc and self.coeffs == other.coeffs
+        return ((self.desc is other.desc or self.desc == other.desc)
+                and self.den == other.den and self.nums == other.nums)
 
     def __hash__(self) -> int:
         if self.is_rational():
-            return hash(self.coeffs[0])
-        return hash((self.desc, self.coeffs))
+            return hash(Fraction(self.nums[0], self.den))
+        return hash((self.desc, self.nums, self.den))
 
     # -- exact sign via rational interval refinement --------------------
 
@@ -388,22 +432,20 @@ class FieldElem(RingElem):
             if bits > 2 ** 16:  # unreachable for nonzero exact input
                 raise RuntimeError("sign refinement failed to converge")
 
-    def _interval(self, bits: int) -> tuple[Fraction, Fraction]:
-        lo = hi = Fraction(0)
+    def _interval(self, bits: int) -> tuple[int, int]:
+        """Integer bounds lo <= den * x * 2**bits <= hi."""
+        lo = hi = 0
         scale = 1 << bits
-        for mask, c in enumerate(self.coeffs):
+        for mask, c in enumerate(self.nums):
             if not c:
                 continue
-            m = self.desc.monomial_radicand(mask)
-            root_lo = isqrt(m * scale * scale)
-            mlo = Fraction(root_lo, scale)
-            mhi = Fraction(root_lo + 1, scale)
+            root_lo = isqrt(self.desc.monomial_radicand(mask) * scale * scale)
             if c > 0:
-                lo += c * mlo
-                hi += c * mhi
+                lo += c * root_lo
+                hi += c * (root_lo + 1)
             else:
-                lo += c * mhi
-                hi += c * mlo
+                lo += c * (root_lo + 1)
+                hi += c * root_lo
         return lo, hi
 
     def __lt__(self, other) -> bool:
@@ -419,6 +461,12 @@ class FieldElem(RingElem):
 
     def __repr__(self) -> str:
         return f"FieldElem({format_scalar(self)!r})"
+
+
+# The slot setters of FieldElem, past the immutable RingElem.__setattr__;
+# calling them directly is faster than object.__setattr__ by name.
+_set_desc, _set_nums, _set_den = (FieldElem.__dict__[name].__set__
+                                  for name in FieldElem.__slots__)
 
 
 @dataclass(frozen=True)
@@ -450,7 +498,7 @@ def apply_galois(action: GaloisAction, x: Scalar) -> Scalar:
     if not isinstance(x, FieldElem):
         # quaternion and other composite scalars implement their own hook
         return x.apply_galois(action)  # type: ignore[union-attr]
-    out = list(x.coeffs)
+    out = list(x.nums)
     for mask in range(1, x.desc.dim):
         if not out[mask]:
             continue
@@ -459,7 +507,7 @@ def apply_galois(action: GaloisAction, x: Scalar) -> Scalar:
             if mask >> i & 1:
                 s *= action.sign_of(r)
         out[mask] *= s
-    return FieldElem(x.desc, out)
+    return FieldElem(x.desc, out, x.den)
 
 
 # -- Pell units ---------------------------------------------------------
@@ -492,7 +540,7 @@ def fundamental_unit(d: int) -> FundamentalUnit:
         norm = h * h - d * k * k
         if norm in (1, -1):
             desc = field(d)
-            value = FieldElem(desc, [Fraction(h), Fraction(k)])
+            value = FieldElem(desc, [h, k], 1)
             return FundamentalUnit(value, h, k, norm)
         m = q * a - m
         q = (d - m * m) // q

@@ -32,7 +32,7 @@ def is_integral_scalar(x) -> bool:
     if isinstance(x, Fraction):
         return x.denominator == 1
     if isinstance(x, FieldElem):
-        return all(c.denominator == 1 for c in x.coeffs)
+        return x.den == 1
     if isinstance(x, QuatElem):
         return all(is_integral_scalar(c) for c in x.coords)
     raise TypeError(f"unsupported scalar {type(x)!r}")

@@ -185,8 +185,9 @@ def reduce_scalar(x: Union[int, Fraction, FieldElem],
         rads = x.desc.radicands
         if len(rads) > 1 or (rads and rads[0] != ctx.d):
             raise ValueError(f"element lies in Q{rads}, context is for sqrt({ctx.d})")
-        a = _mod_p(x.coeffs[0], p)
-        b = _mod_p(x.coeffs[1], p) if len(x.coeffs) > 1 else 0
+        den_inv = _mod_p(Fraction(1, x.den), p)
+        a = x.nums[0] * den_inv
+        b = x.nums[1] * den_inv if len(x.nums) > 1 else 0
         if ctx.mode == "split":
             return FqElem(p, a + b * ctx.root)
         return FqElem(p, a, b, ctx.d % p)
@@ -353,6 +354,7 @@ def group_order_formula(family: str, n: int, q: int) -> int:
 
 def sl_generators(n: int, p: int) -> list[ExactMatrix]:
     """An elementary transvection and a signed cycle generate SL(n, p)."""
+    _check_family("SL", n, p)
     e12 = [[int(i == j) for j in range(n)] for i in range(n)]
     e12[0][1] = 1
     cyc = [[int(i == j + 1) for j in range(n)] for i in range(n)]
@@ -370,6 +372,7 @@ def su3_generators(p: int) -> tuple[list[ExactMatrix], ExactMatrix, int]:
     """Generators of the 3-dimensional unitary group for the antidiagonal
     Hermitian form over F_(p^2): the unipotent root elements together with
     a Weyl representative.  Returns (generators, form, r2)."""
+    _check_family("SU", 3, p)
     r2 = _non_residue(p)
 
     def fq(x, y=0):
@@ -402,6 +405,7 @@ def sp_generators(n: int, p: int) -> list[ExactMatrix]:
     """Symplectic transvections x -> x + <x,v> v, that is I + v (Jv)^T, for
     the spanning set e_i, e_i + e_(i+1), e_1 + ... + e_n of v, for the
     block-diagonal form J."""
+    _check_family("Sp", n, p)
     j = symplectic_form(n)
     vs = ([[int(k == i) for k in range(n)] for i in range(n)]
           + [[int(k in (i, i + 1)) for k in range(n)] for i in range(n - 1)]

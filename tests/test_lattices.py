@@ -22,6 +22,7 @@ from hitchinforge.lattices import (
     in_sp,
     in_su_quat,
     in_su_sqrt_d,
+    is_integral_scalar,
     is_tau_pgl2_diagonal,
     preserves_form,
 )
@@ -180,3 +181,14 @@ def test_containment_rejects_bad_signs():
         containment_check(3, 3, 3, signs=(-1, 1), height=1)
     with pytest.raises(ValueError):
         containment_check(4, 3, 3, height=1)
+
+
+def test_field_integrality_is_a_denominator_of_one():
+    d = field(3)
+    assert is_integral_scalar(FieldElem(d, [2, -1]))
+    assert is_integral_scalar(FieldElem(d, [Fraction(4, 2), 0]))
+    assert not is_integral_scalar(FieldElem(d, [Fraction(1, 2), 1]))
+    assert not is_integral_scalar(FieldElem(d, [1, Fraction(1, 3)]))
+    half = ExactMatrix.diagonal([FieldElem(d, [Fraction(1, 2), 0]),
+                                 FieldElem(d, [2, 0])])
+    assert in_slnz(half) is False

@@ -200,6 +200,19 @@ def test_trace_set_and_witness_share_the_family_check(family, n, p):
     assert str(from_set.value) == str(from_witness.value)
 
 
+@pytest.mark.parametrize("build, args", [
+    (sl_generators, (2, 4)), (sl_generators, (1, 5)), (sl_generators, (3, -3)),
+    (sp_generators, (3, 5)), (sp_generators, (4, 9)),
+    (su3_generators, (2,)), (su3_generators, (9,)),
+], ids=["SL-2-4", "SL-1-5", "SL-3-neg3", "Sp-3-5", "Sp-4-9", "SU-2", "SU-9"])
+def test_public_builders_check_their_family(build, args):
+    """Z/4 is not a field, so SL(2, Z/4) generators would close on 48
+    elements against the formula's 60; a 3x3 symplectic form is
+    degenerate."""
+    with pytest.raises(ValueError):
+        build(*args)
+
+
 # each replacement for _block_witness breaks one witness equation
 BROKEN_WITNESSES = {
     "trace": ("SL", 3, 5, 1, "ExactMatrix.identity(n, like=modp.FqElem(p, 1))"),

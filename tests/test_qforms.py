@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from hitchinforge.exactnum import ExactMatrix, FieldElem, field, square_class
 from hitchinforge.qforms import (
@@ -59,6 +60,17 @@ def test_hilbert_reciprocity(rng):
         for v in hasse_scan_places(a, b):
             prod *= hilbert_symbol(a, b, v)
         assert prod == 1
+
+
+NONZERO_MILLION = st.integers(-10 ** 6, 10 ** 6).filter(bool)
+
+
+@given(NONZERO_MILLION, NONZERO_MILLION)
+def test_hilbert_reciprocity_large(a, b):
+    prod = 1
+    for v in hasse_scan_places(a, b):
+        prod *= hilbert_symbol(a, b, v)
+    assert prod == 1
 
 
 def test_diagonalize_examples():

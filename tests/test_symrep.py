@@ -2,8 +2,9 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, strategies as st
 
-from hitchinforge.exactnum import ExactMatrix, FieldElem
+from hitchinforge.exactnum import ExactMatrix, FieldElem, field, preserves_form
 from hitchinforge.qforms import Place, form_invariants
 from hitchinforge.symrep import (
     SIGN_CASES,
@@ -43,6 +44,45 @@ def test_tau_homomorphism_and_invariance(rng):
             assert tau(n, m * nn) == tm * tn
             assert tm.det() == 1
             assert tm.transpose() * j * tm == j
+
+
+SQRT3 = field(3)
+Q_SQRT3 = st.tuples(st.integers(-4, 4), st.integers(-4, 4), st.integers(1, 3)).map(
+    lambda t: FieldElem(SQRT3, [t[0], t[1]], t[2]))
+
+
+def _sl2_generator(kind: int, x: FieldElem) -> ExactMatrix:
+    """[[1, x], [0, 1]], [[1, 0], [x, 1]] or [[0, -1], [1, 0]] over Q(sqrt3)."""
+    one, zero = FieldElem.one(SQRT3), FieldElem.zero(SQRT3)
+    if kind == 0:
+        return ExactMatrix([[one, x], [zero, one]])
+    if kind == 1:
+        return ExactMatrix([[one, zero], [x, one]])
+    return ExactMatrix([[zero, -one], [one, zero]])
+
+
+def _sl2_word(letters) -> ExactMatrix:
+    m = _sl2_generator(*letters[0])
+    for letter in letters[1:]:
+        m = m * _sl2_generator(*letter)
+    return m
+
+
+SL2_WORDS_Q_SQRT3 = st.lists(st.tuples(st.integers(0, 2), Q_SQRT3),
+                             min_size=1, max_size=4).map(_sl2_word)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_tau_over_q_sqrt3_is_a_homomorphism_preserving_j(n):
+    j = j_matrix(n)
+
+    @given(SL2_WORDS_Q_SQRT3, SL2_WORDS_Q_SQRT3)
+    def check(m, mm):
+        tm = tau(n, m)
+        assert tau(n, m * mm) == tm * tau(n, mm)
+        assert tm.det() == 1
+        assert preserves_form(tm, j)
+    check()
 
 
 def test_j_matrix_examples():
