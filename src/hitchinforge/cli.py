@@ -78,8 +78,7 @@ def _load_matrix(text: str) -> ExactMatrix:
             raise UsageError("built-in antidiagonal forms range J2..J9")
         return j_matrix(n)
     if text.startswith("T") and len(text) == 3 and set(text[1:]) <= {"+", "-"}:
-        signs = (1 if text[1] == "+" else -1, 1 if text[2] == "+" else -1)
-        return cocycle_matrix(2, 3, signs)
+        return cocycle_matrix(2, 3, _parse_signs(text[1:]))
     if text.startswith("B0:"):
         parts = text.split(":")
         if len(parts) < 3:
@@ -92,15 +91,16 @@ def _load_matrix(text: str) -> ExactMatrix:
         rows = json.loads(text)
     except json.JSONDecodeError as e:
         raise UsageError(f"matrix is neither a built-in name nor JSON: {e}")
-    if not isinstance(rows, list) or not rows:
-        raise UsageError("matrix JSON must be a nonempty array of rows")
+    if not (isinstance(rows, list) and rows
+            and all(isinstance(row, list) and row for row in rows)):
+        raise UsageError("matrix JSON must be a nonempty array of nonempty rows")
     m = ExactMatrix([[parse_scalar(str(e)) for e in row] for row in rows])
     desc = common_field(e for row in m.entries for e in row)
     return m.lift(desc) if desc.k else m
 
 
 def _emit(args, payload: dict, exit_code: int = 0) -> int:
-    payload = {"schema": SCHEMA, **payload}
+    payload = {"schema": SCHEMA, "command": args.command, **payload}
     if getattr(args, "seed", None) is not None:
         payload["seed"] = args.seed
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
@@ -117,7 +117,6 @@ def _emit(args, payload: dict, exit_code: int = 0) -> int:
 def _cmd_pell(args) -> int:
     u = fundamental_unit(args.d)
     return _emit(args, {
-        "command": "pell",
         "d": args.d,
         "unit": format_scalar(u.value),
         "x": str(u.x),
@@ -130,7 +129,6 @@ def _cmd_quat_info(args) -> int:
     alg = QuatAlgebra(args.a, args.b)
     division, ram = is_division(alg)
     payload = {
-        "command": "quat-info",
         "a": alg.a,
         "b": alg.b,
         "is_division": division,
@@ -150,7 +148,6 @@ def _cmd_classify_form(args) -> int:
     diag = diagonalize_qform(m)
     inv = form_invariants(m)
     return _emit(args, {
-        "command": "classify-form",
         "matrix": _matrix_to_json(m),
         "diagonal_classes": [str(c) for c in diag.classes],
         **inv.to_json(),
@@ -162,7 +159,6 @@ def _cmd_symrep(args) -> int:
     image = tau(args.n, m)
     poly = trace_poly(args.n)
     return _emit(args, {
-        "command": "symrep",
         "n": args.n,
         "matrix": _matrix_to_json(m),
         "image": _matrix_to_json(image),
@@ -176,7 +172,6 @@ def _cmd_symrep(args) -> int:
 def _cmd_so_form(args) -> int:
     res = so_form_from_cocycle(args.n, args.a, args.b, args.case)
     return _emit(args, {
-        "command": "so-form",
         "n": args.n,
         "a": args.a,
         "b": args.b,
@@ -197,7 +192,6 @@ def _cmd_lattice_check(args) -> int:
     member = spec.contains(m)
     code = 0 if member else 1
     return _emit(args, {
-        "command": "lattice-check",
         "kind": args.kind,
         "member": member,
     }, code)
@@ -207,7 +201,6 @@ def _cmd_containment(args) -> int:
     signs = _parse_signs(args.signs) if args.signs else None
     report = containment_check(args.a, args.b, args.n, signs, args.height)
     return _emit(args, {
-        "command": "containment",
         **report.to_json(),
     }, 0 if report.all_passed else 1)
 
@@ -232,7 +225,6 @@ def _cmd_g2_check(args) -> int:
         raise UsageError("g2-check needs --matrix or --tau-word")
     member = in_g2(m)
     return _emit(args, {
-        "command": "g2-check",
         "matrix": _matrix_to_json(m),
         "in_g2": member,
     }, 0 if member else 1)
@@ -252,6 +244,10 @@ def _load_bending_spec(text: str) -> BendingSpec:
     if "b0" not in data and "b_matrix" not in data:
         raise UsageError("bending spec has neither 'b0' nor 'b_matrix'")
     n = data["n"]
+    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
+        raise UsageError("bending spec 'n' must be an integer >= 2")
+    if not isinstance(data["sl2_assignment"], dict) or not data["sl2_assignment"]:
+        raise UsageError("bending spec 'sl2_assignment' must be a nonempty object")
     sl2 = {name: _load_matrix(json.dumps(rows))
            for name, rows in data["sl2_assignment"].items()}
     desc = common_field(e for m in sl2.values() for row in m.entries
@@ -265,6 +261,8 @@ def _load_bending_spec(text: str) -> BendingSpec:
         b = b0_family(spec_b["kind"], n, unit, spec_b.get("k", 1))
     else:
         b = _load_matrix(json.dumps(data["b_matrix"]))
+    if b.nrows != n or b.ncols != n:
+        raise UsageError(f"bending matrix is {b.nrows}x{b.ncols}, not {n}x{n}")
     curve_data = data.get("curve", {"kind": "free"})
     kind = curve_data.get("kind", "free")
     presentation = None
@@ -282,7 +280,7 @@ def _load_bending_spec(text: str) -> BendingSpec:
 
 def _cmd_bend(args) -> int:
     spec = _load_bending_spec(args.spec)
-    payload = {"command": "bend", "mode": spec.mode}
+    payload = {"mode": spec.mode}
     code = 0
     if args.check_relator:
         check = relator_ok(spec)
@@ -300,7 +298,6 @@ def _cmd_certify_density(args) -> int:
     spec = _load_bending_spec(args.spec)
     cert = density_certificate(spec, args.target)
     return _emit(args, {
-        "command": "certify-density",
         **cert.to_json(),
     }, 0 if cert.valid else 1)
 
@@ -308,7 +305,6 @@ def _cmd_certify_density(args) -> int:
 def _cmd_reduce_modp(args) -> int:
     ctx = ReductionContext.build(args.p, args.d)
     payload = {
-        "command": "reduce-modp",
         "p": args.p,
         "d": args.d,
         "mode": ctx.mode,
@@ -331,7 +327,6 @@ def _cmd_trace_set(args) -> int:
     values = sorted(str(t) for t in traces)
     field_size = args.p if all(t.y == 0 for t in traces) else args.p ** 2
     return _emit(args, {
-        "command": "trace-set",
         "family": args.family,
         "n": args.n,
         "p": args.p,
@@ -348,7 +343,6 @@ def _cmd_orbit_separate(args) -> int:
     b = b0_family(args.B, args.n, unit, args.k)
     cert = separation_certificate(args.n, b, args.p, args.length)
     payload = {
-        "command": "orbit-separate",
         "bending_family": args.B,
         "k": args.k,
         **cert.to_json(),

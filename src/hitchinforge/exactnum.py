@@ -834,6 +834,19 @@ def preserves_form(m: ExactMatrix, j: ExactMatrix,
     return got == jj.map_entries(lambda e: e * lam)
 
 
+def in_group(m: ExactMatrix, n: int, form: Optional[ExactMatrix] = None,
+             twist: Optional[Callable] = None) -> bool:
+    """Membership in the determinant-one group of n x n matrices that
+    preserve form under twist: M is n x n, twist(M)^T J M = J when a form
+    J is given (see preserves_form), and det M = 1.  Integrality is the
+    caller's condition.  Needs commutative entries."""
+    if m.nrows != n or m.ncols != n:
+        return False
+    if form is not None and not preserves_form(m, form, twist):
+        return False
+    return m.det() == 1
+
+
 def span_dimension(mats: Sequence[ExactMatrix]) -> int:
     """Dimension of the algebra spanned by all products of the inputs of
     length at most 2n-1 (including the empty product), by exact Gaussian

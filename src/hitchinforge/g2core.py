@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exactnum import ExactMatrix, Scalar, _dot, preserves_form
+from .exactnum import ExactMatrix, Scalar, _dot, in_group
 from .symrep import j_matrix
 
 J7 = j_matrix(7)
@@ -130,11 +130,7 @@ def in_g2(m: ExactMatrix) -> bool:
     """Membership in the split exceptional group: preserves the
     antidiagonal form, determinant one, and respects the cross product on
     all 21 basis pairs (bilinearity makes those sufficient)."""
-    if m.nrows != 7 or m.ncols != 7:
-        return False
-    if not preserves_form(m, J7):
-        return False
-    if m.det() != 1:
+    if not in_group(m, 7, J7):
         return False
     cols = [Vec7([m.entries[r][c] for r in range(7)]) for c in range(7)]
     for i, j in _BASIS_PAIRS:

@@ -19,6 +19,7 @@ from .exactnum import (
     _invert,
     apply_galois,
     field,
+    in_group,
     preserves_form,
     square_free_part,
 )
@@ -42,13 +43,18 @@ def is_integral_matrix(m: ExactMatrix) -> bool:
     return all(is_integral_scalar(e) for row in m.entries for e in row)
 
 
+def _rational_integer_entries(m: ExactMatrix) -> bool:
+    """All entries in Z itself: a field element must also be rational, so
+    a Z[sqrt(d)] entry such as sqrt(2) does not count."""
+    return all(
+        e.is_rational() and e.den == 1 if isinstance(e, FieldElem)
+        else isinstance(e, Fraction) and e.denominator == 1
+        for row in m.entries for e in row)
+
+
 def in_slnz(m: ExactMatrix) -> bool:
-    """SL(n, Z): integer entries and determinant one."""
-    if not m.is_square():
-        return False
-    if not is_integral_matrix(m):
-        return False
-    return m.det() == 1
+    """SL(n, Z): rational-integer entries and determinant one."""
+    return _rational_integer_entries(m) and in_group(m, m.nrows)
 
 
 def in_su_sqrt_d(m: ExactMatrix, n: int, d: int) -> bool:
@@ -58,6 +64,7 @@ def in_su_sqrt_d(m: ExactMatrix, n: int, d: int) -> bool:
     d = square_free_part(d)
     if d <= 1:
         raise ValueError("d must be a positive non-square")
+    # a wrong shape answers False before the entries' field is checked
     if m.nrows != n or m.ncols != n:
         return False
     desc = field(d)
@@ -67,12 +74,9 @@ def in_su_sqrt_d(m: ExactMatrix, n: int, d: int) -> bool:
                 if any(r != d for r in e.desc.radicands):
                     raise ValueError(f"entry {e} is not in Q(sqrt({d}))")
     mm = m.lift(desc)
-    if not is_integral_matrix(mm):
-        return False
-    if mm.det() != 1:
-        return False
     sigma = GaloisAction.flipping(d)
-    return preserves_form(mm, ExactMatrix.identity(n), partial(apply_galois, sigma))
+    return is_integral_matrix(mm) and in_group(
+        mm, n, ExactMatrix.identity(n), partial(apply_galois, sigma))
 
 
 def diagonal_su_nonsplit_conditions(m: ExactMatrix, d: int) -> bool:
@@ -85,9 +89,7 @@ def diagonal_su_nonsplit_conditions(m: ExactMatrix, d: int) -> bool:
         return False
     desc = field(d)
     mm = m.lift(desc)
-    if not is_integral_matrix(mm):
-        return False
-    if mm.det() != 1:
+    if not (is_integral_matrix(mm) and in_group(mm, mm.nrows)):
         return False
     w = mm.diagonal_entries()
     tau_d = GaloisAction.flipping(d)
@@ -154,14 +156,10 @@ def _quat_block_det_is_one(m: ExactMatrix) -> bool:
 
 def in_sp(m: ExactMatrix, n: int) -> bool:
     """The Z-point lattice of the symplectic group for the block-diagonal
-    form with 2x2 blocks [[0,1],[-1,0]]."""
+    form with 2x2 blocks [[0,1],[-1,0]]: rational-integer entries."""
     if n % 2:
         raise ValueError("symplectic dimension must be even")
-    if m.nrows != n or m.ncols != n:
-        return False
-    if not is_integral_matrix(m):
-        return False
-    return preserves_form(m, symplectic_form(n))
+    return _rational_integer_entries(m) and in_group(m, n, symplectic_form(n))
 
 
 def symplectic_form(n: int) -> ExactMatrix:
@@ -174,16 +172,16 @@ def symplectic_form(n: int) -> ExactMatrix:
 
 def in_so_q(m: ExactMatrix, q: ExactMatrix, integral: bool = True) -> bool:
     """Special orthogonal group of a symmetric matrix; with integrality the
-    Z-point lattice."""
-    if m.nrows != q.nrows or not m.is_square():
-        return False
+    Z-point lattice.  Integrality is on the monomial basis, so entries in
+    Z[sqrt(d)] count (the orthogonal bending family lives there)."""
     if integral and not is_integral_matrix(m):
         return False
-    return preserves_form(m, q) and m.det() == 1
+    return in_group(m, q.nrows, q)
 
 
 def in_g2z(m: ExactMatrix) -> bool:
-    """Integer points of the exceptional group: integrality plus the
+    """Integer points of the exceptional group: integrality on the
+    monomial basis (entries in Z[sqrt(d)] count, as for in_so_q) plus the
     cross-product membership conditions."""
     return is_integral_matrix(m) and in_g2(m)
 

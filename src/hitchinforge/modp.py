@@ -17,6 +17,7 @@ from .exactnum import (
     FieldElem,
     RingElem,
     _is_prime,
+    in_group,
     preserves_form,
     square_free_part,
 )
@@ -489,7 +490,10 @@ def trace_set_of_generators(gens: Sequence[ExactMatrix],
                             word_length: Optional[int] = None
                             ) -> frozenset[FqElem]:
     """Traces over the full closure, or over words of bounded length when
-    word_length is given; the cap bounds either walk."""
+    word_length is given (ValueError if negative); the cap bounds either
+    walk."""
+    if word_length is not None and word_length < 0:
+        raise ValueError(f"word length {word_length} is negative")
     return _traces(_walk(gens, cap, word_length), *_field(gens))
 
 
@@ -567,11 +571,9 @@ def trace_witness(family: str, n: int, p: int, a) -> TraceWitness:
         m = _block_witness(n, p, (a.x - (n - 2)) % p)
         form = reduce_int_matrix(symplectic_form(n), p) if family == "Sp" else None
         trace = FqElem(p, a.x)
-    if m.det() != 1:
-        raise AssertionError(f"{family} witness determinant is not 1")
     twist = FqElem.frobenius if family == "SU" else None
-    if form is not None and not preserves_form(m, form, twist):
-        raise AssertionError(f"{family} witness fails its form equation")
+    if not in_group(m, n, form, twist):
+        raise AssertionError(f"{family} witness fails its defining equations")
     if m.trace() != trace:
         raise AssertionError(f"{family} witness trace is not {trace}")
     return TraceWitness(family, m, form, trace)

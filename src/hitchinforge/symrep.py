@@ -243,12 +243,6 @@ def _averaging_vectors(n: int, case: CaseName, desc) -> list[list[FieldElem]]:
             col[pos - 1] = val
         v[idx] = col
 
-    if case == "trivial":
-        one = FieldElem.one(desc)
-        for i in range(1, n + 1):
-            put(i, {i: one})
-        return [v[i] for i in range(1, n + 1)]
-
     a = desc.radicands[0]
     sa = sqrt_of(a)
     if case == "degree-2":
@@ -295,8 +289,6 @@ def _averaging_vectors(n: int, case: CaseName, desc) -> list[list[FieldElem]]:
 def _galois_group(case: CaseName, a: int, b: int) -> list[tuple[SignPair, GaloisAction]]:
     """Sign patterns and field actions of the Galois group used in the
     averaging map, per extension degree."""
-    if case == "trivial":
-        return [((1, 1), GaloisAction.from_signs({}))]
     if case == "degree-2":
         a = square_free_part(a)
         return [
@@ -337,9 +329,10 @@ def so_form_from_cocycle(n: int, a: int, b: int, case: CaseName) -> SoFormResult
 
     The congruence basis is assembled by averaging the explicit vectors
     over the Galois group, with each Galois element weighted by the image
-    of a determinant-one lift of its cocycle matrix.  The result is
-    asserted diagonal, and its Hasse invariants are asserted equal to the
-    closed form at every scanned place.
+    of a determinant-one lift of its cocycle matrix; a trivial cocycle
+    leaves the antidiagonal form, whose congruence diagonalization is the
+    basis.  The result is asserted diagonal, and its Hasse invariants are
+    asserted equal to the closed form at every scanned place.
 
     Cases: trivial (both a and b square), degree-2 (a not a square; the
     quadratic field carries both square roots), degree-4 (a, b, ab all
@@ -360,37 +353,29 @@ def so_form_from_cocycle(n: int, a: int, b: int, case: CaseName) -> SoFormResult
 
     if case == "trivial":
         desc = field()
-    elif case == "degree-2":
-        desc = field(a_sf)
+        s_inv = diagonalize_qform(j_matrix(n)).witness.lift(desc)
     else:
-        desc = field(a_sf, b_sf)
+        desc = field(a_sf) if case == "degree-2" else field(a_sf, b_sf)
+        group = _galois_group(case, a_sf, b_sf)
+        weights = {signs: tau_of_lifted_cocycle(n, signs).lift(desc)
+                   for signs, _ in group}
 
-    group = _galois_group(case, a_sf, b_sf)
-    weights = {signs: tau_of_lifted_cocycle(n, signs).lift(desc)
-               for signs, _ in group}
-    vs = _averaging_vectors(n, case, desc)
+        def average(vec: list[FieldElem]) -> list[FieldElem]:
+            out = [FieldElem.zero(desc)] * n
+            for signs, action in group:
+                moved = [apply_galois(action, x) for x in vec]
+                out = [x + _dot(row, moved)
+                       for x, row in zip(out, weights[signs].entries)]
+            return out
 
-    def average(vec: list[FieldElem]) -> list[FieldElem]:
-        out = [FieldElem.zero(desc)] * n
-        for signs, action in group:
-            moved = [apply_galois(action, x) for x in vec]
-            out = [x + _dot(row, moved) for x, row in zip(out, weights[signs].entries)]
-        return out
-
-    columns = [average(vec) for vec in vs]
-    s_inv = ExactMatrix(list(zip(*columns)))
-    if not s_inv.det():
-        raise AssertionError("averaged vectors are not a basis")
+        columns = [average(vec) for vec in _averaging_vectors(n, case, desc)]
+        s_inv = ExactMatrix(list(zip(*columns)))
+        if not s_inv.det():
+            raise AssertionError("averaged vectors are not a basis")
     J = j_matrix(n).lift(desc)
     D = s_inv.transpose() * J * s_inv
     if not D.is_diagonal():
-        if case != "trivial":
-            raise AssertionError("constructed form is not diagonal")
-        # identity cocycle reproduces the antidiagonal form; finish by
-        # congruence diagonalization
-        dg = diagonalize_qform(j_matrix(n))
-        s_inv = s_inv * dg.witness.lift(desc)
-        D = s_inv.transpose() * J * s_inv
+        raise AssertionError("constructed form is not diagonal")
     D_rat = ExactMatrix.diagonal([e.rational_value()
                                   for e in D.diagonal_entries()])
     inv = form_invariants(D_rat)

@@ -231,6 +231,59 @@ def test_malformed_bending_spec_is_one_line_usage_error(capsys, missing, named):
     assert named in lines[0]
 
 
+def _assert_one_line_usage_error(capsys, argv):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_matrix_rows_must_be_arrays(capsys):
+    _assert_one_line_usage_error(
+        capsys, ["lattice-check", "--kind", "SLnZ", "--matrix", "[1,2]"])
+
+
+@pytest.mark.parametrize("command", ["bend", "certify-density"])
+@pytest.mark.parametrize("key, value", [
+    ("sl2_assignment", {}),
+    ("sl2_assignment", [1]),
+    ("n", "x"),
+], ids=["empty-assignment", "list-assignment", "string-n"])
+def test_bending_spec_field_types(capsys, command, key, value):
+    data = json.loads(FREE_SPEC)
+    data[key] = value
+    extra = ["--word", "g1"] if command == "bend" else ["--target", "SLn"]
+    _assert_one_line_usage_error(
+        capsys, [command, "--spec", json.dumps(data), *extra])
+
+
+def test_bending_matrix_must_be_n_by_n(capsys):
+    data = json.loads(FREE_SPEC)
+    del data["b0"]
+    data["b_matrix"] = [[1]]
+    _assert_one_line_usage_error(
+        capsys, ["bend", "--spec", json.dumps(data), "--word", "g1"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["trace-set", "--family", "SL", "--n", "2", "--p", "3",
+     "--mode", "words", "--length", "-1"],
+    ["orbit-separate", "--n", "3", "--p", "5", "--B", "SU_split_a",
+     "--length", "-1"],
+], ids=["trace-set", "orbit-separate"])
+def test_negative_word_length_is_usage_error(capsys, argv):
+    _assert_one_line_usage_error(capsys, argv)
+
+
+@pytest.mark.parametrize("kind, extra", [("SLnZ", []), ("Sp", ["--n", "2"])])
+def test_z_point_kinds_reject_sqrt2(capsys, kind, extra):
+    matrix = json.dumps([["1", "sqrt(2)"], ["0", "1"]])
+    code, doc = run_json(capsys, ["lattice-check", "--kind", kind, *extra,
+                                  "--matrix", matrix])
+    assert code == 1 and doc["member"] is False
+
+
 def test_irrational_form_is_one_line_usage_error(capsys):
     matrix = json.dumps([["1", "sqrt(2)"], ["sqrt(2)", "-2"]])
     assert run(["classify-form", "--matrix", matrix]) == 2

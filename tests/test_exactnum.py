@@ -21,6 +21,7 @@ from hitchinforge.exactnum import (
     format_scalar,
     fundamental_unit,
     galois_matrix,
+    in_group,
     lift,
     parse_scalar,
     preserves_form,
@@ -438,3 +439,32 @@ def test_preserves_form_twists_match_the_product(case):
     for m, expected in ((good, True), (bad, False)):
         assert (m.map_entries(twist).transpose() * j * m == j) is expected
         assert preserves_form(m, j, twist) is expected
+
+
+def test_in_group_fails_on_each_condition_alone():
+    ident = ExactMatrix.identity(2)
+    rotation = ExactMatrix([[0, -1], [1, 0]])
+    assert in_group(rotation, 2, ident)
+    assert in_group(rotation, 2)
+    # the shape alone fails
+    assert not in_group(rotation, 3)
+    assert not in_group(ExactMatrix([[1, 0, 0], [0, 1, 0]]), 2)
+    # the determinant alone fails: a reflection preserves the identity form
+    reflection = ExactMatrix.diagonal([1, -1])
+    assert preserves_form(reflection, ident)
+    assert not in_group(reflection, 2, ident)
+    assert not in_group(reflection, 2)
+    # the form alone fails: a unipotent has determinant one
+    unipotent = ExactMatrix([[1, 1], [0, 1]])
+    assert in_group(unipotent, 2)
+    assert not in_group(unipotent, 2, ident)
+
+
+@pytest.mark.parametrize("case", [_galois_case, _frobenius_case],
+                         ids=["galois", "frobenius"])
+def test_in_group_twisted_form(case):
+    twist, j, good, bad = case()
+    assert in_group(good, 3, j, twist)
+    assert not in_group(bad, 3, j, twist)
+    # without the twist the Hermitian equation is a different one
+    assert not in_group(good, 3, j)

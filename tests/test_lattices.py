@@ -114,6 +114,16 @@ def test_in_sp_and_in_so_q():
     assert in_slnz(ExactMatrix([[1, 5], [0, 1]]))
 
 
+def test_z_point_kinds_reject_irrational_integers():
+    # integral on the monomial basis of Q(sqrt(2)), but not a Z-point
+    m = ExactMatrix([[1, FieldElem.sqrt_int(field(2), 2)], [0, 1]])
+    assert is_integral_scalar(m.entries[0][1])
+    assert not in_slnz(m)
+    assert not in_sp(m, 2)
+    assert in_slnz(ExactMatrix([[1, 2], [0, 1]]).lift(field(2)))
+    assert in_sp(ExactMatrix([[1, 2], [0, 1]]).lift(field(2)), 2)
+
+
 def test_in_g2z_tau_image(rng):
     assert in_g2z(tau(7, random_sl2z(rng)))
     half = ExactMatrix.diagonal([Fraction(1, 2), 2, 1, 1, 1, 2, Fraction(1, 2)])

@@ -132,6 +132,12 @@ def test_word_walk_cap():
     assert exc.value.partial == 11
 
 
+def test_negative_word_length():
+    with pytest.raises(ValueError):
+        trace_set_of_generators(sl_generators(2, 3), word_length=-1)
+    assert trace_set_of_generators(sl_generators(2, 3), word_length=0) == {FqElem(3, 2)}
+
+
 def test_order_formulas():
     assert group_order_formula("SL", 3, 5) == 372000
     assert group_order_formula("SL", 3, 3) == 5616

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hitchinforge.exactnum import ExactMatrix, FieldElem, field, preserves_form
-from hitchinforge.qforms import Place, form_invariants
+from hitchinforge.qforms import Place, diagonalize_qform, form_invariants
 from hitchinforge.symrep import (
     SIGN_CASES,
     cocycle_commutes_with_form,
@@ -199,10 +199,16 @@ def test_so_form_hasse_closed_form():
                         so_form_closed_hasse(n, a, b, case, place)
 
 
-def test_so_form_trivial_case():
-    res = so_form_from_cocycle(5, 1, 4, "trivial")
-    assert res.invariants == form_invariants(j_matrix(5))
+@pytest.mark.parametrize("n", [3, 5, 7, 9])
+def test_so_form_trivial_case(n):
+    res = so_form_from_cocycle(n, 1, 4, "trivial")
+    dg = diagonalize_qform(j_matrix(n))
+    assert res.invariants == form_invariants(j_matrix(n))
     assert res.diagonal_matrix.is_diagonal()
+    assert res.diagonal_matrix.diagonal_entries() == dg.diagonal
+    assert res.basis_inverse == dg.witness
+    for place, sign in res.closed_form_hasse.items():
+        assert sign == form_invariants(j_matrix(n)).hasse(place)
 
 
 def test_so_form_case_mismatch():
