@@ -248,6 +248,9 @@ def _load_bending_spec(text: str) -> BendingSpec:
         raise UsageError("bending spec 'n' must be an integer >= 2")
     if not isinstance(data["sl2_assignment"], dict) or not data["sl2_assignment"]:
         raise UsageError("bending spec 'sl2_assignment' must be a nonempty object")
+    for key in ("b0", "curve"):
+        if key in data and not isinstance(data[key], dict):
+            raise UsageError(f"bending spec {key!r} must be an object")
     sl2 = {name: _load_matrix(json.dumps(rows))
            for name, rows in data["sl2_assignment"].items()}
     desc = common_field(e for m in sl2.values() for row in m.entries
@@ -452,7 +455,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--mode", default="full", choices=["full", "words"])
     p.add_argument("--length", type=int, default=6)
-    p.add_argument("--cap", type=int, default=DEFAULT_CLOSURE_CAP)
+    p.add_argument("--cap", type=int, default=DEFAULT_CLOSURE_CAP,
+                   help="bound on the group order in full mode, checked before "
+                        "any element is enumerated; on the distinct words in "
+                        "words mode")
     p.set_defaults(fn=_cmd_trace_set)
 
     p = sub.add_parser("orbit-separate", help="mod-p orbit separation certificate")

@@ -1,16 +1,20 @@
-"""Reduction of exact data modulo an odd prime, one breadth-first walk of
-finite matrix groups and bounded words (elements as tuples of row codes,
-multiplied through lazily filled row-action tables), the standard order
-formulas, trace sets and trace witnesses over finite fields, Omega(4, p)
-from Schreier generators, and the mod-p orbit-separation certificate.
+"""Reduction of exact data modulo an odd prime; finite matrix groups as
+permutation groups on row codes (an element is the tuple of its row codes,
+multiplied through lazily filled row-action tables): one stabilizer chain
+by deterministic Schreier-Sims for every full closure (orders, element
+enumeration and trace sets), one breadth-first walk for bounded words and
+`matrix_order`; the standard order formulas, trace sets and trace witnesses
+over finite fields, Omega(4, p) from Schreier generators, and the mod-p
+orbit-separation certificate.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import getitem
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .exactnum import (
     ExactMatrix,
@@ -212,13 +216,15 @@ def matrix_order(m: ExactMatrix, cap: int = 1_000_000) -> int:
     return len(_walk([m], cap))
 
 
-# -- the row-action walk ------------------------------------------------------
+# -- the row action -------------------------------------------------------------
 #
-# A walked element is the tuple of its row codes.  An entry x + y*r of F_q
-# (q = p, or q = p^2 with r^2 = r2) is the integer u = x + p*y, and a row
+# An element is the tuple of its row codes.  An entry x + y*r of F_q (q = p,
+# or q = p^2 with r^2 = r2) is the integer u = x + p*y, and a row
 # (u_0, ..., u_(n-1)) is the code sum u_j q^j.  Right multiplication by a
-# generator maps each row code on its own, so it is n lookups in a table of
-# the generator's action on rows, filled the first time a row is met.
+# matrix maps each row code on its own, so it is n lookups in a table of
+# the matrix's action on rows, filled the first time a row is met.  The
+# codes are the points of a permutation action, and the base images of the
+# base e_1, ..., e_n under an element are its row codes.
 
 
 class _Lazy(dict):
@@ -251,37 +257,53 @@ def _field(gens: Sequence[ExactMatrix]) -> tuple[int, Optional[int]]:
     return entries[0].p, next(iter(r2s), None)
 
 
-def _row_action(g: ExactMatrix, p: int, r2: Optional[int]) -> _Lazy:
-    """Lazy table from a row code to the code of that row times g."""
-    n = g.nrows
+def _codes(g: ExactMatrix, p: int, q: int) -> tuple[int, ...]:
+    """The row codes of an FqElem matrix."""
+    return tuple(sum((e.x + p * e.y) * q ** k for k, e in enumerate(row))
+                 for row in g.entries)
+
+
+def _row_action(rows: Sequence[int], p: int, r2: Optional[int]) -> _Lazy:
+    """Lazy table from a row code to the code of that row times the
+    matrix whose row codes are rows.  The image of a row (a_j + b_j r)_j is
+    one integer sum of a_j X_j + b_j Y_j, where X_j and Y_j pack the
+    coordinates of r^0 and r^1 times row j into fields of one integer, wide
+    enough that no field carries into the next (a field sums n products
+    below p^3); each field is then reduced mod p."""
+    n = len(rows)
     q = p if r2 is None else p * p
     r2 = r2 or 0
-    powers = [q ** j for j in range(n)]
-    cols = [[(g.entries[j][k].x, g.entries[j][k].y) for j in range(n)]
-            for k in range(n)]
+    powers = [q ** k for k in range(n)]
+    width = (n * p ** 3).bit_length()
+    mask = (1 << width) - 1
+    # column k: its x and y coordinates sit at the shifts 2k and 2k + 1
+    fields = [(2 * k * width, (2 * k + 1) * width, s) for k, s in enumerate(powers)]
+    packed = []
+    for code in rows:
+        row = [(code // s % q % p, code // s % q // p) for s in powers]
+        packed.append((sum((c << sx) + (d << sy) for (c, d), (sx, sy, _) in zip(row, fields)),
+                       sum((r2 * d << sx) + (c << sy) for (c, d), (sx, sy, _) in zip(row, fields))))
 
     def image(code: int) -> int:
-        row = [(u % p, u // p) for u in (code // s % q for s in powers)]
-        out = 0
-        for col, s in zip(cols, powers):
-            x = y = 0
-            for (a, b), (c, d) in zip(row, col):
-                x += a * c + r2 * b * d
-                y += a * d + b * c
-            out += (x % p + p * (y % p)) * s
-        return out
+        acc = 0
+        for x_row, y_row in packed:
+            code, u = divmod(code, q)
+            acc += u % p * x_row + u // p * y_row
+        return sum(((acc >> sx & mask) % p + p * ((acc >> sy & mask) % p)) * s
+                   for sx, sy, s in fields)
     return _Lazy(image)
 
 
 def _walk(gens: Sequence[ExactMatrix], cap: int,
           depth: Optional[int] = None) -> set[tuple[int, ...]]:
     """Breadth-first walk of the products of the generators from the
-    identity: the whole group when depth is None, else the words of length
-    at most depth.  Returns the set of elements; raises CapExceeded (with
-    the partial count, cap + 1) as soon as the set outgrows the cap."""
+    identity: the whole group when depth is None (only `matrix_order`
+    walks a whole group), else the words of length at most depth.  Returns
+    the set of elements; raises CapExceeded (with the partial count,
+    cap + 1) as soon as the set outgrows the cap."""
     p, r2 = _field(gens)
     q = p if r2 is None else p * p
-    steps = [_row_action(g, p, r2).__getitem__ for g in gens]
+    steps = [_row_action(_codes(g, p, q), p, r2).__getitem__ for g in gens]
     ident = tuple(q ** i for i in range(gens[0].nrows))
     seen = {ident}
     frontier = [ident]
@@ -301,12 +323,173 @@ def _walk(gens: Sequence[ExactMatrix], cap: int,
     return seen
 
 
-def _traces(elements: set[tuple[int, ...]], p: int,
+# -- the stabilizer chain -------------------------------------------------------
+#
+# Full closures build a stabilizer chain of the row action by deterministic
+# Schreier-Sims (Seress, Permutation Group Algorithms, 2003, Ch. 4;
+# Holt-Eick-O'Brien, Handbook of Computational Group Theory, 2005, Ch. 4).
+# Level i holds the orbit of the base point e_(i+1) under the strong
+# generators that fix e_1, ..., e_i, and for each orbit point gamma the row
+# codes of a transversal element u_gamma with e_(i+1) u_gamma = gamma.
+# Elements are sifted by their base images, that is by their row codes, so
+# no table is built for an element that sifts: only the strong generators
+# and the transversal inverses carry lazy row-action tables.
+
+
+class _Chain:
+    """Stabilizer chain of the group generated by invertible FqElem
+    matrices.  `order` is the product of the orbit sizes; `elements()`
+    yields each element once.  The order, a lower bound while the chain is
+    built, raises CapExceeded (cap + 1) as soon as it passes the cap."""
+
+    def __init__(self, gens: Sequence[ExactMatrix], cap: int):
+        p, r2 = _field(gens)
+        q = p if r2 is None else p * p
+        self.p, self.r2, self.q, self.cap, self.order = p, r2, q, cap, 1
+        self.n = gens[0].nrows
+        self.base = tuple(q ** i for i in range(self.n))
+        # level i: orbit point gamma -> (row codes of u_gamma, the point
+        # beta and the strong generator s with u_gamma = u_beta s); the
+        # base point has u = 1 and no beta
+        self.trans = [{b: (self.base, None, None)} for b in self.base]
+        # level i: orbit point gamma -> row action of u_gamma^-1, built on
+        # first use
+        self.inverses: list[dict] = [{b: range(q ** self.n)} for b in self.base]
+        # level i: the row action of each strong generator fixing the
+        # first i base points, with the row codes of its inverse
+        self.strong: list[list[tuple[_Lazy, tuple[int, ...]]]] = [[] for _ in self.base]
+        # level i: orbit point -> how many strong generators have had their
+        # Schreier generator at that point sifted
+        self.done = [{b: 0} for b in self.base]
+        for g in gens:
+            level = self._add(self._sift(_codes(g, p, q), 0))
+            while level is not None and level >= 0:
+                added = self._schreier(level)
+                level = level - 1 if added is None else added
+
+    def _inverse(self, i: int, gamma: int) -> Union[range, _Lazy]:
+        """The row action of u_gamma^-1 at level i.  It is built from the
+        rows s^-1 u_beta^-1, so the tables up the orbit tree come first."""
+        trans, cache = self.trans[i], self.inverses[i]
+        path = []
+        while gamma not in cache:
+            path.append(gamma)
+            gamma = trans[gamma][1]
+        for gamma in reversed(path):
+            _, beta, (_, s_inv_rows) = trans[gamma]
+            rows = tuple(map(cache[beta].__getitem__, s_inv_rows))
+            cache[gamma] = _row_action(rows, self.p, self.r2)
+        return cache[gamma]
+
+    def _sift(self, rows: tuple[int, ...], level: int
+              ) -> Optional[tuple[tuple[int, ...], int]]:
+        """Strip an element that fixes the first `level` base points
+        through the chain, from its row codes.  Returns None when it sifts
+        to the identity, else the residue's row codes and the level where
+        its base image has no transversal element."""
+        for i in range(level, self.n):
+            if rows[i] not in self.trans[i]:
+                return rows, i
+            rows = tuple(map(self._inverse(i, rows[i]).__getitem__, rows))
+        return None
+
+    def _add(self, residue: Optional[tuple[tuple[int, ...], int]]) -> Optional[int]:
+        """Make a residue that failed to sift at level j a strong generator
+        of levels 0..j, extend their orbits and return j."""
+        if residue is None:
+            return None
+        rows, level = residue
+        p, r2, q = self.p, self.r2, self.q
+        matrix = ExactMatrix([[FqElem(p, code // s % q % p, code // s % q // p, r2)
+                               for s in self.base] for code in rows])
+        try:
+            inverse = matrix.inverse()
+        except ZeroDivisionError:
+            raise ValueError("closure needs invertible generators") from None
+        gen = (_row_action(rows, p, r2), _codes(inverse, p, q))
+        for i in range(level + 1):
+            self.strong[i].append(gen)
+            self._close(i)
+        return level
+
+    def _close(self, i: int) -> None:
+        """Extend the orbit of level i under its strong generators; a new
+        point gamma = beta s gets u_gamma = u_beta s.  The cap is checked
+        at every new point."""
+        trans, done, gens = self.trans[i], self.done[i], self.strong[i]
+        others = self.order // len(trans)
+        frontier = list(trans)
+        while frontier:
+            new = []
+            for beta in frontier:
+                rows = trans[beta][0]
+                for gen in gens:
+                    gamma = gen[0][beta]
+                    if gamma not in trans:
+                        if others * (len(trans) + 1) > self.cap:
+                            raise CapExceeded(self.cap + 1)
+                        trans[gamma] = (tuple(map(gen[0].__getitem__, rows)), beta, gen)
+                        done[gamma] = 0
+                        new.append(gamma)
+            frontier = new
+        self.order = others * len(trans)
+
+    def _schreier(self, i: int) -> Optional[int]:
+        """Sift the Schreier generators u_beta s u_(beta s)^-1 of level i
+        not sifted before; at the first that fails, add its residue and
+        return the level it was added at, else return None."""
+        trans, done, gens = self.trans[i], self.done[i], self.strong[i]
+        for beta in list(trans):
+            rows = trans[beta][0]
+            while done[beta] < len(gens):
+                perm = gens[done[beta]][0]
+                done[beta] += 1
+                u_inv = self._inverse(i, perm[beta])
+                images = tuple(u_inv[perm[code]] for code in rows)
+                added = self._add(self._sift(images, i + 1))
+                if added is not None:
+                    return added
+        return None
+
+    def elements(self) -> Iterator[tuple[int, ...]]:
+        """Each element once, as its row codes: the products
+        u_n ... u_2 u_1 of one transversal element per level, with no
+        seen set."""
+        elements: Iterator[tuple[int, ...]] = iter([self.base])
+        for level in reversed(self.trans):
+            elements = _times_each(elements, _transversal_actions(level))
+        return elements
+
+    def traces(self) -> frozenset[FqElem]:
+        return _traces(self.elements(), self.n, self.p, self.r2)
+
+
+def _transversal_actions(level: dict) -> list[Callable[[int], int]]:
+    """The row actions of a level's transversal elements, in orbit order:
+    u_gamma = u_beta s acts as s after u_beta, whose table the same row
+    has just filled, since beta comes before gamma."""
+    tables: dict[int, Callable[[int], int]] = {}
+    for gamma, (_, beta, gen) in level.items():
+        # int is the identity on codes, the action of u = 1 at the base point
+        tables[gamma] = int if beta is None else _Lazy(
+            lambda code, parent=tables[beta], perm=gen[0]: perm[parent(code)]).__getitem__
+    return list(tables.values())
+
+
+def _times_each(elements: Iterator[tuple[int, ...]],
+                steps: list[Callable[[int], int]]) -> Iterator[tuple[int, ...]]:
+    """Every element times every matrix given by its row action.  A
+    function, not a generator expression in the loop of `elements`, so
+    that each level keeps its own steps."""
+    return itertools.chain.from_iterable(
+        map(tuple, map(map, steps, itertools.repeat(h))) for h in elements)
+
+
+def _traces(elements: Iterable[tuple[int, ...]], n: int, p: int,
             r2: Optional[int]) -> frozenset[FqElem]:
-    """Trace set of walked elements.  Row i contributes its i-th
-    coordinate x + y*r as the integer x + big*y, so one integer sum per
-    element carries both coordinates of the trace."""
-    n = len(next(iter(elements)))
+    """Trace set of n x n elements given by their row codes.  Row i
+    contributes its i-th coordinate x + y*r as the integer x + big*y, so
+    one integer sum per element carries both coordinates of the trace."""
     q = p if r2 is None else p * p
     big = n * p
     diagonal = [_Lazy(lambda code, s=q ** i: code // s % q % p
@@ -318,17 +501,17 @@ def _traces(elements: set[tuple[int, ...]], p: int,
 def group_closure(gens: Sequence[ExactMatrix],
                   cap: int = DEFAULT_CLOSURE_CAP) -> int:
     """Exact order of the group generated by invertible FqElem matrices,
-    by the breadth-first row-action walk.  Raises CapExceeded (with the
-    partial count) past the cap."""
-    return len(_walk(gens, cap))
+    from its stabilizer chain.  Raises CapExceeded (cap + 1) once the
+    order is known to pass the cap."""
+    return _Chain(gens, cap).order
 
 
 def group_closure_and_traces(gens: Sequence[ExactMatrix],
                              cap: int = DEFAULT_CLOSURE_CAP
                              ) -> tuple[int, frozenset[FqElem]]:
-    """Order and full trace set from a single walk."""
-    elements = _walk(gens, cap)
-    return len(elements), _traces(elements, *_field(gens))
+    """Order and full trace set from one stabilizer chain."""
+    chain = _Chain(gens, cap)
+    return chain.order, chain.traces()
 
 
 def group_order_formula(family: str, n: int, q: int) -> int:
@@ -437,10 +620,10 @@ def so4_generators(p: int) -> list[ExactMatrix]:
     """A small generating set of SO(I_4, F_p): products of the reflection
     in e1 with reflections in a fixed spanning set of anisotropic vectors.
 
-    No walk of SO is made here; `omega4_elements` proves that these
+    No closure of SO is built here; the Omega chain proves that these
     generate SO.  Its Schreier generators have square spinor norm, so
     they lie in Omega, while t does not; hence the generated group has
-    order at least 2 |walk of Omega| = |SO|."""
+    order at least 2 |Omega| = |SO|."""
     if p == 2:
         raise ValueError("odd characteristic only")
     ident = ExactMatrix.identity(4)
@@ -454,20 +637,14 @@ def so4_generators(p: int) -> list[ExactMatrix]:
     return [reduce_int_matrix(base * h, p) for h in refs]
 
 
-def omega4_elements(p: int, cap: int = DEFAULT_CLOSURE_CAP) -> tuple[int, set]:
-    """Omega(4, p), the commutator subgroup of SO(I_4, F_p): returns (order
-    of SO, the set of walked elements of the index-2 subgroup).
+def _omega4_schreier_generators(p: int) -> list[ExactMatrix]:
+    """Generators of Omega(4, p), the commutator subgroup of SO(I_4, F_p).
 
     Omega is the kernel of the spinor norm, and the spinor norm of
     r_e1 r_v is the square class of Q(v).  With t a generator of non-square
     norm, {1, t} is a transversal, so Omega is generated by the Schreier
     generators: g and t g t^-1 for g of square norm, g t^-1 and t g for g
-    of non-square norm.
-
-    The index-2 check also proves that `so4_generators` generates SO: the
-    Schreier generators have square norm, so their walk lies in Omega; t
-    does not, so the group G generated by the reflection products holds
-    the walk and its coset under t, and |SO| >= |G| >= 2 |walk| = |SO|."""
+    of non-square norm."""
     gens = so4_generators(p)
     square = [_legendre(nv, p) == 1 for _, nv in _so4_anisotropic(p)[1:]]
     t = next(g for g, sq in zip(gens, square) if not sq)
@@ -475,11 +652,27 @@ def omega4_elements(p: int, cap: int = DEFAULT_CLOSURE_CAP) -> tuple[int, set]:
     schreier = []
     for g, sq in zip(gens, square):
         schreier += [g, t * g * t_inv] if sq else [g * t_inv, t * g]
-    so_order = so4_order(p)
-    elements = _walk(schreier, cap)
-    if 2 * len(elements) != so_order:
+    return schreier
+
+
+def _omega4_chain(p: int, cap: int) -> _Chain:
+    """Stabilizer chain of Omega(4, p), checked to have index 2 in SO.
+
+    The index-2 check also proves that `so4_generators` generates SO: the
+    Schreier generators have square norm, so the group H they generate
+    lies in Omega; t, a generator of non-square norm, does not, so the
+    group G generated by the reflection products holds H and its coset
+    under t, and |SO| >= |G| >= 2 |H| = |SO|."""
+    chain = _Chain(_omega4_schreier_generators(p), cap)
+    if 2 * chain.order != so4_order(p):
         raise AssertionError("Schreier generators fail to give an index-2 subgroup")
-    return so_order, elements
+    return chain
+
+
+def omega4_elements(p: int, cap: int = DEFAULT_CLOSURE_CAP) -> tuple[int, set]:
+    """(order of SO(I_4, F_p), the set of elements of Omega(4, p) as row
+    codes), from the chain of `_omega4_chain`."""
+    return so4_order(p), set(_omega4_chain(p, cap).elements())
 
 
 # -- trace sets ---------------------------------------------------------------
@@ -489,12 +682,15 @@ def trace_set_of_generators(gens: Sequence[ExactMatrix],
                             cap: int = DEFAULT_CLOSURE_CAP,
                             word_length: Optional[int] = None
                             ) -> frozenset[FqElem]:
-    """Traces over the full closure, or over words of bounded length when
-    word_length is given (ValueError if negative); the cap bounds either
-    walk."""
-    if word_length is not None and word_length < 0:
+    """Traces over the full closure, from its stabilizer chain, or over
+    the walk of the words of bounded length when word_length is given
+    (ValueError if negative).  The cap bounds the group order, or the
+    number of distinct words."""
+    if word_length is None:
+        return _Chain(gens, cap).traces()
+    if word_length < 0:
         raise ValueError(f"word length {word_length} is negative")
-    return _traces(_walk(gens, cap, word_length), *_field(gens))
+    return _traces(_walk(gens, cap, word_length), gens[0].nrows, *_field(gens))
 
 
 def _check_family(family: str, n: int, p: int) -> None:
@@ -520,7 +716,7 @@ def trace_set(family_or_gens, n: Optional[int] = None, p: Optional[int] = None,
               cap: int = DEFAULT_CLOSURE_CAP,
               word_length: Optional[int] = None) -> frozenset[FqElem]:
     """Trace set of a named family (SL/SU/Sp/Omega at the given n, p) by
-    full closure, or of an explicit generator list.  Omega, walked from
+    full closure, or of an explicit generator list.  Omega, built from
     Schreier generators, has no bounded-word mode."""
     if not isinstance(family_or_gens, str):
         return trace_set_of_generators(family_or_gens, cap, word_length)
@@ -529,7 +725,7 @@ def trace_set(family_or_gens, n: Optional[int] = None, p: Optional[int] = None,
     if family == "Omega":
         if word_length is not None:
             raise ValueError("Omega trace sets are computed by full closure only")
-        return _traces(omega4_elements(p, cap)[1], p, None)
+        return _omega4_chain(p, cap).traces()
     if family == "SL":
         gens = sl_generators(n, p)
     elif family == "SU":

@@ -258,6 +258,16 @@ def test_bending_spec_field_types(capsys, command, key, value):
         capsys, [command, "--spec", json.dumps(data), *extra])
 
 
+@pytest.mark.parametrize("key", ["b0", "curve"])
+def test_bending_spec_b0_and_curve_must_be_objects(capsys, key):
+    data = {"n": 3, "sl2_assignment": {"g1": [["1", "1"], ["0", "1"]]},
+            "b0": {"kind": "SU_split_a"}, key: 5}
+    assert run(["bend", "--word", "g1", "--spec", json.dumps(data)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: bending spec '{key}' must be an object"]
+
+
 def test_bending_matrix_must_be_n_by_n(capsys):
     data = json.loads(FREE_SPEC)
     del data["b0"]

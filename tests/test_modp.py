@@ -6,6 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from hitchinforge.bender import b0_family
 from hitchinforge.exactnum import (
@@ -37,7 +38,16 @@ from hitchinforge.modp import (
     trace_set_of_generators,
     trace_witness,
 )
-from hitchinforge.modp import _non_residue, reduce_int_matrix
+from hitchinforge import modp
+from hitchinforge.modp import (
+    DEFAULT_CLOSURE_CAP,
+    _Chain,
+    _non_residue,
+    _omega4_schreier_generators,
+    _traces,
+    _walk,
+    reduce_int_matrix,
+)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -153,9 +163,137 @@ def test_closures_match_formulas_small():
     assert group_closure(sp_generators(4, 3)) == group_order_formula("Sp", 4, 3)
 
 
+@pytest.mark.parametrize("p, r2, n", [(5, None, 2), (5, None, 4), (3, 2, 3),
+                                      (7, 3, 2), (3, None, 8)])
+def test_row_action_is_the_matrix_product(p, r2, n):
+    """The packed-integer row action agrees with ExactMatrix products."""
+    rng = random.Random(5)
+    q = p if r2 is None else p * p
+
+    def fq():
+        return FqElem(p, rng.randrange(p), rng.randrange(p) if r2 else 0, r2)
+    for _ in range(5):
+        m = ExactMatrix([[fq() for _ in range(n)] for _ in range(n)])
+        table = modp._row_action(modp._codes(m, p, q), p, r2)
+        for _ in range(40):
+            row = ExactMatrix([[fq() for _ in range(n)]])
+            code, = modp._codes(row, p, q)
+            assert (table[code],) == modp._codes(row * m, p, q)
+
+
+def _fq_matrices(p, *rows_list):
+    return [reduce_int_matrix(ExactMatrix(rows), p) for rows in rows_list]
+
+
+# The oracle grid: the breadth-first walk of the whole group is the slow
+# reference for the stabilizer chain's order, elements and trace set.
+ORACLE_GRID = {
+    **{f"SL2-{q}": lambda q=q: sl_generators(2, q) for q in (3, 5, 7)},
+    "SL3-3": lambda: sl_generators(3, 3),
+    "SU3-3": lambda: su3_generators(3)[0],
+    "Sp4-3": lambda: sp_generators(4, 3),
+    "Omega4-3": lambda: _omega4_schreier_generators(3),
+    "Omega4-5": lambda: _omega4_schreier_generators(5),
+    "SO4-3": lambda: so4_generators(3),
+    "SO4-5": lambda: so4_generators(5),
+    "trivial": lambda: _fq_matrices(5, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+    # a Singer cycle: one generator, one orbit of all 342 nonzero rows
+    "cyclic": lambda: _fq_matrices(7, [[0, 1, 0], [0, 0, 1], [5, 1, 0]]),
+    "unitriangular": lambda: _fq_matrices(
+        5, [[1, 1, 0], [0, 1, 0], [0, 0, 1]], [[1, 0, 0], [0, 1, 1], [0, 0, 1]]),
+    "Borel": lambda: _fq_matrices(
+        3, [[1, 1, 0], [0, 1, 0], [0, 0, 1]], [[1, 0, 0], [0, 1, 1], [0, 0, 1]],
+        [[2, 0, 0], [0, 1, 0], [0, 0, 2]], [[1, 0, 0], [0, 2, 0], [0, 0, 2]]),
+}
+
+
+def _assert_chain_matches_walk(gens):
+    p, r2 = modp._field(gens)
+    n = gens[0].nrows
+    walked = _walk(gens, DEFAULT_CLOSURE_CAP)
+    chain = _Chain(gens, DEFAULT_CLOSURE_CAP)
+    enumerated = list(chain.elements())
+    assert chain.order == len(walked) == len(enumerated)
+    assert set(enumerated) == walked
+    assert group_closure(gens) == len(walked)
+    traces = _traces(walked, n, p, r2)
+    assert group_closure_and_traces(gens) == (len(walked), traces)
+    assert trace_set_of_generators(gens) == traces
+
+
+@pytest.mark.parametrize("name", list(ORACLE_GRID))
+def test_chain_matches_walk(name):
+    _assert_chain_matches_walk(ORACLE_GRID[name]())
+
+
+def test_oracle_grid_orders():
+    orders = {name: group_closure(build()) for name, build in ORACLE_GRID.items()}
+    assert orders == {
+        "SL2-3": 24, "SL2-5": 120, "SL2-7": 336, "SL3-3": 5616, "SU3-3": 6048,
+        "Sp4-3": 51840, "Omega4-3": 288, "Omega4-5": 7200, "SO4-3": 576,
+        "SO4-5": 14400, "trivial": 1, "cyclic": 342, "unitriangular": 125,
+        "Borel": 108}
+
+
+def _invertible_generators(p, r2, n):
+    entry = st.builds(lambda x, y: FqElem(p, x, y, r2), st.integers(0, p - 1),
+                      st.integers(0, p - 1) if r2 else st.just(0))
+    matrix = st.lists(st.lists(entry, min_size=n, max_size=n),
+                      min_size=n, max_size=n).map(ExactMatrix)
+    return st.lists(matrix, min_size=1, max_size=3)
+
+
+@pytest.mark.parametrize("p, r2, n", [(3, None, 2), (3, None, 3), (3, 2, 2)],
+                         ids=["F3-n2", "F3-n3", "F9-n2"])
+def test_chain_matches_walk_on_random_generators(p, r2, n):
+    @given(_invertible_generators(p, r2, n))
+    def check(gens):
+        assume(all(g.det() != 0 for g in gens))
+        _assert_chain_matches_walk(gens)
+    check()
+
+
+def test_singular_generator_is_refused():
+    with pytest.raises(ValueError):
+        group_closure(_fq_matrices(5, [[1, 1], [0, 1]], [[1, 1], [1, 1]]))
+
+
+def test_full_closures_never_walk(monkeypatch):
+    def no_walk(*args, **kwargs):
+        raise AssertionError("a full closure walked")
+    monkeypatch.setattr(modp, "_walk", no_walk)
+    assert group_closure(sl_generators(3, 3)) == 5616
+    assert group_closure_and_traces(sp_generators(4, 3))[0] == 51840
+    assert len(trace_set("SL", 3, 3)) == 3
+    assert len(trace_set("SU", 3, 3)) == 9
+    assert len(trace_set("Omega", 4, 5)) == 5
+    assert len(omega4_elements(3)[1]) == 288
+
+
+@pytest.mark.parametrize("family, n, p", [("SL", 3, 7), ("SL", 4, 3),
+                                          ("SL", 4, 5), ("Sp", 4, 5)])
+def test_orders_past_the_walks_reach(family, n, p):
+    gens = sl_generators(n, p) if family == "SL" else sp_generators(n, p)
+    order = group_order_formula(family, n, p)
+    assert order > 5_000_000
+    assert group_closure(gens, cap=order) == order
+    with pytest.raises(CapExceeded) as exc:
+        group_closure(gens, cap=order - 1)
+    assert exc.value.partial == order
+
+
 def test_omega_index_two():
     so_order, omega = omega4_elements(3)
     assert so_order == 576 and len(omega) == 288
+
+
+def test_omega_index_two_check_refuses_wrong_generators(monkeypatch):
+    monkeypatch.setattr(modp, "_omega4_schreier_generators",
+                        lambda p: so4_generators(p)[:1])
+    with pytest.raises(AssertionError):
+        omega4_elements(3)
+    with pytest.raises(AssertionError):
+        trace_set("Omega", 4, 3)
 
 
 @pytest.mark.parametrize("p", [3, 5])
