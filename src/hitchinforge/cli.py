@@ -2,7 +2,9 @@
 deterministic JSON output.
 
 Exit codes: 0 = computed, 1 = computed with failures (membership false,
-containment failures, invalid certificates), 2 = usage error.  Exact
+containment failures, invalid certificates), 2 = usage error, 3 = an
+internal self-check failed (an AssertionError, reported on one stderr
+line).  Exact
 values are emitted as decimal strings; matrices are arrays of strings
 over the grammar  int('/'int)? (('+'|'-') coeff 'sqrt(' int ')')* .
 """
@@ -486,6 +488,9 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except (UsageError, ValueError, KeyError, ZeroDivisionError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except AssertionError as e:
+        print(f"internal self-check failed: {e}", file=sys.stderr)
+        return 3
 
 
 def main() -> None:

@@ -8,7 +8,14 @@ indexed by subsets of the radicands: integer numerators over one common
 positive denominator in lowest terms (Cohen, A Course in Computational
 Algebraic Number Theory, 4.2; FLINT's fmpq_poly), so a field operation is
 integer arithmetic plus one gcd.  Each field descriptor caches its product
-plan, the monomial pairs with the radicand factor their product picks up.
+plan, the monomial pairs with the radicand factor their product picks up,
+and `field` interns descriptors, so equal fields are one object.  An
+inverse descends the tower in closed form, one element per level.
+
+Matrix products pick one dot-product kernel from a scan of both operands:
+over Q and over one field a vector is split once into integer numerators
+over one denominator, and each output entry is integer sums and one
+scalar; every other ring, and every mix, runs the generic loop `_dot`.
 """
 
 from __future__ import annotations
@@ -16,8 +23,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
+from itertools import chain
 from math import gcd, isqrt, lcm
+from operator import mul
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 Scalar = Union[int, Fraction, "RingElem"]
@@ -128,11 +137,18 @@ class FieldDescriptor:
         return n
 
 
+_FIELDS: dict[tuple[int, ...], FieldDescriptor] = {}
+
+
 def field(*radicands: int) -> FieldDescriptor:
     """Descriptor for Q(sqrt(r), ...), normalizing radicands to square-free
-    form and dropping squares."""
-    rads = sorted({square_free_part(r) for r in radicands} - {1})
-    return FieldDescriptor(tuple(rads))
+    form and dropping squares.  Descriptors are interned: equal fields give
+    the same object, so the identity tests of the field kernels hit."""
+    rads = tuple(sorted({square_free_part(r) for r in radicands} - {1}))
+    desc = _FIELDS.get(rads)
+    if desc is None:
+        desc = _FIELDS[rads] = FieldDescriptor(rads)
+    return desc
 
 
 # -- the scalar ring protocol ---------------------------------------------
@@ -338,40 +354,12 @@ class FieldElem(RingElem):
         return FieldElem(self.desc, [-a for a in self.nums], self.den)
 
     def _mul(self, o: "FieldElem") -> "FieldElem":
-        a, b = self.nums, o.nums
-        out = [0] * len(a)
-        for s, t, st, common in self.desc.plan:
-            out[st] += a[s] * b[t] * common
-        return FieldElem(self.desc, out, self.den * o.den)
+        return FieldElem(self.desc, _times(self.desc, self.nums, o.nums), self.den * o.den)
 
     def inverse(self) -> "FieldElem":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero field element")
-        return self._inverse_rec(self.desc.k)
-
-    def _inverse_rec(self, level: int) -> "FieldElem":
-        """Invert by descending the tower: x = u + v*sqrt(r) with u, v in
-        the subfield, so 1/x = (u - v*sqrt(r)) / (u^2 - r*v^2)."""
-        desc, nums, den = self.desc, self.nums, self.den
-        if level == 0:
-            out = [0] * desc.dim
-            out[0] = den
-            return FieldElem(desc, out, nums[0])
-        bit = 1 << (level - 1)
-        r = desc.radicands[level - 1]
-        u = [0] * desc.dim
-        v = [0] * desc.dim
-        for mask, c in enumerate(nums):
-            if mask & bit:
-                v[mask ^ bit] = c
-            else:
-                u[mask] = c
-        ue = FieldElem(desc, u, den)
-        ve = FieldElem(desc, v, den)
-        norm = ue * ue - (ve * ve) * r
-        ninv = norm._inverse_rec(level - 1)
-        conj = [-c if mask & bit else c for mask, c in enumerate(nums)]
-        return FieldElem(desc, conj, den) * ninv
+        return _field_inverse(self.desc, self.nums, self.den, self.desc.k)
 
     # -- predicates and accessors --------------------------------------
 
@@ -467,6 +455,36 @@ class FieldElem(RingElem):
 # calling them directly is faster than object.__setattr__ by name.
 _set_desc, _set_nums, _set_den = (FieldElem.__dict__[name].__set__
                                   for name in FieldElem.__slots__)
+
+
+def _times(desc: FieldDescriptor, a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The integer numerators of a product, over the product of the two
+    denominators, by the descriptor's plan."""
+    out = [0] * desc.dim
+    for s, t, st, common in desc.plan:
+        out[st] += a[s] * b[t] * common
+    return out
+
+
+def _field_inverse(desc: FieldDescriptor, nums: Sequence[int], den: int,
+                   level: int) -> FieldElem:
+    """1 / (nums / den) for nonzero integer numerators on the monomials of
+    the first `level` radicands, by descending the tower: x = u + v*sqrt(r)
+    with u, v in the subfield below, so 1/x = (u - v*sqrt(r)) / (u^2 -
+    r*v^2).  The norm's numerators over den^2 and the final product are
+    integer sums, so each level builds one element."""
+    if level == 0:
+        out = [0] * desc.dim
+        out[0] = den
+        return FieldElem(desc, out, nums[0])
+    bit = 1 << (level - 1)
+    r = desc.radicands[level - 1]
+    u = [c if mask < bit else 0 for mask, c in enumerate(nums)]
+    v = [nums[mask | bit] if mask < bit else 0 for mask in range(desc.dim)]
+    norm = [x - r * y for x, y in zip(_times(desc, u, u), _times(desc, v, v))]
+    ninv = _field_inverse(desc, norm, den * den, level - 1)
+    conj = [-c if mask & bit else c for mask, c in enumerate(nums)]
+    return FieldElem(desc, _times(desc, conj, ninv.nums), den * ninv.den)
 
 
 @dataclass(frozen=True)
@@ -647,10 +665,7 @@ class ExactMatrix:
         if isinstance(other, ExactMatrix):
             if self.ncols != other.nrows:
                 raise ValueError("matrix dimensions incompatible for product")
-            cols = list(zip(*other.entries))
-            return ExactMatrix([
-                [_dot(row, col) for col in cols] for row in self.entries
-            ])
+            return ExactMatrix(_products(self.entries, list(zip(*other.entries))))
         return self.map_entries(lambda e: e * other)
 
     def __rmul__(self, other):
@@ -793,6 +808,22 @@ def _echelon(rows: list[list], ncols: int) -> tuple[list[int], int]:
     return pivots, sign
 
 
+# -- dot products ----------------------------------------------------------
+#
+# Every dot product picks its kernel once, from a scan of all the entries
+# it will see (_kernel).  A kernel splits a vector once into coordinates
+# over one denominator: (den, one list per coordinate).  Over Q (every
+# entry a Fraction) and over one multiquadratic field (every entry a
+# FieldElem of one interned descriptor) the coordinates are the integer
+# numerators over the lcm of the denominators, one list per monomial, and
+# a dot product of two split vectors is one integer sum per plan entry and
+# one scalar, whose constructor takes the only gcd (Cohen, A Course in
+# Computational Algebraic Number Theory, 4.2).  Every other ring, and
+# every mix of rings or of equal but distinct descriptors, keeps its
+# entries as its one coordinate over the denominator 1, and its dot
+# product is the generic loop _dot.
+
+
 def _dot(row, col):
     it = iter(zip(row, col))
     a, b = next(it)
@@ -800,6 +831,99 @@ def _dot(row, col):
     for a, b in it:
         acc = acc + a * b
     return acc
+
+
+def _split_rationals(vec: Sequence[Fraction]) -> tuple[int, list[list[int]]]:
+    den = lcm(*(x.denominator for x in vec))
+    return den, [[x.numerator * (den // x.denominator) for x in vec]]
+
+
+def _split_field(vec: Sequence[FieldElem]) -> tuple[int, list[tuple[int, ...]]]:
+    den = lcm(*(x.den for x in vec))
+    return den, list(zip(*(x.nums if x.den == den else [n * (den // x.den) for n in x.nums]
+                           for x in vec)))
+
+
+class _Fused:
+    """The fused kernel of Q (desc is field(), entries are Fractions) or of
+    one multiquadratic field (entries are FieldElems of desc).  `unit` and
+    `times` are the one and the product on integer coordinates, so callers
+    can build integral vectors without building scalars; `build(nums,
+    den)` makes the one scalar of a result."""
+
+    __slots__ = ("desc", "plan", "split", "build", "unit")
+
+    def __init__(self, desc: FieldDescriptor, split: Callable, build: Callable):
+        self.desc, self.plan, self.split, self.build = desc, desc.plan, split, build
+        self.unit = [1] + [0] * (desc.dim - 1)
+
+    def times(self, u: Sequence[int], v: Sequence[int]) -> list[int]:
+        return _times(self.desc, u, v)
+
+    def dot(self, a, b):
+        (da, ra), (db, rb) = a, b
+        out = [0] * len(ra)
+        for s, t, st, common in self.plan:
+            out[st] += sum(map(mul, ra[s], rb[t])) * common
+        return self.build(out, da * db)
+
+
+class _Loop:
+    """The kernel of every other ring and of every mix: the one coordinate
+    of an entry is the entry itself, over the denominator 1, and the ring
+    operations do the work."""
+
+    __slots__ = ("like",)
+
+    def __init__(self, like):
+        self.like = like
+
+    @property
+    def unit(self) -> list:
+        return [_one_like(self.like)]
+
+    @staticmethod
+    def split(vec: Sequence) -> tuple[int, list[Sequence]]:
+        return 1, [vec]
+
+    @staticmethod
+    def times(u: Sequence, v: Sequence) -> list:
+        return [u[0] * v[0]]
+
+    @staticmethod
+    def dot(a, b):
+        return _dot(a[1][0], b[1][0])
+
+
+_RATIONALS = _Fused(field(), _split_rationals, lambda nums, den: Fraction(nums[0], den))
+
+
+def _kernel(vectors: Iterable[Sequence]) -> Union[_Fused, _Loop]:
+    """The kernel of the vectors whose entries are among those of
+    `vectors`: the fused kernel of Q or of one field when the scan finds
+    only that ring, else the generic loop."""
+    it = chain.from_iterable(vectors)
+    first = next(it)
+    kind = type(first)
+    if kind is Fraction:
+        if all(type(x) is Fraction for x in it):
+            return _RATIONALS
+    elif kind is FieldElem:
+        desc = first.desc
+        if all(type(x) is FieldElem and x.desc is desc for x in it):
+            return _Fused(desc, _split_field, partial(FieldElem, desc))
+    return _Loop(first)
+
+
+def _products(rows: Sequence[Sequence], cols: Sequence[Sequence]) -> list[list]:
+    """[[row . col for col in cols] for row in rows], every column split
+    once and every row once, through one kernel for all of them."""
+    kernel = _kernel((*rows, *cols))
+    if type(kernel) is _Loop:  # nothing to split: the loop runs on the entries
+        return [[_dot(r, c) for c in cols] for r in rows]
+    split, dot = kernel.split, kernel.dot
+    cols = [split(c) for c in cols]
+    return [[dot(r, c) for c in cols] for r in map(split, rows)]
 
 
 def galois_matrix(action: GaloisAction, m: ExactMatrix) -> ExactMatrix:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exactnum import ExactMatrix, Scalar, _dot, in_group
+from .exactnum import ExactMatrix, Scalar, _one_like, in_group
 from .symrep import j_matrix
 
 J7 = j_matrix(7)
@@ -125,6 +125,10 @@ def oct_norm(p: Octonion) -> Scalar:
 
 _BASIS_PAIRS = [(i, j) for i in range(1, 8) for j in range(i + 1, 8)]
 
+# the cross products of the 21 basis pairs, as the columns of one matrix
+_BASIS_CROSS = ExactMatrix(list(zip(*(cross7(Vec7.basis(i), Vec7.basis(j)).coords
+                                      for i, j in _BASIS_PAIRS))))
+
 
 def in_g2(m: ExactMatrix) -> bool:
     """Membership in the split exceptional group: preserves the
@@ -133,13 +137,11 @@ def in_g2(m: ExactMatrix) -> bool:
     if not in_group(m, 7, J7):
         return False
     cols = [Vec7([m.entries[r][c] for r in range(7)]) for c in range(7)]
-    for i, j in _BASIS_PAIRS:
-        lhs = _apply(m, cross7(Vec7.basis(i), Vec7.basis(j)))
-        rhs = cross7(cols[i - 1], cols[j - 1])
-        if lhs != rhs:
+    # the images of the basis cross products, as one product in the ring
+    # of m, so that a matrix over one field runs that field's kernel
+    one = _one_like(m.entries[0][0])
+    images = zip(*(m * _BASIS_CROSS.map_entries(lambda e: e * one)).entries)
+    for (i, j), image in zip(_BASIS_PAIRS, images):
+        if Vec7(image) != cross7(cols[i - 1], cols[j - 1]):
             return False
     return True
-
-
-def _apply(m: ExactMatrix, v: Vec7) -> Vec7:
-    return Vec7([_dot(row, v.coords) for row in m.entries])

@@ -9,8 +9,10 @@ image of an upper-triangular matrix stays upper-triangular.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import comb, factorial
 from typing import Literal
 
@@ -18,10 +20,8 @@ from .exactnum import (
     ExactMatrix,
     FieldElem,
     GaloisAction,
-    _dot,
-    _one_like,
-    _zero_like,
-    apply_galois,
+    _kernel,
+    galois_matrix,
     field,
     is_square,
     square_free_part,
@@ -56,27 +56,42 @@ def tau(n: int, m: ExactMatrix) -> ExactMatrix:
     det = a * d - b * c
     if not det:
         raise ValueError("matrix is singular")
-    one = _one_like(a)
-    zero = _zero_like(a)
+    # The expansion runs on the coordinates of m's ring (exactnum._kernel):
+    # m = M / den with M integral, and column i, the coefficients of
+    # (aX+cY)^(n-1-i) (bX+dY)^i, convolves two coordinate vectors over
+    # den^(n-1-i) and den^i.  The first factor's Y^s coefficient is
+    # C(n-1-i, s) a^(n-1-i-s) c^s; the second factor's are listed from Y^i
+    # down, so that each entry is one dot product of two windows.
+    kernel = _kernel(m.entries)
+    den, coords = kernel.split(m.entries[0] + m.entries[1])
+    unit = kernel.unit
 
-    def powers(x, k: int) -> list:
-        out = [one]
-        for _ in range(k):
-            out.append(out[-1] * x)
+    def powers(x) -> list:
+        out = [unit]
+        for _ in range(n - 1):
+            out.append(kernel.times(out[-1], x))
         return out
 
-    pa, pb = powers(a, n - 1), powers(b, n - 1)
-    pc, pd = powers(c, n - 1), powers(d, n - 1)
+    def vector(terms, degree: int) -> tuple:
+        """The products w * p * q as one split vector over den^degree."""
+        return den ** degree, list(zip(*([w * c for c in kernel.times(p, q)]
+                                        for w, p, q in terms)))
+
+    def window(vec: tuple, lo: int, hi: int) -> tuple:
+        return vec[0], [c[lo:hi] for c in vec[1]]
+
+    pa, pb, pc, pd = (powers(x) for x in zip(*coords))
     cols = []
     for i in range(n):
-        # (aX+cY)^(n-1-i): coefficient of Y^s is C(n-1-i, s) a^(n-1-i-s) c^s
-        left = [comb(n - 1 - i, s) * pa[n - 1 - i - s] * pc[s]
-                for s in range(n - i)]
-        right = [comb(i, t) * pb[i - t] * pd[t] for t in range(i + 1)]
-        col = [zero] * n
-        for s, ls in enumerate(left):
-            for t, rt in enumerate(right):
-                col[s + t] = col[s + t] + ls * rt
+        left = vector(((comb(n - 1 - i, s), pa[n - 1 - i - s], pc[s])
+                       for s in range(n - i)), n - 1 - i)
+        right = vector(((comb(i, t), pb[i - t], pd[t])
+                        for t in reversed(range(i + 1))), i)
+        col = []
+        for k in range(n):
+            lo, hi = max(0, k - i), min(k, n - 1 - i) + 1
+            col.append(kernel.dot(window(left, lo, hi),
+                                  window(right, i - k + lo, i - k + hi)))
         cols.append(col)
     return ExactMatrix(list(zip(*cols)))
 
@@ -356,20 +371,12 @@ def so_form_from_cocycle(n: int, a: int, b: int, case: CaseName) -> SoFormResult
         s_inv = diagonalize_qform(j_matrix(n)).witness.lift(desc)
     else:
         desc = field(a_sf) if case == "degree-2" else field(a_sf, b_sf)
-        group = _galois_group(case, a_sf, b_sf)
-        weights = {signs: tau_of_lifted_cocycle(n, signs).lift(desc)
-                   for signs, _ in group}
-
-        def average(vec: list[FieldElem]) -> list[FieldElem]:
-            out = [FieldElem.zero(desc)] * n
-            for signs, action in group:
-                moved = [apply_galois(action, x) for x in vec]
-                out = [x + _dot(row, moved)
-                       for x, row in zip(out, weights[signs].entries)]
-            return out
-
-        columns = [average(vec) for vec in _averaging_vectors(n, case, desc)]
-        s_inv = ExactMatrix(list(zip(*columns)))
+        # the averaged basis: sum over the Galois group of the weight
+        # tau(lifted cocycle) times the Galois image of the v_i
+        basis = ExactMatrix(list(zip(*_averaging_vectors(n, case, desc))))
+        s_inv = reduce(operator.add, (
+            tau_of_lifted_cocycle(n, signs).lift(desc) * galois_matrix(action, basis)
+            for signs, action in _galois_group(case, a_sf, b_sf)))
         if not s_inv.det():
             raise AssertionError("averaged vectors are not a basis")
     J = j_matrix(n).lift(desc)

@@ -372,3 +372,42 @@ def test_readme_example_golden_stdout(capsys, name):
     out = capsys.readouterr().out
     assert code == expected_code
     assert out == (GOLDEN_DIR / f"{name}.json").read_text()
+
+
+@pytest.mark.parametrize("module, name, value, argv, message", [
+    # the closed-form Hasse invariant disagrees with the computed one
+    ("symrep", "so_form_closed_hasse", 7,
+     ["so-form", "--n", "5", "--a", "3", "--b", "5", "--case", "degree-2"],
+     "Hasse invariant at"),
+    # the bending matrix fails its own lattice membership
+    ("bender", "_b0_membership", False,
+     ["lattice-check", "--kind", "SU_sqrt_d", "--n", "5", "--d", "3",
+      "--matrix", "B0:SU_split_a:5"],
+     "bending matrix fails its SU_split_a lattice membership"),
+])
+def test_failed_self_check_exits_3_with_one_line(capsys, monkeypatch, module,
+                                                  name, value, argv, message):
+    """A library self-check that fails ends in exit 3 and one stderr line,
+    not a traceback: the check runs for real on a patched input."""
+    import importlib
+    monkeypatch.setattr(importlib.import_module(f"hitchinforge.{module}"),
+                        name, lambda *args: value)
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith(f"internal self-check failed: {message}")
+    assert captured.err.count("\n") == 1
+
+
+def test_assertion_from_a_subcommand_exits_3(capsys, monkeypatch):
+    import hitchinforge.cli as cli
+
+    def broken(*args):
+        raise AssertionError("witness fails its defining equations")
+
+    monkeypatch.setattr(cli, "so_form_from_cocycle", broken)
+    assert run(["so-form", "--n", "5", "--a", "3", "--b", "5",
+                "--case", "degree-2"]) == 3
+    assert capsys.readouterr().err == (
+        "internal self-check failed: witness fails its defining equations\n")

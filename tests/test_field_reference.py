@@ -219,3 +219,35 @@ def test_integer_numerators_are_normalised():
     with pytest.raises(AttributeError):
         x.coeffs = (Fraction(1), Fraction(0))
     assert desc.plan == ((0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1), (1, 1, 0, 3))
+
+
+# sparse coefficient vectors: inverses of elements of every subfield
+# (u = 0 or v = 0 at some level) take the closed form's edge cases
+SPARSE = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), COEFFS)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_closed_form_inverse_matches_reference(name, monkeypatch):
+    """The closed-form inverse per tower level against the reference, and
+    one element built per level."""
+    desc = FIELDS[name]
+    built = []
+    init = FieldElem.__init__
+
+    def counting(self, *args):
+        built.append(1)
+        init(self, *args)
+
+    @given(st.lists(SPARSE, min_size=desc.dim, max_size=desc.dim))
+    def check(coeffs):
+        x, rx = FieldElem(desc, coeffs), ref.FieldElem(desc, coeffs)
+        if rx.is_zero():
+            return
+        built.clear()
+        monkeypatch.setattr(FieldElem, "__init__", counting)
+        inv = x.inverse()
+        monkeypatch.undo()
+        assert len(built) == desc.k + 1
+        assert_matches(inv, rx.inverse())
+        assert x * inv == 1
+    check()

@@ -1,0 +1,273 @@
+"""The dot-product kernels behind ExactMatrix products, g2core and tau:
+each fused kernel (Q, one multiquadratic field) against the generic loop
+`_dot`, entrywise and in canonical form; the scan that picks a kernel and
+its fallbacks; interned field descriptors; and tau against the expansion
+in ring operations that it replaced."""
+
+from fractions import Fraction
+from math import comb, gcd
+
+import pytest
+from hypothesis import given, strategies as st
+
+from hitchinforge import exactnum
+from hitchinforge.bender import b0_family
+from hitchinforge.exactnum import (
+    ExactMatrix,
+    FieldDescriptor,
+    FieldElem,
+    _dot,
+    _Fused,
+    _kernel,
+    _Loop,
+    _products,
+    field,
+    fundamental_unit,
+    in_group,
+)
+from hitchinforge.g2core import _BASIS_PAIRS, J7, Vec7, cross7, in_g2
+from hitchinforge.modp import FqElem
+from hitchinforge.quatalg import QuatAlgebra
+from hitchinforge.symrep import tau
+
+RINGS = {"Q": field(), "Q(sqrt3)": field(3), "Q(sqrt2,sqrt3)": field(2, 3)}
+
+# zeros, small rationals with mixed denominators, and large ones
+COEFFS = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12)),
+    st.builds(Fraction, st.integers(-10 ** 9, 10 ** 9), st.integers(1, 10 ** 6)),
+)
+
+
+def scalars(desc):
+    """Fractions over Q, FieldElems of desc otherwise; a fifth are zero."""
+    if not desc.radicands:
+        elem = COEFFS
+    else:
+        elem = st.lists(COEFFS, min_size=desc.dim, max_size=desc.dim).map(
+            lambda c: FieldElem(desc, c))
+    return st.one_of(elem, elem, elem, elem, st.just(
+        Fraction(0) if not desc.radicands else FieldElem.zero(desc)))
+
+
+def matrices(desc, nrows, ncols):
+    """nrows x ncols entries, sometimes with a whole zero row or column."""
+    zero = Fraction(0) if not desc.radicands else FieldElem.zero(desc)
+    rows = st.lists(st.lists(scalars(desc), min_size=ncols, max_size=ncols),
+                    min_size=nrows, max_size=nrows)
+
+    def blank(rows, what):
+        kind, k = what
+        if kind == "row":
+            rows[k % nrows] = [zero] * ncols
+        elif kind == "col":
+            for row in rows:
+                row[k % ncols] = zero
+        return rows
+
+    return st.tuples(rows, st.tuples(st.sampled_from(["row", "col", None]),
+                                     st.integers(0, 8))).map(lambda a: blank(*a))
+
+
+def shapes():
+    return st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4))
+
+
+def assert_canonical(x):
+    if isinstance(x, Fraction):
+        assert x.denominator > 0 and gcd(x.numerator, x.denominator) == 1
+        return
+    assert type(x.den) is int and x.den > 0
+    assert all(type(c) is int for c in x.nums)
+    assert gcd(x.den, *x.nums) == 1
+    if x.is_zero():
+        assert x.den == 1
+
+
+def generic(rows, cols):
+    return [[_dot(r, c) for c in cols] for r in rows]
+
+
+@pytest.mark.parametrize("name", sorted(RINGS))
+def test_fused_kernel_matches_generic_loop(name):
+    desc = RINGS[name]
+
+    @given(shapes().flatmap(lambda s: st.tuples(matrices(desc, s[0], s[1]),
+                                                matrices(desc, s[1], s[2]))))
+    def check(pair):
+        a, b = pair
+        cols = list(zip(*b))
+        kernel = _kernel((*a, *cols))
+        assert isinstance(kernel, _Fused) and kernel.desc is desc
+        got = _products(a, cols)
+        want = generic(a, cols)
+        assert got == want
+        for row_got, row_want in zip(got, want):
+            for x, y in zip(row_got, row_want):
+                assert type(x) is type(y)
+                assert_canonical(x)
+                if isinstance(x, FieldElem):
+                    assert x.desc is desc and (x.nums, x.den) == (y.nums, y.den)
+        assert (ExactMatrix(a) * ExactMatrix(b)).entries == tuple(map(tuple, want))
+    check()
+
+
+def test_a_product_builds_one_field_element_per_entry(monkeypatch):
+    desc = field(2, 3)
+    m = ExactMatrix([[FieldElem(desc, [i + j, Fraction(1, i + 2), 0, Fraction(-j, 1 + i * j)])
+                      for j in range(3)] for i in range(3)])
+    built = []
+    init = FieldElem.__init__
+
+    def counting(self, *args):
+        built.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(FieldElem, "__init__", counting)
+    product = m * m
+    monkeypatch.undo()
+    assert len(built) == 9
+    assert product.entries == tuple(map(tuple, generic(m.entries, list(zip(*m.entries)))))
+
+
+def test_mixed_fraction_and_field_matrix_takes_the_generic_loop():
+    s3 = FieldElem.sqrt_int(field(3), 3)
+    m = ExactMatrix([[1, s3], [Fraction(1, 2), 3]])
+    cols = list(zip(*m.entries))
+    assert isinstance(_kernel((*m.entries, *cols)), _Loop)
+    got = (m * m).entries
+    assert got == tuple(map(tuple, generic(m.entries, cols)))
+    # the generic loop keeps the ring of each term: Fraction * Fraction
+    # stays a Fraction, anything with a field element is a field element
+    assert [type(x) for row in got for x in row] == [
+        FieldElem, FieldElem, Fraction, FieldElem]
+
+
+def test_equal_but_distinct_descriptor_takes_the_generic_loop():
+    own = FieldDescriptor((3,))
+    assert own == field(3) and own is not field(3)
+    a = ExactMatrix([[FieldElem(own, [1, 2]), FieldElem(own, [0, Fraction(1, 3)])],
+                     [FieldElem(own, [5, -1]), FieldElem(own, [Fraction(2, 7), 0])]])
+    b = a.map_entries(lambda e: FieldElem(field(3), e.coeffs))
+    cols = list(zip(*b.entries))
+    assert isinstance(_kernel((*a.entries, *cols)), _Loop)
+    assert isinstance(_kernel((*b.entries, *cols)), _Fused)
+    assert (a * b).entries == tuple(map(tuple, generic(a.entries, cols)))
+    assert a * b == b * b  # equal values whichever kernel ran
+    assert isinstance(_kernel((*a.entries, *zip(*a.entries))), _Fused)
+
+
+@pytest.mark.parametrize("ring", ["F9", "quaternion"])
+def test_finite_field_and_quaternion_products_take_the_generic_loop(ring):
+    if ring == "F9":
+        make = lambda x, y: FqElem(3, x, y, r2=2)  # noqa: E731
+    else:
+        alg = QuatAlgebra(3, 5)
+        make = lambda x, y: alg(x, y, x - y, Fraction(y, 2))  # noqa: E731
+    a = ExactMatrix([[make(i + j, i * j + 1) for j in range(3)] for i in range(2)])
+    b = ExactMatrix([[make(i - j, 2 * j) for j in range(2)] for i in range(3)])
+    cols = list(zip(*b.entries))
+    assert isinstance(_kernel((*a.entries, *cols)), _Loop)
+    assert (a * b).entries == tuple(map(tuple, generic(a.entries, cols)))
+
+
+def reference_in_g2(m):
+    """in_g2 as it was checked before the kernels: one generic matrix-vector
+    product per basis pair."""
+    if not in_group(m, 7, J7):
+        return False
+    cols = [Vec7([m.entries[r][c] for r in range(7)]) for c in range(7)]
+    return all(
+        Vec7([_dot(row, cross7(Vec7.basis(i), Vec7.basis(j)).coords)
+              for row in m.entries]) == cross7(cols[i - 1], cols[j - 1])
+        for i, j in _BASIS_PAIRS)
+
+
+def test_g2_basis_images_take_the_kernel_of_the_matrix_ring(monkeypatch):
+    unit = fundamental_unit(3).value
+    s3 = FieldElem.sqrt_int(field(3), 3)
+    members = [tau(7, ExactMatrix([[2 + s3, 1], [0, 2 - s3]])),
+               b0_family("G2", 7, unit, 2), tau(7, ExactMatrix([[2, 1], [3, 2]]))]
+    others = [b0_family("SO_n7", 7, unit, 1),
+              ExactMatrix.diagonal([2, 1, 1, 1, 1, 1, Fraction(1, 2)])]
+    kinds = []
+
+    def recording(vectors):
+        kernel = _kernel(vectors)
+        kinds.append(type(kernel))
+        return kernel
+
+    monkeypatch.setattr(exactnum, "_kernel", recording)
+    for m in members + others:
+        kinds.clear()
+        assert in_g2(m) == reference_in_g2(m) == (m in members)
+        assert kinds and set(kinds) == {_Fused}
+
+
+def test_field_descriptors_are_interned():
+    assert field(12) is field(3)
+    assert field(3, 2) is field(2, 3) is field(8, 27)
+    assert field() is field(1, 4, 9)
+    assert field(3) is not FieldDescriptor((3,))
+
+
+def reference_tau(n, m):
+    """tau as it was built before the kernels: ring operations throughout,
+    every term added into its entry."""
+    a, b = m.entries[0]
+    c, d = m.entries[1]
+    one = a.one_like() if hasattr(a, "one_like") else Fraction(1)
+    zero = a.zero_like() if hasattr(a, "zero_like") else Fraction(0)
+
+    def powers(x, k):
+        out = [one]
+        for _ in range(k):
+            out.append(out[-1] * x)
+        return out
+
+    pa, pb = powers(a, n - 1), powers(b, n - 1)
+    pc, pd = powers(c, n - 1), powers(d, n - 1)
+    cols = []
+    for i in range(n):
+        left = [comb(n - 1 - i, s) * pa[n - 1 - i - s] * pc[s] for s in range(n - i)]
+        right = [comb(i, t) * pb[i - t] * pd[t] for t in range(i + 1)]
+        col = [zero] * n
+        for s, ls in enumerate(left):
+            for t, rt in enumerate(right):
+                col[s + t] = col[s + t] + ls * rt
+        cols.append(col)
+    return ExactMatrix(list(zip(*cols)))
+
+
+@pytest.mark.parametrize("name", sorted(RINGS) + ["mixed"])
+def test_tau_matches_the_ring_expansion(name):
+    desc = RINGS.get(name, field(3))
+    entries = scalars(desc)
+    if name == "mixed":
+        entries = st.one_of(entries, COEFFS)
+
+    @given(st.lists(entries, min_size=4, max_size=4), st.integers(1, 7))
+    def check(abcd, n):
+        m = ExactMatrix([abcd[:2], abcd[2:]])
+        if not m.det():
+            return
+        got, want = tau(n, m), reference_tau(n, m)
+        assert got == want
+        for x, y in zip(sum(got.entries, ()), sum(want.entries, ())):
+            assert type(x) is type(y)
+            assert_canonical(x)
+    check()
+
+
+@pytest.mark.parametrize("ring", ["F9", "quaternion"])
+def test_tau_over_generic_rings_matches_the_ring_expansion(ring):
+    if ring == "F9":
+        m = ExactMatrix([[FqElem(3, 1, 1, r2=2), FqElem(3, 2, 0, r2=2)],
+                         [FqElem(3, 0, 1, r2=2), FqElem(3, 1, 0, r2=2)]])
+    else:
+        alg = QuatAlgebra(3, 5)
+        m = ExactMatrix([[alg(1, 1, 0, 0), alg(0, 0, 1, 0)],
+                         [alg(2, 0, 0, 1), alg(1, 0, 0, 0)]])
+    for n in range(1, 6):
+        assert tau(n, m) == reference_tau(n, m)
