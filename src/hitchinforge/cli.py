@@ -31,7 +31,6 @@ from .bender import (
 )
 from .exactnum import (
     ExactMatrix,
-    _one_like,
     common_field,
     format_scalar,
     fundamental_unit,
@@ -255,11 +254,6 @@ def _load_bending_spec(text: str) -> BendingSpec:
             raise UsageError(f"bending spec {key!r} must be an object")
     sl2 = {name: _load_matrix(json.dumps(rows))
            for name, rows in data["sl2_assignment"].items()}
-    desc = common_field(e for m in sl2.values() for row in m.entries
-                        for e in row)
-    if desc.k:
-        sl2 = {name: m.lift(desc) for name, m in sl2.items()}
-    assignment = {name: tau(n, m) for name, m in sl2.items()}
     if "b0" in data:
         spec_b = data["b0"]
         unit = fundamental_unit(spec_b.get("d", 3)).value
@@ -268,6 +262,13 @@ def _load_bending_spec(text: str) -> BendingSpec:
         b = _load_matrix(json.dumps(data["b_matrix"]))
     if b.nrows != n or b.ncols != n:
         raise UsageError(f"bending matrix is {b.nrows}x{b.ncols}, not {n}x{n}")
+    # one field for the assignment and the bending matrix together
+    desc = common_field(e for m in (*sl2.values(), b) for row in m.entries
+                        for e in row)
+    if desc.k:
+        sl2 = {name: m.lift(desc) for name, m in sl2.items()}
+        b = b.lift(desc)
+    assignment = {name: tau(n, m) for name, m in sl2.items()}
     curve_data = data.get("curve", {"kind": "free"})
     kind = curve_data.get("kind", "free")
     presentation = None
@@ -277,8 +278,6 @@ def _load_bending_spec(text: str) -> BendingSpec:
                           stable=curve_data.get("stable", "s"))
     else:
         curve = CurveSpec("free", gamma_name=curve_data.get("gamma"))
-    one = _one_like(next(iter(assignment.values())).entries[0][0])
-    b = b.map_entries(lambda e: e * one)
     return BendingSpec(n=n, assignment=assignment, b_matrix=b, curve=curve,
                        presentation=presentation, sl2_assignment=sl2)
 

@@ -15,7 +15,8 @@ inverse descends the tower in closed form, one element per level.
 Matrix products pick one dot-product kernel from a scan of both operands:
 over Q and over one field a vector is split once into integer numerators
 over one denominator, and each output entry is integer sums and one
-scalar; every other ring, and every mix, runs the generic loop `_dot`.
+scalar, and a Fraction meeting one field's elements is read as an element
+of that field there; every other ring and mix runs the generic loop `_dot`.
 """
 
 from __future__ import annotations
@@ -128,6 +129,10 @@ class FieldDescriptor:
         S ^ T) with common = prod(S & T)."""
         return tuple((s, t, s ^ t, self.monomial_radicand(s & t))
                      for s in range(self.dim) for t in range(self.dim))
+
+    def __str__(self) -> str:
+        roots = ", ".join(f"sqrt({r})" for r in self.radicands)
+        return f"Q({roots})" if roots else "Q"
 
     def monomial_radicand(self, mask: int) -> int:
         n = 1
@@ -376,13 +381,12 @@ class FieldElem(RingElem):
 
     def extend(self, desc: FieldDescriptor) -> "FieldElem":
         """Reinterpret in a larger field containing all current radicands."""
+        if not set(self.desc.radicands) <= set(desc.radicands):
+            raise ValueError(f"{self.desc} is not a subfield of {desc}")
+        bits = [1 << desc.radicands.index(r) for r in self.desc.radicands]
         out = [0] * desc.dim
         for mask, c in enumerate(self.nums):
-            new_mask = 0
-            for i, r in enumerate(self.desc.radicands):
-                if mask >> i & 1:
-                    new_mask |= 1 << desc.radicands.index(r)
-            out[new_mask] = c
+            out[sum(b for i, b in enumerate(bits) if mask >> i & 1)] = c
         return FieldElem(desc, out, self.den)
 
     def __eq__(self, other) -> bool:
@@ -590,7 +594,8 @@ def common_field(scalars: Iterable) -> FieldDescriptor:
 
 class ExactMatrix:
     """Dense matrix with exact entries (rationals, field elements,
-    quaternions, or finite-field elements; one ring per matrix)."""
+    quaternions, or finite-field elements; one ring per matrix, so a
+    product of Fractions and one field's elements is over that field)."""
 
     __slots__ = ("entries",)
 
@@ -813,15 +818,16 @@ def _echelon(rows: list[list], ncols: int) -> tuple[list[int], int]:
 # Every dot product picks its kernel once, from a scan of all the entries
 # it will see (_kernel).  A kernel splits a vector once into coordinates
 # over one denominator: (den, one list per coordinate).  Over Q (every
-# entry a Fraction) and over one multiquadratic field (every entry a
-# FieldElem of one interned descriptor) the coordinates are the integer
-# numerators over the lcm of the denominators, one list per monomial, and
-# a dot product of two split vectors is one integer sum per plan entry and
-# one scalar, whose constructor takes the only gcd (Cohen, A Course in
-# Computational Algebraic Number Theory, 4.2).  Every other ring, and
-# every mix of rings or of equal but distinct descriptors, keeps its
-# entries as its one coordinate over the denominator 1, and its dot
-# product is the generic loop _dot.
+# entry a Fraction) and over one multiquadratic field (a FieldElem of one
+# descriptor, or also a Fraction, the element with only a constant
+# coordinate, if the descriptor is interned) the coordinates are the
+# integer numerators over the lcm of the denominators, one list per
+# monomial, and a dot product of two split vectors is one integer sum per
+# plan entry and one scalar, whose constructor takes the only gcd (Cohen,
+# A Course in Computational Algebraic Number Theory, 4.2).  Every other
+# ring and mix (two descriptors, a finite-field or quaternion entry)
+# keeps its entries as its one coordinate over the denominator 1, and its
+# dot product is the generic loop _dot.
 
 
 def _dot(row, col):
@@ -838,24 +844,29 @@ def _split_rationals(vec: Sequence[Fraction]) -> tuple[int, list[list[int]]]:
     return den, [[x.numerator * (den // x.denominator) for x in vec]]
 
 
-def _split_field(vec: Sequence[FieldElem]) -> tuple[int, list[tuple[int, ...]]]:
-    den = lcm(*(x.den for x in vec))
-    return den, list(zip(*(x.nums if x.den == den else [n * (den // x.den) for n in x.nums]
-                           for x in vec)))
+def _split_field(zeros: tuple, vec: Sequence) -> tuple[int, list[tuple[int, ...]]]:
+    """FieldElems and Fractions; a Fraction's other coordinates are `zeros`."""
+    den = lcm(*[x.den if type(x) is FieldElem else x.denominator for x in vec])
+    return den, list(zip(*(
+        (x.nums if x.den == den else [n * (den // x.den) for n in x.nums])
+        if type(x) is FieldElem else (x.numerator * (den // x.denominator), *zeros)
+        for x in vec)))
 
 
 class _Fused:
-    """The fused kernel of Q (desc is field(), entries are Fractions) or of
-    one multiquadratic field (entries are FieldElems of desc).  `unit` and
-    `times` are the one and the product on integer coordinates, so callers
-    can build integral vectors without building scalars; `build(nums,
-    den)` makes the one scalar of a result."""
+    """The fused kernel of Q (desc is field(), entries are Fractions) or, by
+    default, of one field (entries are FieldElems of desc and Fractions).
+    `unit` and `times` are the one and the product on integer coordinates,
+    so callers can build integral vectors without building scalars;
+    `build(nums, den)` makes the one scalar of a result."""
 
     __slots__ = ("desc", "plan", "split", "build", "unit")
 
-    def __init__(self, desc: FieldDescriptor, split: Callable, build: Callable):
-        self.desc, self.plan, self.split, self.build = desc, desc.plan, split, build
-        self.unit = [1] + [0] * (desc.dim - 1)
+    def __init__(self, desc: FieldDescriptor, split: Optional[Callable] = None,
+                 build: Optional[Callable] = None):
+        self.desc, self.plan, self.unit = desc, desc.plan, [1] + [0] * (desc.dim - 1)
+        self.split = split or partial(_split_field, (0,) * (desc.dim - 1))
+        self.build = build or partial(FieldElem, desc)
 
     def times(self, u: Sequence[int], v: Sequence[int]) -> list[int]:
         return _times(self.desc, u, v)
@@ -869,9 +880,9 @@ class _Fused:
 
 
 class _Loop:
-    """The kernel of every other ring and of every mix: the one coordinate
-    of an entry is the entry itself, over the denominator 1, and the ring
-    operations do the work."""
+    """The kernel of every other ring and of every other mix: the one
+    coordinate of an entry is the entry itself, over the denominator 1,
+    and the ring operations do the work."""
 
     __slots__ = ("like",)
 
@@ -898,21 +909,29 @@ class _Loop:
 _RATIONALS = _Fused(field(), _split_rationals, lambda nums, den: Fraction(nums[0], den))
 
 
-def _kernel(vectors: Iterable[Sequence]) -> Union[_Fused, _Loop]:
-    """The kernel of the vectors whose entries are among those of
-    `vectors`: the fused kernel of Q or of one field when the scan finds
-    only that ring, else the generic loop."""
+def _kernel(vectors: Sequence[Sequence]) -> Union[_Fused, _Loop]:
+    """The kernel of the entries of `vectors`: Q's if all are Fractions, one
+    field's if all are its FieldElems or Fractions, else the generic loop."""
     it = chain.from_iterable(vectors)
     first = next(it)
     kind = type(first)
+    desc = first.desc if kind is FieldElem else None
     if kind is Fraction:
         if all(type(x) is Fraction for x in it):
             return _RATIONALS
-    elif kind is FieldElem:
-        desc = first.desc
-        if all(type(x) is FieldElem and x.desc is desc for x in it):
-            return _Fused(desc, _split_field, partial(FieldElem, desc))
-    return _Loop(first)
+    elif kind is not FieldElem:
+        return _Loop(first)
+    elif all(type(x) is FieldElem and x.desc is desc for x in it):
+        return _Fused(desc)
+    # a mix, scanned again: Fractions and the elements of one interned field
+    for x in chain.from_iterable(vectors):
+        if type(x) is FieldElem:
+            desc = desc or x.desc
+            if x.desc is not desc:
+                return _Loop(first)
+        elif type(x) is not Fraction:
+            return _Loop(first)
+    return _Fused(desc) if _FIELDS.get(desc.radicands) is desc else _Loop(first)
 
 
 def _products(rows: Sequence[Sequence], cols: Sequence[Sequence]) -> list[list]:
@@ -937,25 +956,22 @@ def preserves_form(m: ExactMatrix, j: ExactMatrix,
     """twist(M)^T J M = J, or = lambda*J for some scalar when up_to_scalar.
 
     twist is an entrywise map (the identity when None): a Galois action
-    for unitary groups, a quaternion conjugation, a Frobenius.  Rational
-    entries of J are cast once into the ring of M, so the products do not
-    coerce them again."""
+    for unitary groups, a quaternion conjugation, a Frobenius.  A rational
+    J needs no cast: the kernel of M's field takes its Fraction entries."""
     if m.ncols != j.nrows or not m.is_square() or not j.is_square():
         raise ValueError("incompatible dimensions")
-    one = _one_like(m.entries[0][0])
-    jj = j.map_entries(lambda e: e * one if isinstance(e, Fraction) else e)
     mt = m if twist is None else m.map_entries(twist)
-    got = mt.transpose() * jj * m
-    if got == jj:
+    got = mt.transpose() * j * m
+    if got == j:
         return True
     if not up_to_scalar:
         return False
-    pivot = next(((g, e) for grow, jrow in zip(got.entries, jj.entries)
+    pivot = next(((g, e) for grow, jrow in zip(got.entries, j.entries)
                   for g, e in zip(grow, jrow) if e), None)
     if pivot is None:
         raise ValueError("form matrix is zero")
     lam = pivot[0] * _invert(pivot[1])
-    return got == jj.map_entries(lambda e: e * lam)
+    return got == j.map_entries(lambda e: e * lam)
 
 
 def in_group(m: ExactMatrix, n: int, form: Optional[ExactMatrix] = None,
@@ -1024,11 +1040,11 @@ def format_scalar(x: Scalar) -> str:
     if not isinstance(x, FieldElem):
         return str(x)
     parts: list[str] = []
-    rat = x.coeffs[0]
-    if rat:
-        parts.append(str(rat))
+    coeffs = x.coeffs
+    if coeffs[0]:
+        parts.append(str(coeffs[0]))
     for mask in range(1, x.desc.dim):
-        c = x.coeffs[mask]
+        c = coeffs[mask]
         if not c:
             continue
         s, m = square_free_decomposition(x.desc.monomial_radicand(mask))

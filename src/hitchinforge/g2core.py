@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exactnum import ExactMatrix, Scalar, _one_like, in_group
+from .exactnum import ExactMatrix, Scalar, in_group
 from .symrep import j_matrix
 
 J7 = j_matrix(7)
@@ -137,10 +137,9 @@ def in_g2(m: ExactMatrix) -> bool:
     if not in_group(m, 7, J7):
         return False
     cols = [Vec7([m.entries[r][c] for r in range(7)]) for c in range(7)]
-    # the images of the basis cross products, as one product in the ring
-    # of m, so that a matrix over one field runs that field's kernel
-    one = _one_like(m.entries[0][0])
-    images = zip(*(m * _BASIS_CROSS.map_entries(lambda e: e * one)).entries)
+    # the images of the basis cross products, as one product: a matrix
+    # over one field runs that field's kernel on the rational columns
+    images = zip(*(m * _BASIS_CROSS).entries)
     for (i, j), image in zip(_BASIS_PAIRS, images):
         if Vec7(image) != cross7(cols[i - 1], cols[j - 1]):
             return False

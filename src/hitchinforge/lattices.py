@@ -18,6 +18,7 @@ from .exactnum import (
     GaloisAction,
     _invert,
     apply_galois,
+    common_field,
     field,
     in_group,
     preserves_form,
@@ -141,17 +142,11 @@ def _check_quat_entries(m: ExactMatrix, a: int, b: int) -> None:
 
 
 def _quat_block_det_is_one(m: ExactMatrix) -> bool:
+    """det of the 2x2-block embedding, over the field all blocks generate."""
     blocks = [[embed_m2(e) for e in row] for row in m.entries]
-    desc = blocks[0][0].entries[0][0].desc
-    size = m.nrows
-    big = [[None] * (2 * size) for _ in range(2 * size)]
-    for i in range(size):
-        for j in range(size):
-            blk = blocks[i][j].lift(desc)
-            for r in range(2):
-                for c in range(2):
-                    big[2 * i + r][2 * j + c] = blk.entries[r][c]
-    return ExactMatrix(big).det() == 1
+    big = ExactMatrix([[x for blk in row for x in blk.entries[r]]
+                       for row in blocks for r in range(2)])
+    return big.lift(common_field(x for row in big.entries for x in row)).det() == 1
 
 
 def in_sp(m: ExactMatrix, n: int) -> bool:
@@ -313,21 +308,19 @@ def containment_check(a: int, b: int, n: int,
                 f"for (a,b)=({a},{b})")
         patterns = [signs]
     elements = gamma_enumerate(a, b, height)
-    rads = sorted({a_sf, b_sf})
-    desc = field(*rads)
     twists = {
         p: partial(apply_galois, GaloisAction.from_signs(
             {a_sf: p[0], b_sf: p[1]} if a_sf != b_sf else {a_sf: p[0]}))
         for p in patterns
     }
     hmats = {
-        p: hermitian_h(n, a, b, p).lift(desc)
+        p: hermitian_h(n, a, b, p)
         for p in patterns
     }
     failures = []
     checked = 0
     for g in elements:
-        m = tau(n, g.matrix().lift(desc))
+        m = tau(n, g.matrix())
         for p in patterns:
             checked += 1
             if not preserves_form(m, hmats[p], twists[p]):

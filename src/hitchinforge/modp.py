@@ -77,8 +77,6 @@ class FqElem(RingElem):
         return 1 if self.r2 is None else 2
 
     def _coerce(self, other) -> Optional["FqElem"]:
-        if isinstance(other, (int, Fraction)):
-            return FqElem(self.p, _mod_p(other, self.p), 0, self.r2)
         if isinstance(other, FqElem):
             if other.p != self.p:
                 raise ValueError("mixed characteristics")
@@ -87,6 +85,8 @@ class FqElem(RingElem):
             if self.r2 != other.r2 and other.r2 is not None and self.r2 is not None:
                 raise ValueError("mixed quadratic extensions")
             return other
+        if isinstance(other, (int, Fraction)):
+            return FqElem(self.p, _mod_p(other, self.p), 0, self.r2)
         return None
 
     def is_zero(self) -> bool:
@@ -125,17 +125,17 @@ class FqElem(RingElem):
         return FqElem(self.p, self.x, -self.y, self.r2)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            # a rational without a residue mod p equals no element
-            return (self.y == 0 and other.denominator % self.p != 0
-                    and self.x == _mod_p(other, self.p) % self.p)
-        if not isinstance(other, FqElem):
+        if isinstance(other, FqElem):
+            if self.p != other.p:
+                return False
+            if self.y == 0 and other.y == 0:
+                return self.x == other.x
+            return (self.x, self.y, self.r2) == (other.x, other.y, other.r2)
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        if self.p != other.p:
-            return False
-        if self.y == 0 and other.y == 0:
-            return self.x == other.x
-        return (self.x, self.y, self.r2) == (other.x, other.y, other.r2)
+        # a rational without a residue mod p equals no element
+        return (self.y == 0 and other.denominator % self.p != 0
+                and self.x == _mod_p(other, self.p) % self.p)
 
     def __hash__(self) -> int:
         if self.y == 0:

@@ -20,6 +20,7 @@ from .exactnum import (
     ExactMatrix,
     FieldElem,
     GaloisAction,
+    Scalar,
     _kernel,
     galois_matrix,
     field,
@@ -235,39 +236,31 @@ class SoFormResult:
     closed_form_hasse: dict[Place, int]
 
 
-def _averaging_vectors(n: int, case: CaseName, desc) -> list[list[FieldElem]]:
+def _averaging_vectors(n: int, case: CaseName, desc) -> list[list[Scalar]]:
     """The explicit v_i whose averaged images give the congruence basis.
     Indexing is 1-based in the formulas below; k = (n-1)/2."""
     k = (n - 1) // 2
     half = Fraction(1, 2)
     quarter = Fraction(1, 4)
 
-    def elem(mask_value: Fraction = Fraction(0)) -> FieldElem:
-        return FieldElem.from_rational(desc, mask_value)
+    v: dict[int, list[Scalar]] = {}
 
-    def sqrt_of(m: int) -> FieldElem:
-        return FieldElem.sqrt_int(desc, m)
-
-    v: dict[int, list[FieldElem]] = {}
-
-    def put(idx: int, vec: dict[int, FieldElem]) -> None:
+    def put(idx: int, vec: dict[int, Scalar]) -> None:
         if idx in v:
             return  # center index collides with the loop at its boundary
-        col = [elem() for _ in range(n)]
+        col = [Fraction(0)] * n
         for pos, val in vec.items():
             col[pos - 1] = val
         v[idx] = col
 
     a = desc.radicands[0]
-    sa = sqrt_of(a)
+    sa = FieldElem.sqrt_int(desc, a)
     if case == "degree-2":
         if n % 4 == 1:
-            put(k + 1, {k + 1: elem(half)})
+            put(k + 1, {k + 1: half})
             for i in range(1, k // 2 + 1):
-                put(2 * i - 1, {2 * i - 1: elem(half),
-                                2 * k - 2 * i + 3: elem(half)})
-                put(2 * i, {2 * i: elem(half),
-                            2 * k - 2 * i + 2: elem(-half)})
+                put(2 * i - 1, {2 * i - 1: half, 2 * k - 2 * i + 3: half})
+                put(2 * i, {2 * i: half, 2 * k - 2 * i + 2: -half})
                 put(2 * k - 2 * i + 2, {2 * i: sa * half,
                                         2 * k - 2 * i + 2: sa * half})
                 put(2 * k - 2 * i + 3, {2 * i - 1: sa * half,
@@ -275,27 +268,27 @@ def _averaging_vectors(n: int, case: CaseName, desc) -> list[list[FieldElem]]:
         else:
             put(k + 1, {k + 1: sa * half})
             for i in range(1, (k + 1) // 2 + 1):
-                put(2 * i - 1, {2 * i - 1: FieldElem.one(desc)})
-                put(2 * i, {2 * i: FieldElem.one(desc)})
+                put(2 * i - 1, {2 * i - 1: Fraction(1)})
+                put(2 * i, {2 * i: Fraction(1)})
                 put(2 * k - 2 * i + 2, {2 * k - 2 * i + 2: sa})
                 put(2 * k - 2 * i + 3, {2 * k - 2 * i + 3: -sa})
         return [v[i] for i in range(1, n + 1)]
 
     b = desc.radicands[1]
-    sb = sqrt_of(b)
+    sb = FieldElem.sqrt_int(desc, b)
     sab = sa * sb
     if n % 4 == 1:
-        put(k + 1, {k + 1: elem(quarter)})
+        put(k + 1, {k + 1: quarter})
         for i in range(1, k // 2 + 1):
             put(2 * i - 1, {2 * i - 1: sa * half})
             put(2 * i, {2 * i: sb * half})
             put(2 * k - 2 * i + 2, {2 * k - 2 * i + 2: sab * (-half)})
-            put(2 * k - 2 * i + 3, {2 * k - 2 * i + 3: elem(half)})
+            put(2 * k - 2 * i + 3, {2 * k - 2 * i + 3: half})
     else:
         put(k + 1, {k + 1: sa * quarter})
         for i in range(1, (k + 1) // 2 + 1):
             put(2 * i - 1, {2 * i - 1: sb * half})
-            put(2 * i, {2 * i: elem(half)})
+            put(2 * i, {2 * i: half})
             put(2 * k - 2 * i + 2, {2 * k - 2 * i + 2: sa * half})
             put(2 * k - 2 * i + 3, {2 * k - 2 * i + 3: sab * half})
     return [v[i] for i in range(1, n + 1)]
@@ -367,20 +360,18 @@ def so_form_from_cocycle(n: int, a: int, b: int, case: CaseName) -> SoFormResult
         raise ValueError("degree-4 case needs a, b, ab all non-square")
 
     if case == "trivial":
-        desc = field()
-        s_inv = diagonalize_qform(j_matrix(n)).witness.lift(desc)
+        s_inv = diagonalize_qform(j_matrix(n)).witness.lift(field())
     else:
         desc = field(a_sf) if case == "degree-2" else field(a_sf, b_sf)
         # the averaged basis: sum over the Galois group of the weight
         # tau(lifted cocycle) times the Galois image of the v_i
         basis = ExactMatrix(list(zip(*_averaging_vectors(n, case, desc))))
         s_inv = reduce(operator.add, (
-            tau_of_lifted_cocycle(n, signs).lift(desc) * galois_matrix(action, basis)
+            tau_of_lifted_cocycle(n, signs) * galois_matrix(action, basis)
             for signs, action in _galois_group(case, a_sf, b_sf)))
         if not s_inv.det():
             raise AssertionError("averaged vectors are not a basis")
-    J = j_matrix(n).lift(desc)
-    D = s_inv.transpose() * J * s_inv
+    D = s_inv.transpose() * j_matrix(n) * s_inv
     if not D.is_diagonal():
         raise AssertionError("constructed form is not diagonal")
     D_rat = ExactMatrix.diagonal([e.rational_value()

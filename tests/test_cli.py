@@ -276,6 +276,37 @@ def test_bending_matrix_must_be_n_by_n(capsys):
         capsys, ["bend", "--spec", json.dumps(data), "--word", "g1"])
 
 
+# an assignment and a bending matrix over different fields are joined in
+# the field they generate together
+@pytest.mark.parametrize("data, image, violations", [
+    ({"n": 3, "sl2_assignment": {"g1": [["2+sqrt(2)", "0"], ["0", "2-sqrt(2)"]],
+                                 "g2": [["1", "1"], ["0", "1"]]},
+      "b0": {"kind": "SU_split_a", "d": 3, "k": 1}, "curve": {"gamma": "g1"}},
+     [["6+4sqrt(2)", "0", "0"], ["0", "2", "0"], ["0", "0", "6-4sqrt(2)"]],
+     ["assignment of g1 has determinant != 1"]),
+    ({"n": 3, "sl2_assignment": {"g1": [["2+sqrt(3)", "0"], ["0", "2-sqrt(3)"]],
+                                 "g2": [["1", "1"], ["0", "1"]]},
+      "b_matrix": [["1+sqrt(2)", "0", "0"], ["0", "1", "0"], ["0", "0", "-1+sqrt(2)"]],
+      "curve": {"gamma": "g1"}},
+     [["7+4sqrt(3)", "0", "0"], ["0", "1", "0"], ["0", "0", "7-4sqrt(3)"]], []),
+], ids=["b0-over-sqrt3", "b_matrix-over-sqrt2"])
+def test_bending_spec_joins_the_fields_of_assignment_and_matrix(
+        capsys, data, image, violations):
+    code, doc = run_json(capsys, ["bend", "--spec", json.dumps(data),
+                                  "--word", "g1", "--check-relator"])
+    assert code == 0
+    assert doc["image"] == image
+    assert doc["invariant_violations"] == violations
+
+
+def test_lifting_into_a_field_without_the_radicand_names_both(capsys):
+    assert run(["lattice-check", "--kind", "SU_sqrt_d", "--d", "3", "--n", "2",
+                "--matrix", '[["sqrt(2)-sqrt(2)+1","0"],["0","1"]]']) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: Q(sqrt(2)) is not a subfield of Q(sqrt(3))\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["trace-set", "--family", "SL", "--n", "2", "--p", "3",
      "--mode", "words", "--length", "-1"],

@@ -25,10 +25,13 @@ from hitchinforge.exactnum import (
     fundamental_unit,
     in_group,
 )
+from hitchinforge import symrep
+from hitchinforge.exactnum import preserves_form
 from hitchinforge.g2core import _BASIS_PAIRS, J7, Vec7, cross7, in_g2
+from hitchinforge.lattices import containment_check
 from hitchinforge.modp import FqElem
 from hitchinforge.quatalg import QuatAlgebra
-from hitchinforge.symrep import tau
+from hitchinforge.symrep import j_matrix, so_form_from_cocycle, tau
 
 RINGS = {"Q": field(), "Q(sqrt3)": field(3), "Q(sqrt2,sqrt3)": field(2, 3)}
 
@@ -131,17 +134,114 @@ def test_a_product_builds_one_field_element_per_entry(monkeypatch):
     assert product.entries == tuple(map(tuple, generic(m.entries, list(zip(*m.entries)))))
 
 
-def test_mixed_fraction_and_field_matrix_takes_the_generic_loop():
+def test_mixed_fraction_and_field_matrix_takes_the_field_kernel():
     s3 = FieldElem.sqrt_int(field(3), 3)
     m = ExactMatrix([[1, s3], [Fraction(1, 2), 3]])
     cols = list(zip(*m.entries))
-    assert isinstance(_kernel((*m.entries, *cols)), _Loop)
+    kernel = _kernel((*m.entries, *cols))
+    assert isinstance(kernel, _Fused) and kernel.desc is field(3)
     got = (m * m).entries
     assert got == tuple(map(tuple, generic(m.entries, cols)))
-    # the generic loop keeps the ring of each term: Fraction * Fraction
-    # stays a Fraction, anything with a field element is a field element
-    assert [type(x) for row in got for x in row] == [
-        FieldElem, FieldElem, Fraction, FieldElem]
+    # a product that mixes Fractions with one field's elements is a matrix
+    # over that field, even where every term was rational
+    assert all(type(x) is FieldElem and x.desc is field(3) for row in got for x in row)
+
+
+FIELDS = ["Q(sqrt3)", "Q(sqrt2,sqrt3)"]
+
+
+@pytest.mark.parametrize("order", ["rational x field", "field x rational"])
+@pytest.mark.parametrize("name", FIELDS)
+def test_rational_and_field_product_takes_the_field_kernel(name, order):
+    desc = RINGS[name]
+    q = field()
+
+    def pair(s):
+        first, second = (q, desc) if order == "rational x field" else (desc, q)
+        return st.tuples(matrices(first, s[0], s[1]), matrices(second, s[1], s[2]))
+
+    @given(shapes().flatmap(pair))
+    def check(ab):
+        a, b = ab
+        cols = list(zip(*b))
+        kernel = _kernel((*a, *cols))
+        assert isinstance(kernel, _Fused) and kernel.desc is desc
+        got = _products(a, cols)
+        assert got == generic(a, cols)
+        for x in sum(got, []):
+            assert type(x) is FieldElem and x.desc is desc
+            assert_canonical(x)
+        assert (ExactMatrix(a) * ExactMatrix(b)).entries == tuple(map(tuple, got))
+    check()
+
+
+@pytest.mark.parametrize("name", FIELDS)
+def test_tau_of_mixed_input_takes_the_field_kernel(name):
+    desc = RINGS[name]
+
+    @given(st.lists(st.one_of(scalars(desc), COEFFS), min_size=4, max_size=4),
+           st.integers(1, 7))
+    def check(abcd, n):
+        m = ExactMatrix([abcd[:2], abcd[2:]])
+        if not m.det() or all(type(x) is Fraction for x in abcd):
+            return
+        kernel = _kernel(m.entries)
+        assert isinstance(kernel, _Fused) and kernel.desc is desc
+        got = tau(n, m)
+        assert got == reference_tau(n, m)
+        for x in sum(got.entries, ()):
+            assert type(x) is FieldElem and x.desc is desc
+            assert_canonical(x)
+    check()
+
+
+def test_other_mixes_keep_the_generic_loop():
+    half, one = Fraction(1, 2), Fraction(1)
+    s2, s3 = FieldElem.sqrt_int(field(2), 2), FieldElem.sqrt_int(field(3), 3)
+    own = FieldElem(FieldDescriptor((3,)), [1, 1])
+    f5 = FqElem(5, 2)
+    # Fractions with an FqElem, with two descriptors, with a descriptor
+    # that is not interned; each from either end of the scan
+    for vectors in [((half, f5), (f5, one)), ((f5, half), (one, f5)),
+                    ((half, s2), (s3, one)), ((s2, s3), (half, one)), ((s3, half), (one, s2)),
+                    ((half, own), (own, one)), ((own, half), (one, own))]:
+        assert isinstance(_kernel(vectors), _Loop), vectors
+        assert isinstance(_kernel([(half, one), *vectors]), _Loop), vectors
+    assert isinstance(_kernel([(half, s3), (s3, one)]), _Fused)
+    # Fractions and an F_5 element multiply in F_5, through the loop
+    a = ExactMatrix([[half, f5], [f5, 3]])
+    assert (a * a).entries == tuple(map(tuple, generic(a.entries, list(zip(*a.entries)))))
+
+
+def recorded_kernels(monkeypatch):
+    """The kind of every kernel picked from now on, by ExactMatrix products
+    and by tau."""
+    kinds = []
+
+    def recording(vectors):
+        kernel = _kernel(vectors)
+        kinds.append(type(kernel))
+        return kernel
+
+    monkeypatch.setattr(exactnum, "_kernel", recording)
+    monkeypatch.setattr(symrep, "_kernel", recording)
+    return kinds
+
+
+@pytest.mark.parametrize("call", [
+    "preserves_form", "containment_check", "so_form degree-2", "so_form degree-4"])
+def test_rational_data_meets_a_field_on_its_kernel(monkeypatch, call):
+    s3 = FieldElem.sqrt_int(field(3), 3)
+    m = ExactMatrix([[2 + s3, 1], [0, 2 - s3]])
+    run = {
+        "preserves_form": lambda: preserves_form(tau(5, m), j_matrix(5)),
+        "containment_check": lambda: containment_check(3, 3, 5, height=1).all_passed,
+        "so_form degree-2": lambda: so_form_from_cocycle(5, 3, 1, "degree-2"),
+        "so_form degree-4": lambda: so_form_from_cocycle(5, 2, 3, "degree-4"),
+    }[call]
+    kinds = recorded_kernels(monkeypatch)
+    assert run()
+    assert kinds and set(kinds) == {_Fused}
 
 
 def test_equal_but_distinct_descriptor_takes_the_generic_loop():
@@ -254,8 +354,10 @@ def test_tau_matches_the_ring_expansion(name):
             return
         got, want = tau(n, m), reference_tau(n, m)
         assert got == want
-        for x, y in zip(sum(got.entries, ()), sum(want.entries, ())):
-            assert type(x) is type(y)
+        # any field element among the inputs makes every entry one of its field
+        ring = FieldElem if any(isinstance(x, FieldElem) for x in abcd) else Fraction
+        for x in sum(got.entries, ()):
+            assert type(x) is ring and (ring is Fraction or x.desc is desc)
             assert_canonical(x)
     check()
 

@@ -140,6 +140,14 @@ def test_in_sl_quat():
         in_sl_quat(m, 2, 3, 5)
 
 
+def test_in_sl_quat_joins_the_fields_of_all_blocks():
+    # the blocks of alg(0) lie in Q(sqrt2, sqrt5), those of q also need sqrt3
+    alg = QuatAlgebra(2, 5)
+    q = alg(fundamental_unit(3).value)
+    assert in_sl_quat(ExactMatrix([[alg(0), q], [q.inverse(), alg(0)]]), 2, 2, 5)
+    assert not in_sl_quat(ExactMatrix([[alg(1), alg(0)], [alg(0), q]]), 2, 2, 5)
+
+
 def test_lattice_spec_dispatch():
     spec = LatticeSpec(kind="SU_sqrt_d", n=5, d=3)
     assert spec.contains(ExactMatrix.identity(5))

@@ -74,6 +74,13 @@ def test_fq_equals_rationals_through_their_residue():
     assert ident == ExactMatrix.identity(2) and ExactMatrix.identity(2) == ident
 
 
+def test_fq_elements_compare_within_one_field():
+    assert FqElem(5, 1) != FqElem(7, 1) and FqElem(7, 1) != FqElem(5, 1)
+    assert FqElem(5, 2) == FqElem(5, 2, 0, 3) and FqElem(5, 2, 1, 3) != FqElem(5, 2, 1, 2)
+    with pytest.raises(ValueError, match="mixed characteristics"):
+        FqElem(5, 1) + FqElem(7, 1)
+
+
 @pytest.mark.parametrize("p, r2", [(7, None), (5, 2), (7, 3)])
 def test_fq_norm_is_x_times_frobenius(p, r2):
     for x in range(p):
