@@ -484,7 +484,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (UsageError, ValueError, KeyError, ZeroDivisionError, FileNotFoundError) as e:
+    except (UsageError, ValueError, KeyError, ZeroDivisionError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except AssertionError as e:

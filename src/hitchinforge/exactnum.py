@@ -12,11 +12,12 @@ plan, the monomial pairs with the radicand factor their product picks up,
 and `field` interns descriptors, so equal fields are one object.  An
 inverse descends the tower in closed form, one element per level.
 
-Matrix products pick one dot-product kernel from a scan of both operands:
-over Q and over one field a vector is split once into integer numerators
-over one denominator, and each output entry is integer sums and one
-scalar, and a Fraction meeting one field's elements is read as an element
-of that field there; every other ring and mix runs the generic loop `_dot`.
+Matrix products pick one dot-product kernel in one pass over both
+operands: over Q and over one field (the descriptor's own `kernel`) a
+vector is split once into integer numerators over one denominator, and
+each output entry is integer sums and one scalar, and a Fraction meeting
+one field's elements is read as an element of that field there; every
+other ring and mix runs the generic loop `_dot`.
 """
 
 from __future__ import annotations
@@ -130,6 +131,11 @@ class FieldDescriptor:
         return tuple((s, t, s ^ t, self.monomial_radicand(s & t))
                      for s in range(self.dim) for t in range(self.dim))
 
+    @cached_property
+    def kernel(self) -> "_Fused":
+        """The fused dot-product kernel of this field, built once."""
+        return _Fused(self)
+
     def __str__(self) -> str:
         roots = ", ".join(f"sqrt({r})" for r in self.radicands)
         return f"Q({roots})" if roots else "Q"
@@ -148,7 +154,7 @@ _FIELDS: dict[tuple[int, ...], FieldDescriptor] = {}
 def field(*radicands: int) -> FieldDescriptor:
     """Descriptor for Q(sqrt(r), ...), normalizing radicands to square-free
     form and dropping squares.  Descriptors are interned: equal fields give
-    the same object, so the identity tests of the field kernels hit."""
+    the same object, and so one kernel."""
     rads = tuple(sorted({square_free_part(r) for r in radicands} - {1}))
     desc = _FIELDS.get(rads)
     if desc is None:
@@ -328,7 +334,7 @@ class FieldElem(RingElem):
                 nums = [0] * desc.dim
                 nums[mask] = s
                 return cls(desc, nums, isqrt(prod // m))
-        raise ValueError(f"sqrt({n}) does not lie in Q{desc.radicands}")
+        raise ValueError(f"sqrt({n}) does not lie in {desc}")
 
     # -- ring operations ----------------------------------------------
 
@@ -815,12 +821,12 @@ def _echelon(rows: list[list], ncols: int) -> tuple[list[int], int]:
 
 # -- dot products ----------------------------------------------------------
 #
-# Every dot product picks its kernel once, from a scan of all the entries
-# it will see (_kernel).  A kernel splits a vector once into coordinates
-# over one denominator: (den, one list per coordinate).  Over Q (every
-# entry a Fraction) and over one multiquadratic field (a FieldElem of one
-# descriptor, or also a Fraction, the element with only a constant
-# coordinate, if the descriptor is interned) the coordinates are the
+# Every dot product picks its kernel once, in one pass over all the
+# entries it will see (_kernel).  A kernel splits a vector once into
+# coordinates over one denominator: (den, one list per coordinate).  Over
+# Q (every entry a Fraction) and over one multiquadratic field (FieldElems
+# of one descriptor, and Fractions, the elements with only a constant
+# coordinate; the descriptor holds its kernel) the coordinates are the
 # integer numerators over the lcm of the denominators, one list per
 # monomial, and a dot product of two split vectors is one integer sum per
 # plan entry and one scalar, whose constructor takes the only gcd (Cohen,
@@ -855,7 +861,8 @@ def _split_field(zeros: tuple, vec: Sequence) -> tuple[int, list[tuple[int, ...]
 
 class _Fused:
     """The fused kernel of Q (desc is field(), entries are Fractions) or, by
-    default, of one field (entries are FieldElems of desc and Fractions).
+    default, of one field (entries are FieldElems of desc and Fractions;
+    built once per descriptor, as `desc.kernel`).
     `unit` and `times` are the one and the product on integer coordinates,
     so callers can build integral vectors without building scalars;
     `build(nums, den)` makes the one scalar of a result."""
@@ -910,28 +917,16 @@ _RATIONALS = _Fused(field(), _split_rationals, lambda nums, den: Fraction(nums[0
 
 
 def _kernel(vectors: Sequence[Sequence]) -> Union[_Fused, _Loop]:
-    """The kernel of the entries of `vectors`: Q's if all are Fractions, one
-    field's if all are its FieldElems or Fractions, else the generic loop."""
-    it = chain.from_iterable(vectors)
-    first = next(it)
-    kind = type(first)
-    desc = first.desc if kind is FieldElem else None
-    if kind is Fraction:
-        if all(type(x) is Fraction for x in it):
-            return _RATIONALS
-    elif kind is not FieldElem:
-        return _Loop(first)
-    elif all(type(x) is FieldElem and x.desc is desc for x in it):
-        return _Fused(desc)
-    # a mix, scanned again: Fractions and the elements of one interned field
+    """The kernel of the entries of `vectors`, from one pass: Q's if all
+    are Fractions, a field's if the rest are FieldElems of its one
+    descriptor, else the generic loop."""
+    desc = None
     for x in chain.from_iterable(vectors):
-        if type(x) is FieldElem:
-            desc = desc or x.desc
-            if x.desc is not desc:
-                return _Loop(first)
-        elif type(x) is not Fraction:
-            return _Loop(first)
-    return _Fused(desc) if _FIELDS.get(desc.radicands) is desc else _Loop(first)
+        if type(x) is not Fraction:  # first: all-Fraction input is the common case
+            if type(x) is not FieldElem or (x.desc is not desc and desc is not None):
+                return _Loop(next(chain.from_iterable(vectors)))
+            desc = x.desc
+    return _RATIONALS if desc is None else desc.kernel
 
 
 def _products(rows: Sequence[Sequence], cols: Sequence[Sequence]) -> list[list]:

@@ -72,8 +72,7 @@ def in_su_sqrt_d(m: ExactMatrix, n: int, d: int) -> bool:
     for row in m.entries:
         for e in row:
             if isinstance(e, FieldElem) and e.desc != desc and not e.is_rational():
-                if any(r != d for r in e.desc.radicands):
-                    raise ValueError(f"entry {e} is not in Q(sqrt({d}))")
+                raise ValueError(f"entry {e} is not in Q(sqrt({d}))")
     mm = m.lift(desc)
     sigma = GaloisAction.flipping(d)
     return is_integral_matrix(mm) and in_group(

@@ -189,7 +189,7 @@ def reduce_scalar(x: Union[int, Fraction, FieldElem],
     if isinstance(x, FieldElem):
         rads = x.desc.radicands
         if len(rads) > 1 or (rads and rads[0] != ctx.d):
-            raise ValueError(f"element lies in Q{rads}, context is for sqrt({ctx.d})")
+            raise ValueError(f"element lies in {x.desc}, context is for sqrt({ctx.d})")
         den_inv = _mod_p(Fraction(1, x.den), p)
         a = x.nums[0] * den_inv
         b = x.nums[1] * den_inv if len(x.nums) > 1 else 0

@@ -215,7 +215,6 @@ def diagonalize_qform(S: ExactMatrix) -> Diagonalization:
                 i, j = pair
                 if i != k:
                     swap(k, i)
-                    j = k if j == k else j
                 add_col(k, j, Fraction(1))
         pv = a[k][k]
         for j in range(k + 1, n):

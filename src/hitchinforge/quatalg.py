@@ -21,6 +21,7 @@ from .exactnum import (
     common_field,
     field,
     lift,
+    square_free_decomposition,
     square_free_part,
 )
 from .qforms import Place, hasse_scan_places, hilbert_symbol
@@ -245,8 +246,11 @@ class GammaElement:
                 + a * b * self.x3 ** 2)
 
     def quaternion(self) -> QuatElem:
+        """The element of QuatAlgebra(a, b), which keeps only the square-free
+        parts: with a = s^2 a' and b = t^2 b', i maps to s*i' and j to t*j'."""
+        s, t = (square_free_decomposition(x)[0] for x in (self.a, self.b))
         return QuatElem(QuatAlgebra(self.a, self.b),
-                        self.x0, self.x1, self.x2, self.x3)
+                        self.x0, s * self.x1, t * self.x2, s * t * self.x3)
 
     def matrix(self) -> ExactMatrix:
         return embed_m2(self.quaternion())

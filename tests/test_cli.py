@@ -174,6 +174,13 @@ def test_reduce_modp(capsys):
     assert doc["mode"] == "inert" and doc["value"] == "2+1r"
 
 
+def test_reduce_modp_names_the_foreign_field(capsys):
+    assert run(["reduce-modp", "--p", "11", "--d", "3", "--value", "sqrt(2)"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: element lies in Q(sqrt(2)), context is for sqrt(3)\n"
+
+
 def test_trace_set(capsys):
     code, doc = run_json(capsys, ["trace-set", "--family", "SL",
                                   "--n", "2", "--p", "3"])
@@ -237,6 +244,15 @@ def _assert_one_line_usage_error(capsys, argv):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["bend", "--spec", "{dir}", "--word", "g1"],
+    ["certify-density", "--spec", "{dir}", "--target", "SLn"],
+    ["pell", "--d", "3", "--output", "{dir}"],
+], ids=["bend-spec", "certify-density-spec", "pell-output"])
+def test_a_directory_for_a_file_is_one_line_usage_error(capsys, tmp_path, argv):
+    _assert_one_line_usage_error(capsys, [a.format(dir=tmp_path) for a in argv])
 
 
 def test_matrix_rows_must_be_arrays(capsys):

@@ -200,13 +200,16 @@ def test_other_mixes_keep_the_generic_loop():
     s2, s3 = FieldElem.sqrt_int(field(2), 2), FieldElem.sqrt_int(field(3), 3)
     own = FieldElem(FieldDescriptor((3,)), [1, 1])
     f5 = FqElem(5, 2)
-    # Fractions with an FqElem, with two descriptors, with a descriptor
-    # that is not interned; each from either end of the scan
+    # Fractions with an FqElem, with two descriptors; each from either end
+    # of the scan
     for vectors in [((half, f5), (f5, one)), ((f5, half), (one, f5)),
-                    ((half, s2), (s3, one)), ((s2, s3), (half, one)), ((s3, half), (one, s2)),
-                    ((half, own), (own, one)), ((own, half), (one, own))]:
+                    ((half, s2), (s3, one)), ((s2, s3), (half, one)), ((s3, half), (one, s2))]:
         assert isinstance(_kernel(vectors), _Loop), vectors
         assert isinstance(_kernel([(half, one), *vectors]), _Loop), vectors
+    # Fractions with a descriptor that is not interned take its own kernel
+    for vectors in [((half, own), (own, one)), ((own, half), (one, own))]:
+        assert _kernel(vectors) is own.desc.kernel, vectors
+        assert _kernel([(half, one), *vectors]) is own.desc.kernel, vectors
     assert isinstance(_kernel([(half, s3), (s3, one)]), _Fused)
     # Fractions and an F_5 element multiply in F_5, through the loop
     a = ExactMatrix([[half, f5], [f5, 3]])
@@ -303,6 +306,34 @@ def test_g2_basis_images_take_the_kernel_of_the_matrix_ring(monkeypatch):
         kinds.clear()
         assert in_g2(m) == reference_in_g2(m) == (m in members)
         assert kinds and set(kinds) == {_Fused}
+
+
+def test_a_field_builds_its_kernel_once():
+    s3 = FieldElem.sqrt_int(field(3), 3)
+    a = ExactMatrix([[2 + s3, 1], [Fraction(1, 2), 2 - s3]])
+    b = ExactMatrix([[s3, 0], [1, s3]])
+    kernels = [_kernel((*x.entries, *zip(*y.entries))) for x, y in [(a, b), (b, a * b)]]
+    assert kernels[0] is kernels[1] is field(3).kernel
+    assert _kernel(tau(5, a).entries) is field(3).kernel
+
+
+def test_tau_and_products_build_no_kernel(monkeypatch):
+    s3 = FieldElem.sqrt_int(field(3), 3)
+    m = ExactMatrix([[2 + s3, 1], [Fraction(1, 3), 2 - s3]])
+    q = ExactMatrix([[2, 1], [Fraction(1, 3), 5]])
+    tau(4, m), tau(4, q)  # every kernel they need is built by now
+    built = []
+    init = _Fused.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(_Fused, "__init__", counting)
+    tau(5, m), tau(5, q)
+    _products(m.entries, list(zip(*m.entries)))
+    _products(q.entries, list(zip(*q.entries)))
+    assert built == []
 
 
 def test_field_descriptors_are_interned():

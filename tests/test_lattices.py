@@ -172,6 +172,10 @@ def test_containment_check_passes():
     assert report.total == 2 * 66
 
 
+def test_containment_with_non_square_free_a_b_passes():
+    assert containment_check(2, 8, 3, height=1).all_passed
+
+
 def test_containment_identity_element():
     report = containment_check(3, 3, 3, height=0)
     assert report.all_passed and report.total == 4

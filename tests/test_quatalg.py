@@ -134,6 +134,13 @@ def test_gamma_element_validation():
         GammaElement(3, 3, 2, 1, 1, 0)
 
 
+@pytest.mark.parametrize("quintuple", [(2, 8, 3, 0, 1, 0), (12, 5, -3, -2, -2, -1)])
+def test_gamma_element_of_non_square_free_a_b_has_norm_one(quintuple):
+    # (2, 8) is the algebra (2, 2) with j scaled by 2, and (12, 5) is (3, 5)
+    # with i scaled by 2; the element maps through that isomorphism
+    assert GammaElement(*quintuple).matrix().det() == 1
+
+
 def test_gamma_enumerate_examples():
     quads = [g.quadruple() for g in gamma_enumerate(3, 3, 0)]
     assert quads == [(-1, 0, 0, 0), (1, 0, 0, 0)]
