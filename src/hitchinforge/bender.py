@@ -44,11 +44,12 @@ class B0Kind(enum.Enum):
     SP = "Sp"
 
     @classmethod
+    def _missing_(cls, value):
+        raise ValueError(f"unknown bending family {value!r}")
+
+    @classmethod
     def from_name(cls, name: str) -> "B0Kind":
-        for kind in cls:
-            if kind.value == name:
-                return kind
-        raise ValueError(f"unknown bending family {name!r}")
+        return cls(name)
 
 
 def _unit_data(unit: FieldElem) -> tuple[int, FieldElem, int]:
@@ -69,8 +70,7 @@ def b0_family(kind: Union[B0Kind, str], n: int, unit: FieldElem,
     built from a fundamental unit.  The output is verified to pass the
     membership predicate of its target lattice, determinant one included;
     construction fails hard otherwise."""
-    if isinstance(kind, str):
-        kind = B0Kind.from_name(kind)
+    kind = B0Kind(kind)
     rad, conj, _ = _unit_data(unit)
     one = FieldElem.one(unit.desc)
     u2, u4 = unit ** 2, unit ** 4
@@ -137,8 +137,7 @@ def b0_breaking_profile(kind: Union[B0Kind, str], b: ExactMatrix,
                         n: int) -> dict[str, bool]:
     """The membership/breaking pattern asserted for each family: which of
     the possible closed subgroups the matrix stays in and which it leaves."""
-    if isinstance(kind, str):
-        B0Kind.from_name(kind)
+    B0Kind(kind)
     return _closure_profile(b, n)
 
 
@@ -302,7 +301,7 @@ def evaluate_word(assignment: Mapping[str, ExactMatrix],
     result: Optional[ExactMatrix] = None
     for name, exp in word:
         if name not in assignment:
-            raise KeyError(f"word uses unknown generator {name!r}")
+            raise ValueError(f"word uses unknown generator {name!r}")
         m = assignment[name] ** exp
         result = m if result is None else result * m
     if result is None:

@@ -231,6 +231,16 @@ def _cmd_g2_check(args) -> int:
     }, 0 if member else 1)
 
 
+def _spec_int(value, name: str, low: Optional[int] = None) -> int:
+    """A bending-spec field that must be a JSON integer (not a bool), and
+    at least `low` when one is given."""
+    if (not isinstance(value, int) or isinstance(value, bool)
+            or (low is not None and value < low)):
+        bound = f" >= {low}" if low is not None else ""
+        raise UsageError(f"bending spec {name!r} must be an integer{bound}")
+    return value
+
+
 def _load_bending_spec(text: str) -> BendingSpec:
     try:
         data = json.loads(text)
@@ -244,9 +254,7 @@ def _load_bending_spec(text: str) -> BendingSpec:
             raise UsageError(f"bending spec has no {key!r}")
     if "b0" not in data and "b_matrix" not in data:
         raise UsageError("bending spec has neither 'b0' nor 'b_matrix'")
-    n = data["n"]
-    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
-        raise UsageError("bending spec 'n' must be an integer >= 2")
+    n = _spec_int(data["n"], "n", 2)
     if not isinstance(data["sl2_assignment"], dict) or not data["sl2_assignment"]:
         raise UsageError("bending spec 'sl2_assignment' must be a nonempty object")
     for key in ("b0", "curve"):
@@ -256,8 +264,8 @@ def _load_bending_spec(text: str) -> BendingSpec:
            for name, rows in data["sl2_assignment"].items()}
     if "b0" in data:
         spec_b = data["b0"]
-        unit = fundamental_unit(spec_b.get("d", 3)).value
-        b = b0_family(spec_b["kind"], n, unit, spec_b.get("k", 1))
+        unit = fundamental_unit(_spec_int(spec_b.get("d", 3), "b0.d")).value
+        b = b0_family(spec_b["kind"], n, unit, _spec_int(spec_b.get("k", 1), "b0.k"))
     else:
         b = _load_matrix(json.dumps(data["b_matrix"]))
     if b.nrows != n or b.ncols != n:
@@ -272,9 +280,12 @@ def _load_bending_spec(text: str) -> BendingSpec:
     curve_data = data.get("curve", {"kind": "free"})
     kind = curve_data.get("kind", "free")
     presentation = None
-    if data.get("mode", "free") == "presentation":
-        presentation = SurfacePresentation(data.get("genus", 2))
-        curve = CurveSpec(kind, h=curve_data.get("h", 1),
+    mode = data.get("mode", "free")
+    if mode not in ("free", "presentation"):
+        raise UsageError("bending spec 'mode' must be 'free' or 'presentation'")
+    if mode == "presentation":
+        presentation = SurfacePresentation(_spec_int(data.get("genus", 2), "genus"))
+        curve = CurveSpec(kind, h=_spec_int(curve_data.get("h", 1), "curve.h"),
                           stable=curve_data.get("stable", "s"))
     else:
         curve = CurveSpec("free", gamma_name=curve_data.get("gamma"))

@@ -386,14 +386,14 @@ class FieldElem(RingElem):
         return Fraction(self.nums[0], self.den)
 
     def extend(self, desc: FieldDescriptor) -> "FieldElem":
-        """Reinterpret in a larger field containing all current radicands."""
-        if not set(self.desc.radicands) <= set(desc.radicands):
-            raise ValueError(f"{self.desc} is not a subfield of {desc}")
-        bits = [1 << desc.radicands.index(r) for r in self.desc.radicands]
-        out = [0] * desc.dim
+        """The same value in the field desc, placed by value: each nonzero
+        monomial sqrt(r) goes to `sqrt_int(desc, r)`, so desc must contain
+        the value, not the radicands it is stored over."""
+        out = FieldElem.zero(desc)
         for mask, c in enumerate(self.nums):
-            out[sum(b for i, b in enumerate(bits) if mask >> i & 1)] = c
-        return FieldElem(desc, out, self.den)
+            if c:
+                out += c * FieldElem.sqrt_int(desc, self.desc.monomial_radicand(mask))
+        return out * Fraction(1, self.den)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -579,8 +579,8 @@ def fundamental_unit(d: int) -> FundamentalUnit:
 
 
 def lift(x: Scalar, desc: FieldDescriptor) -> FieldElem:
-    """x as an element of the field desc: rationals embed, elements of a
-    subfield extend."""
+    """x as an element of the field desc: rationals embed, and a field
+    element keeps its value (see `FieldElem.extend`)."""
     if isinstance(x, FieldElem):
         return x if x.desc == desc else x.extend(desc)
     if isinstance(x, (int, Fraction)):

@@ -65,14 +65,10 @@ def in_su_sqrt_d(m: ExactMatrix, n: int, d: int) -> bool:
     d = square_free_part(d)
     if d <= 1:
         raise ValueError("d must be a positive non-square")
-    # a wrong shape answers False before the entries' field is checked
+    # a wrong shape answers False before the entries are lifted
     if m.nrows != n or m.ncols != n:
         return False
     desc = field(d)
-    for row in m.entries:
-        for e in row:
-            if isinstance(e, FieldElem) and e.desc != desc and not e.is_rational():
-                raise ValueError(f"entry {e} is not in Q(sqrt({d}))")
     mm = m.lift(desc)
     sigma = GaloisAction.flipping(d)
     return is_integral_matrix(mm) and in_group(

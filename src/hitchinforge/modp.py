@@ -21,7 +21,9 @@ from .exactnum import (
     FieldElem,
     RingElem,
     _is_prime,
+    field,
     in_group,
+    lift,
     preserves_form,
     square_free_part,
 )
@@ -181,18 +183,15 @@ class ReductionContext:
 
 def reduce_scalar(x: Union[int, Fraction, FieldElem],
                   ctx: ReductionContext) -> FqElem:
-    """Ring homomorphism onto the residue ring; denominators must be
-    invertible mod p."""
+    """Ring homomorphism onto the residue ring of Z[sqrt(d)], on values
+    lifted into Q(sqrt(d)); denominators must be invertible mod p."""
     p = ctx.p
     if isinstance(x, (int, Fraction)):
         return FqElem(p, _mod_p(x, p))
     if isinstance(x, FieldElem):
-        rads = x.desc.radicands
-        if len(rads) > 1 or (rads and rads[0] != ctx.d):
-            raise ValueError(f"element lies in {x.desc}, context is for sqrt({ctx.d})")
+        x = lift(x, field(ctx.d))
         den_inv = _mod_p(Fraction(1, x.den), p)
-        a = x.nums[0] * den_inv
-        b = x.nums[1] * den_inv if len(x.nums) > 1 else 0
+        a, b = (c * den_inv for c in x.nums)
         if ctx.mode == "split":
             return FqElem(p, a + b * ctx.root)
         return FqElem(p, a, b, ctx.d % p)

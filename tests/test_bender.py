@@ -59,6 +59,21 @@ def test_b0_family_membership_and_breaking(name, n):
         assert profile == expected, (name, k, profile)
 
 
+@pytest.mark.parametrize("kind", [5, None, ["SU_split_a"], "SU_split"],
+                         ids=["int", "none", "list", "typo"])
+def test_unknown_bending_kind_is_named(kind):
+    b = b0_family("SU_split_a", 5, OM)
+    for call in (lambda: b0_family(kind, 5, OM), lambda: b0_breaking_profile(kind, b, 5)):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == f"unknown bending family {kind!r}"
+
+
+def test_bending_kind_by_member_or_value():
+    assert b0_family(B0Kind.SP, 4, OM) == b0_family("Sp", 4, OM)
+    assert B0Kind.from_name("Sp") is B0Kind("Sp") is B0Kind(B0Kind.SP) is B0Kind.SP
+
+
 def test_b0_family_dimension_validation():
     with pytest.raises(ValueError):
         b0_family("SO_odd", 3, OM)       # would be a geometric progression

@@ -174,11 +174,25 @@ def test_reduce_modp(capsys):
     assert doc["mode"] == "inert" and doc["value"] == "2+1r"
 
 
+# values stored over Q(sqrt2, sqrt3) reduce like the same values over Q(sqrt3)
+@pytest.mark.parametrize("option, joined, plain", [
+    ("--value", "2+sqrt(3)+sqrt(2)-sqrt(2)", "2+sqrt(3)"),
+    ("--matrix", '[["2+sqrt(3)","sqrt(2)-sqrt(2)"],["1","2-sqrt(3)"]]',
+     '[["2+sqrt(3)","0"],["1","2-sqrt(3)"]]'),
+], ids=["value", "matrix"])
+@pytest.mark.parametrize("p", ["5", "11"])
+def test_reduce_modp_goes_by_value(capsys, option, joined, plain, p):
+    argv = ["reduce-modp", "--p", p, "--d", "3", option]
+    code, doc = run_json(capsys, [*argv, joined])
+    assert code == 0
+    assert (code, doc) == run_json(capsys, [*argv, plain])
+
+
 def test_reduce_modp_names_the_foreign_field(capsys):
     assert run(["reduce-modp", "--p", "11", "--d", "3", "--value", "sqrt(2)"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: element lies in Q(sqrt(2)), context is for sqrt(3)\n"
+    assert captured.err == "error: sqrt(2) does not lie in Q(sqrt(3))\n"
 
 
 def test_trace_set(capsys):
@@ -274,6 +288,50 @@ def test_bending_spec_field_types(capsys, command, key, value):
         capsys, [command, "--spec", json.dumps(data), *extra])
 
 
+@pytest.mark.parametrize("kind", [5, None, ["SU_split_a"]],
+                         ids=["int", "none", "list"])
+def test_bending_spec_unknown_kind_is_usage_error(capsys, kind):
+    data = json.loads(FREE_SPEC)
+    data["n"] = 4           # an unlooked-up kind used to build the Sp family
+    data["b0"]["kind"] = kind
+    assert run(["bend", "--spec", json.dumps(data), "--word", "g1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: unknown bending family {kind!r}"]
+
+
+@pytest.mark.parametrize("spec, path, value", [
+    (FREE_SPEC, ("b0", "k"), 1.5),
+    (FREE_SPEC, ("b0", "k"), True),
+    (FREE_SPEC, ("b0", "d"), "x"),
+    (GENUS2_SPEC, ("genus",), 2.5),
+    (GENUS2_SPEC, ("curve", "h"), "x"),
+], ids=["float-k", "bool-k", "string-d", "float-genus", "string-h"])
+def test_bending_spec_integer_fields(capsys, spec, path, value):
+    data = json.loads(spec)
+    *parents, key = path
+    target = data
+    for parent in parents:
+        target = target[parent]
+    target[key] = value
+    _assert_one_line_usage_error(
+        capsys, ["bend", "--spec", json.dumps(data), "--check-relator"])
+
+
+def test_bending_spec_mode_must_be_known(capsys):
+    data = json.loads(FREE_SPEC)
+    data["mode"] = "presentaton"
+    _assert_one_line_usage_error(
+        capsys, ["bend", "--spec", json.dumps(data), "--check-relator"])
+
+
+def test_unknown_generator_is_one_clean_line(capsys):
+    assert run(["bend", "--spec", FREE_SPEC, "--word", "g1 g3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: word uses unknown generator 'g3'\n"
+
+
 @pytest.mark.parametrize("key", ["b0", "curve"])
 def test_bending_spec_b0_and_curve_must_be_objects(capsys, key):
     data = {"n": 3, "sl2_assignment": {"g1": [["1", "1"], ["0", "1"]]},
@@ -315,12 +373,16 @@ def test_bending_spec_joins_the_fields_of_assignment_and_matrix(
     assert doc["invariant_violations"] == violations
 
 
-def test_lifting_into_a_field_without_the_radicand_names_both(capsys):
-    assert run(["lattice-check", "--kind", "SU_sqrt_d", "--d", "3", "--n", "2",
-                "--matrix", '[["sqrt(2)-sqrt(2)+1","0"],["0","1"]]']) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: Q(sqrt(2)) is not a subfield of Q(sqrt(3))\n"
+# entries joined into Q(sqrt2, sqrt3) whose values lie in Q(sqrt3) are
+# members by value
+@pytest.mark.parametrize("matrix", [
+    [["sqrt(2)-sqrt(2)+1", "0"], ["0", "1"]],
+    [["2+sqrt(3)+sqrt(2)-sqrt(2)", "0"], ["0", "2-sqrt(3)"]],
+], ids=["one", "unit"])
+def test_su_membership_lifts_entries_by_value(capsys, matrix):
+    code, doc = run_json(capsys, ["lattice-check", "--kind", "SU_sqrt_d", "--d", "3",
+                                  "--n", "2", "--matrix", json.dumps(matrix)])
+    assert code == 0 and doc["member"] is True
 
 
 @pytest.mark.parametrize("argv", [
@@ -355,7 +417,7 @@ def test_lattice_check_names_the_foreign_entry(capsys):
                 "--matrix", matrix]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: entry sqrt(2) is not in Q(sqrt(3))\n"
+    assert captured.err == "error: sqrt(2) does not lie in Q(sqrt(3))\n"
 
 
 @pytest.mark.parametrize("kind", ["SU_quat", "SL_quat"])

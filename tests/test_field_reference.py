@@ -18,6 +18,7 @@ from hitchinforge.exactnum import (
     apply_galois,
     field,
     format_scalar,
+    lift,
 )
 from hitchinforge.modp import FqElem, ReductionContext, _mod_p, reduce_scalar
 
@@ -135,14 +136,17 @@ def test_galois_action_and_extension_match_reference(name):
 
 
 def _reference_reduce(r, ctx):
-    """The reduction Z[sqrt(d)] -> F_p on the reference element, as
-    modp.reduce_scalar computed it on Fraction coefficients."""
+    """The reduction Z[sqrt(d)] -> F_p on the reference element, by value
+    on its Fraction coefficients: every nonzero coefficient must sit on
+    the monomial 1 or sqrt(d)."""
     p = ctx.p
-    rads = r.desc.radicands
-    if len(rads) > 1 or (rads and rads[0] != ctx.d):
-        raise ValueError(f"element lies in Q{rads}, context is for sqrt({ctx.d})")
-    a = _mod_p(r.coeffs[0], p)
-    b = _mod_p(r.coeffs[1], p) if len(r.coeffs) > 1 else 0
+    coeffs = {r.desc.monomial_radicand(mask): c
+              for mask, c in enumerate(r.coeffs) if c}
+    foreign = sorted(coeffs.keys() - {1, ctx.d})
+    if foreign:
+        raise ValueError(f"sqrt({foreign[0]}) does not lie in Q(sqrt({ctx.d}))")
+    a = _mod_p(coeffs.get(1, 0), p)
+    b = _mod_p(coeffs.get(ctx.d, 0), p)
     if ctx.mode == "split":
         return FqElem(p, a + b * ctx.root)
     return FqElem(p, a, b, ctx.d % p)
@@ -163,6 +167,39 @@ def test_reduction_mod_p_matches_reference(name, p):
                 reduce_scalar(x, ctx)
         else:
             assert reduce_scalar(x, ctx) == want
+    check()
+
+
+# fields that contain sqrt3, the last one only as sqrt2 * sqrt6 / 2
+BIGGER = [field(2, 3), field(3, 5), field(2, 3, 5), field(2, 6)]
+
+
+@pytest.mark.parametrize("big", BIGGER, ids=str)
+def test_lift_places_by_value(big):
+    small = field(3)
+
+    @given(st.lists(COEFFS, min_size=2, max_size=2))
+    def check(coeffs):
+        x = FieldElem(small, coeffs)
+        y = lift(x, big)
+        assert y.desc is big and lift(y, small) == x
+        # y plus the root of any other radicand of big leaves Q(sqrt3)
+        outside = [y + FieldElem.sqrt_int(big, r) for r in set(big.radicands) - {3}]
+        for z in outside:
+            with pytest.raises(ValueError, match=r"does not lie in Q\(sqrt\(3\)\)$"):
+                lift(z, small)
+        for p in (5, 11):
+            ctx = ReductionContext.build(p, 3)
+            try:
+                want = reduce_scalar(x, ctx)
+            except ZeroDivisionError:
+                with pytest.raises(ZeroDivisionError):
+                    reduce_scalar(y, ctx)
+            else:
+                assert reduce_scalar(y, ctx) == want
+            for z in outside:
+                with pytest.raises(ValueError):
+                    reduce_scalar(z, ctx)
     check()
 
 

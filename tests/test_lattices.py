@@ -40,8 +40,12 @@ def test_in_su_sqrt_d_examples():
     b = ExactMatrix.diagonal([OM ** 4, ONE, ONE, OM ** -2, OM ** -2])
     assert in_su_sqrt_d(b, 5, 3)
     assert not in_su_sqrt_d(ExactMatrix.diagonal([OM, ONE, ONE, ONE, ONE]), 5, 3)
-    with pytest.raises(ValueError):
-        in_su_sqrt_d(ExactMatrix.diagonal([FieldElem.one(field(5))] * 5), 5, 3)
+    # membership goes by the entries' values: the identity stored over
+    # Q(sqrt5) is a member, a real sqrt5 entry is not in Q(sqrt3)
+    assert in_su_sqrt_d(ExactMatrix.diagonal([FieldElem.one(field(5))] * 5), 5, 3)
+    s5 = FieldElem.sqrt_int(field(5), 5)
+    with pytest.raises(ValueError, match=r"^sqrt\(5\) does not lie in Q\(sqrt\(3\)\)$"):
+        in_su_sqrt_d(ExactMatrix.diagonal([s5, s5.inverse(), ONE, ONE, ONE]), 5, 3)
 
 
 def test_in_su_sqrt_d_closed_under_group_ops():
