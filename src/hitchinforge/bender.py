@@ -17,8 +17,11 @@ from .exactnum import (
     FieldElem,
     GaloisAction,
     apply_galois,
+    field,
     in_group,
+    lift,
     span_dimension,
+    value_radicands,
 )
 from .g2core import in_g2
 from .lattices import (
@@ -52,16 +55,19 @@ class B0Kind(enum.Enum):
         return cls(name)
 
 
-def _unit_data(unit: FieldElem) -> tuple[int, FieldElem, int]:
-    """(radicand, conjugate, norm) of a quadratic unit; norm must be +-1."""
-    if len(unit.desc.radicands) != 1:
+def _unit_data(unit: FieldElem) -> tuple[int, FieldElem, FieldElem]:
+    """(radicand d, the unit in Q(sqrt(d)), its conjugate) of a quadratic
+    unit, with d found by value; its norm must be +-1."""
+    rads = value_radicands([unit])
+    if len(rads) != 1:
         raise ValueError("unit must lie in a single quadratic field")
-    rad = unit.desc.radicands[0]
+    rad, = rads
+    unit = lift(unit, field(rad))
     conj = apply_galois(GaloisAction.flipping(rad), unit)
     norm = unit * conj
     if not norm.is_rational() or norm.rational_value() not in (1, -1):
         raise ValueError("not a unit: norm must be +-1")
-    return rad, conj, int(norm.rational_value())
+    return rad, unit, conj
 
 
 def b0_family(kind: Union[B0Kind, str], n: int, unit: FieldElem,
@@ -71,7 +77,7 @@ def b0_family(kind: Union[B0Kind, str], n: int, unit: FieldElem,
     membership predicate of its target lattice, determinant one included;
     construction fails hard otherwise."""
     kind = B0Kind(kind)
-    rad, conj, _ = _unit_data(unit)
+    rad, unit, conj = _unit_data(unit)
     one = FieldElem.one(unit.desc)
     u2, u4 = unit ** 2, unit ** 4
     c2 = conj * conj

@@ -285,8 +285,11 @@ def _load_bending_spec(text: str) -> BendingSpec:
         raise UsageError("bending spec 'mode' must be 'free' or 'presentation'")
     if mode == "presentation":
         presentation = SurfacePresentation(_spec_int(data.get("genus", 2), "genus"))
-        curve = CurveSpec(kind, h=_spec_int(curve_data.get("h", 1), "curve.h"),
-                          stable=curve_data.get("stable", "s"))
+        genus, h = presentation.genus, _spec_int(curve_data.get("h", 1), "curve.h")
+        if kind == "separating" and not 1 <= h < genus:
+            raise UsageError(f"bending spec 'curve.h' must lie in 1..{genus - 1} "
+                             f"for genus {genus}")
+        curve = CurveSpec(kind, h=h, stable=curve_data.get("stable", "s"))
     else:
         curve = CurveSpec("free", gamma_name=curve_data.get("gamma"))
     return BendingSpec(n=n, assignment=assignment, b_matrix=b, curve=curve,

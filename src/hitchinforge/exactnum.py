@@ -595,6 +595,15 @@ def common_field(scalars: Iterable) -> FieldDescriptor:
                    for r in x.desc.radicands))
 
 
+def value_radicands(scalars: Iterable) -> set[int]:
+    """The square-free r > 1 whose sqrt(r) has a nonzero coordinate in
+    some given field element: what the values need, whatever fields they
+    are stored in."""
+    return {square_free_part(x.desc.monomial_radicand(mask))
+            for x in scalars if isinstance(x, FieldElem)
+            for mask, c in enumerate(x.nums) if mask and c}
+
+
 # -- matrices ------------------------------------------------------------
 
 

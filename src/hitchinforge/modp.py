@@ -26,6 +26,7 @@ from .exactnum import (
     lift,
     preserves_form,
     square_free_part,
+    value_radicands,
 )
 from .lattices import symplectic_form
 from .qforms import _legendre
@@ -488,13 +489,23 @@ def _traces(elements: Iterable[tuple[int, ...]], n: int, p: int,
             r2: Optional[int]) -> frozenset[FqElem]:
     """Trace set of n x n elements given by their row codes.  Row i
     contributes its i-th coordinate x + y*r as the integer x + big*y, so
-    one integer sum per element carries both coordinates of the trace."""
+    one integer sum per element carries both coordinates of the trace.
+    Several sums give one trace, so each sum is reduced when first seen;
+    reading stops once all q values of F_q have appeared."""
     q = p if r2 is None else p * p
     big = n * p
     diagonal = [_Lazy(lambda code, s=q ** i: code // s % q % p
                       + big * (code // s % q // p)) for i in range(n)]
-    sums = {sum(map(getitem, diagonal, m)) for m in elements}
-    return frozenset(FqElem(p, s % big, s // big, r2) for s in sums)
+    sums: set[int] = set()
+    traces: set[FqElem] = set()
+    for m in elements:
+        s = sum(map(getitem, diagonal, m))
+        if s not in sums:
+            sums.add(s)
+            traces.add(FqElem(p, s % big, s // big, r2))
+            if len(traces) == q:
+                break
+    return frozenset(traces)
 
 
 def group_closure(gens: Sequence[ExactMatrix],
@@ -868,13 +879,11 @@ def separation_certificate(n: int, b: ExactMatrix, p: int,
     order of the reduced bending matrix, and a sampled trace set of words
     in reduced symmetric-power generators (the order-th bending power acts
     trivially mod p, so these are the bent traces)."""
-    d = None
-    for row in b.entries:
-        for e in row:
-            if isinstance(e, FieldElem) and e.desc.radicands:
-                d = e.desc.radicands[0]
-    if d is None:
-        raise ValueError("bending matrix carries no quadratic irrationality")
+    rads = value_radicands(e for row in b.entries for e in row)
+    if len(rads) != 1:
+        raise ValueError("bending matrix must carry exactly one quadratic "
+                         f"irrationality, not {len(rads)}")
+    d, = rads
     ctx = ReductionContext.build(p, d)
     poly = trace_poly(n)
     image = sorted(poly.image_mod(p))

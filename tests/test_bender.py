@@ -24,6 +24,7 @@ from hitchinforge.exactnum import (
     apply_galois,
     field,
     fundamental_unit,
+    lift,
 )
 from hitchinforge.quatalg import GammaElement
 from hitchinforge.symrep import tau
@@ -92,6 +93,15 @@ def test_b0_family_norm_minus_one_unit():
     assert b.det() == FieldElem.one(field(2))
     so = b0_family("SO_odd", 5, u2)
     assert so.det() == FieldElem.one(field(2))
+
+
+def test_b0_family_finds_the_radicand_by_value():
+    # 2+sqrt3 stored over Q(sqrt2, sqrt3) builds the same matrices as over Q(sqrt3)
+    wide = lift(OM, field(2, 3))
+    assert b0_family("SU_split_a", 3, wide, 2) == b0_family("SU_split_a", 3, OM, 2)
+    for unit in (lift(ONE, field(2, 3)), wide + FieldElem.sqrt_int(field(2, 3), 2)):
+        with pytest.raises(ValueError, match="single quadratic field"):
+            b0_family("SU_split_a", 3, unit)
 
 
 def test_word_parsing():

@@ -258,6 +258,7 @@ def _assert_one_line_usage_error(capsys, argv):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+    return lines[0]
 
 
 @pytest.mark.parametrize("argv", [
@@ -306,7 +307,10 @@ def test_bending_spec_unknown_kind_is_usage_error(capsys, kind):
     (FREE_SPEC, ("b0", "d"), "x"),
     (GENUS2_SPEC, ("genus",), 2.5),
     (GENUS2_SPEC, ("curve", "h"), "x"),
-], ids=["float-k", "bool-k", "string-d", "float-genus", "string-h"])
+    # a separating curve must split genus 2 into two nonempty sides
+    *((GENUS2_SPEC, ("curve", "h"), h) for h in (0, -1, 2, 5)),
+], ids=["float-k", "bool-k", "string-d", "float-genus", "string-h",
+        "h-0", "h-minus-1", "h-2", "h-5"])
 def test_bending_spec_integer_fields(capsys, spec, path, value):
     data = json.loads(spec)
     *parents, key = path
@@ -314,8 +318,11 @@ def test_bending_spec_integer_fields(capsys, spec, path, value):
     for parent in parents:
         target = target[parent]
     target[key] = value
-    _assert_one_line_usage_error(
+    line = _assert_one_line_usage_error(
         capsys, ["bend", "--spec", json.dumps(data), "--check-relator"])
+    assert f"'{'.'.join(path)}'" in line
+    if isinstance(value, int) and not isinstance(value, bool):
+        assert line == "error: bending spec 'curve.h' must lie in 1..1 for genus 2"
 
 
 def test_bending_spec_mode_must_be_known(capsys):

@@ -214,6 +214,16 @@ ORACLE_GRID = {
 }
 
 
+def _reference_traces(walked, n, p, r2):
+    """The trace set of every walked element, with no early stop: each
+    distinct diagonal decoded from the row codes and summed as FqElems."""
+    q = p if r2 is None else p * p
+    diagonals = {tuple(m[i] // q ** i % q for i in range(n)) for m in walked}
+    zero = FqElem(p, 0, 0, r2)
+    return frozenset(sum((FqElem(p, c % p, c // p, r2) for c in d), zero)
+                     for d in diagonals)
+
+
 def _assert_chain_matches_walk(gens):
     p, r2 = modp._field(gens)
     n = gens[0].nrows
@@ -223,7 +233,8 @@ def _assert_chain_matches_walk(gens):
     assert chain.order == len(walked) == len(enumerated)
     assert set(enumerated) == walked
     assert group_closure(gens) == len(walked)
-    traces = _traces(walked, n, p, r2)
+    traces = _reference_traces(walked, n, p, r2)
+    assert _traces(walked, n, p, r2) == traces
     assert group_closure_and_traces(gens) == (len(walked), traces)
     assert trace_set_of_generators(gens) == traces
 
@@ -231,6 +242,25 @@ def _assert_chain_matches_walk(gens):
 @pytest.mark.parametrize("name", list(ORACLE_GRID))
 def test_chain_matches_walk(name):
     _assert_chain_matches_walk(ORACLE_GRID[name]())
+
+
+def test_full_trace_set_stops_once_it_holds_all_of_the_field(monkeypatch):
+    read = [0]
+    elements = _Chain.elements
+
+    def counted(chain):
+        for m in elements(chain):
+            read[0] += 1
+            yield m
+    monkeypatch.setattr(_Chain, "elements", counted)
+    assert group_closure_and_traces(sl_generators(3, 5)) == (
+        372000, frozenset(FqElem(5, a) for a in range(5)))
+    assert read[0] <= 100
+    # the unitriangular group has the one trace 3, so every element is read
+    read[0] = 0
+    assert group_closure_and_traces(ORACLE_GRID["unitriangular"]()) == (
+        125, frozenset({FqElem(5, 3)}))
+    assert read[0] == 125
 
 
 def test_oracle_grid_orders():
@@ -493,6 +523,15 @@ def test_separation_certificate_examples():
     b2 = ExactMatrix.diagonal([om, om.inverse()])
     cert2 = separation_certificate(2, b2, 7)
     assert not cert2.image_is_proper and not cert2.separates
+
+
+def test_separation_certificate_finds_the_radicand_by_value():
+    b = b0_family("SU_split_a", 3, fundamental_unit(3).value)
+    assert separation_certificate(3, b.lift(field(2, 3)), 11) == separation_certificate(3, b, 11)
+    sqrt2 = FieldElem.sqrt_int(field(2, 3), 2)
+    for m in (ExactMatrix.identity(3), b.lift(field(2, 3)) * sqrt2):
+        with pytest.raises(ValueError, match="exactly one quadratic irrationality"):
+            separation_certificate(3, m, 11)
 
 
 def test_separation_orders_verified_small_primes():
