@@ -213,10 +213,10 @@ class SurfacePresentation:
 @dataclass(frozen=True)
 class CurveSpec:
     """The simple closed curve along which to bend: either separating
-    (split index h, side C carries a1..bh) or non-separating (an HNN
-    stable letter)."""
+    (split index h, side C carries a1..bh), non-separating (an HNN
+    stable letter) or, in free mode, a designated group element."""
 
-    kind: str                 # "separating" | "nonseparating"
+    kind: str                 # "separating" | "nonseparating" | "free"
     h: int = 1
     stable: str = "s"
     gamma_name: Optional[str] = None   # free mode: designated diagonal element
@@ -248,11 +248,12 @@ def parse_word(text: str) -> list[tuple[str, int]]:
 class BendingSpec:
     """Everything needed to evaluate a bent representation.
 
-    Presentation mode carries a surface presentation whose relator is
-    checked; free mode carries finitely many group elements with a
-    designated diagonal curve image and no relator.  The 2x2 preimages of
-    the assignment (when the images come from the symmetric-power
-    representation) are kept as provenance for density certification.
+    The curve kind states the mode: a separating or non-separating curve
+    carries a surface presentation whose relator is checked; a free curve
+    carries finitely many group elements, one its diagonal image, and no
+    relator.  The 2x2 preimages of the assignment (when the images come
+    from the symmetric-power representation) are kept as provenance for
+    density certification.
     """
 
     n: int
@@ -262,9 +263,21 @@ class BendingSpec:
     presentation: Optional[SurfacePresentation] = None
     sl2_assignment: Optional[Mapping[str, ExactMatrix]] = None
 
+    def __post_init__(self) -> None:
+        kind, genus = self.curve.kind, getattr(self.presentation, "genus", 0)
+        if (kind == "free") != (self.presentation is None):
+            raise ValueError("bending spec 'curve.kind' must be 'free' in free mode, "
+                             "'separating' or 'nonseparating' in presentation mode")
+        if kind == "separating" and not 1 <= self.curve.h < genus:
+            raise ValueError(f"bending spec 'curve.h' must lie in 1..{genus - 1} "
+                             f"for genus {genus}")
+        n, b = self.n, self.b_matrix
+        if b.nrows != n or b.ncols != n:
+            raise ValueError(f"bending matrix is {b.nrows}x{b.ncols}, not {n}x{n}")
+
     @property
     def mode(self) -> str:
-        return "presentation" if self.presentation is not None else "free"
+        return "free" if self.curve.kind == "free" else "presentation"
 
     def curve_word(self) -> list[tuple[str, int]]:
         if self.mode == "free":
@@ -280,11 +293,11 @@ class BendingSpec:
             # the curve class is the conjugation core of the stable letter;
             # its image is the designated assignment entry
             name = self.curve.gamma_name or self.curve.stable
-            return self.assignment[name]
+            return evaluate_word(self.assignment, [(name, 1)])
         return evaluate_word(self.assignment, self.curve_word())
 
     def d_side(self) -> frozenset[str]:
-        if self.mode == "free" or self.curve.kind != "separating":
+        if self.curve.kind != "separating":
             return frozenset()
         gens = self.presentation.generators
         return frozenset(gens[2 * self.curve.h:])
@@ -428,12 +441,10 @@ def _sl2_density_evidence(gens: Mapping[str, ExactMatrix]) -> Sl2Evidence:
     Burnside span, an infinite-order element (|trace| > 2), and a
     generator moving that element's eigenline pair (so no torus
     normalizer, no finite group, no reducible closure)."""
-    mats = list(gens.values())
-    names = list(gens.keys())
-    rank = span_dimension(mats)
+    rank = span_dimension(list(gens.values()))
     witness_word = witness = None
     # breadth-first over short words to find |trace| > 2
-    frontier = [(name, gens[name]) for name in names]
+    frontier = list(gens.items())
     for _ in range(3):
         nxt = []
         for word, m in frontier:
@@ -441,24 +452,19 @@ def _sl2_density_evidence(gens: Mapping[str, ExactMatrix]) -> Sl2Evidence:
             if t * t - 4 > 0:
                 witness_word, witness = word, m
                 break
-            for name in names:
-                nxt.append((word + " " + name, m * gens[name]))
+            for name, g in gens.items():
+                nxt.append((word + " " + name, m * g))
         if witness is not None:
             break
         frontier = nxt
     if witness is None:
         return Sl2Evidence(rank, None, None, None)
+    # a non-scalar 2x2 W commutes with exactly span(I, W): g^-1 W g leaves
+    # that span, so g moves W's eigenline pair, iff it does not commute with W
     breaker = None
-    ident = ExactMatrix.identity(2, like=witness.entries[0][0])
-    for name in names:
-        g = gens[name]
+    for name, g in gens.items():
         conj = g.inverse() * witness * g
-        stack = ExactMatrix([
-            [e for row in ident.entries for e in row],
-            [e for row in witness.entries for e in row],
-            [e for row in conj.entries for e in row],
-        ])
-        if stack.rank() == 3:
+        if conj * witness != witness * conj:
             breaker = name
             break
     return Sl2Evidence(rank, witness_word, str(witness.trace()), breaker)

@@ -265,11 +265,10 @@ def _load_bending_spec(text: str) -> BendingSpec:
     if "b0" in data:
         spec_b = data["b0"]
         unit = fundamental_unit(_spec_int(spec_b.get("d", 3), "b0.d")).value
-        b = b0_family(spec_b["kind"], n, unit, _spec_int(spec_b.get("k", 1), "b0.k"))
+        b = b0_family(spec_b.get("kind"), n, unit,
+                      _spec_int(spec_b.get("k", 1), "b0.k"))
     else:
         b = _load_matrix(json.dumps(data["b_matrix"]))
-    if b.nrows != n or b.ncols != n:
-        raise UsageError(f"bending matrix is {b.nrows}x{b.ncols}, not {n}x{n}")
     # one field for the assignment and the bending matrix together
     desc = common_field(e for m in (*sl2.values(), b) for row in m.entries
                         for e in row)
@@ -277,21 +276,16 @@ def _load_bending_spec(text: str) -> BendingSpec:
         sl2 = {name: m.lift(desc) for name, m in sl2.items()}
         b = b.lift(desc)
     assignment = {name: tau(n, m) for name, m in sl2.items()}
-    curve_data = data.get("curve", {"kind": "free"})
-    kind = curve_data.get("kind", "free")
-    presentation = None
     mode = data.get("mode", "free")
     if mode not in ("free", "presentation"):
         raise UsageError("bending spec 'mode' must be 'free' or 'presentation'")
-    if mode == "presentation":
-        presentation = SurfacePresentation(_spec_int(data.get("genus", 2), "genus"))
-        genus, h = presentation.genus, _spec_int(curve_data.get("h", 1), "curve.h")
-        if kind == "separating" and not 1 <= h < genus:
-            raise UsageError(f"bending spec 'curve.h' must lie in 1..{genus - 1} "
-                             f"for genus {genus}")
-        curve = CurveSpec(kind, h=h, stable=curve_data.get("stable", "s"))
-    else:
-        curve = CurveSpec("free", gamma_name=curve_data.get("gamma"))
+    presentation = (SurfacePresentation(_spec_int(data.get("genus", 2), "genus"))
+                    if mode == "presentation" else None)
+    curve_data = data.get("curve", {})
+    kind = curve_data.get("kind", "free")
+    curve = CurveSpec(kind, h=_spec_int(curve_data.get("h", 1), "curve.h"),
+                      stable=curve_data.get("stable", "s"),
+                      gamma_name=curve_data.get("gamma") if kind == "free" else None)
     return BendingSpec(n=n, assignment=assignment, b_matrix=b, curve=curve,
                        presentation=presentation, sl2_assignment=sl2)
 

@@ -2,10 +2,10 @@
 permutation groups on row codes (an element is the tuple of its row codes,
 multiplied through lazily filled row-action tables): one stabilizer chain
 by deterministic Schreier-Sims for every full closure (orders, element
-enumeration and trace sets), one breadth-first walk for bounded words and
-`matrix_order`; the standard order formulas, trace sets and trace witnesses
-over finite fields, Omega(4, p) from Schreier generators, and the mod-p
-orbit-separation certificate.
+enumeration and trace sets, `matrix_order` too), one breadth-first walk
+for bounded words; the standard order formulas, trace sets and trace
+witnesses over finite fields, Omega(4, p) from Schreier generators, and
+the mod-p orbit-separation certificate.
 """
 
 from __future__ import annotations
@@ -209,11 +209,11 @@ def reduce_int_matrix(m: ExactMatrix, p: int) -> ExactMatrix:
 
 
 def matrix_order(m: ExactMatrix, cap: int = 1_000_000) -> int:
-    """Multiplicative order of an invertible FqElem matrix: the size of
-    the cyclic group it generates, by the row-action walk."""
+    """Multiplicative order of an invertible FqElem matrix: the order of
+    the cyclic group it generates, from its stabilizer chain."""
     if m.det() == 0:
         raise ValueError("a singular matrix has no multiplicative order")
-    return len(_walk([m], cap))
+    return _Chain([m], cap).order
 
 
 # -- the row action -------------------------------------------------------------
@@ -297,7 +297,7 @@ def _row_action(rows: Sequence[int], p: int, r2: Optional[int]) -> _Lazy:
 def _walk(gens: Sequence[ExactMatrix], cap: int,
           depth: Optional[int] = None) -> set[tuple[int, ...]]:
     """Breadth-first walk of the products of the generators from the
-    identity: the whole group when depth is None (only `matrix_order`
+    identity: the whole group when depth is None (only the tests' oracle
     walks a whole group), else the words of length at most depth.  Returns
     the set of elements; raises CapExceeded (with the partial count,
     cap + 1) as soon as the set outgrows the cap."""

@@ -1,19 +1,23 @@
+import random
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from conftest import T, T_INV, random_sl2q
 from hitchinforge.bender import (
     B0Kind,
     B0_EXPECTED_PROFILE,
     BendingSpec,
     CurveSpec,
     SurfacePresentation,
+    _sl2_density_evidence,
     b0_breaking_profile,
     b0_family,
     bend_eval,
     density_certificate,
     distinct_bendings,
+    evaluate_word,
     parse_word,
     relator_ok,
 )
@@ -182,6 +186,23 @@ def test_nonseparating_curve_has_image_but_no_boundary_word():
         spec.curve_word()
 
 
+# the curve kind states the mode, and the spec refuses what does not fit it
+@pytest.mark.parametrize("change, message", [
+    ({"curve": CurveSpec("free", gamma_name="a1")}, "'curve.kind' must be"),
+    ({"presentation": None}, "'curve.kind' must be"),
+    ({"curve": CurveSpec("nonseparating"), "presentation": None},
+     "'curve.kind' must be"),
+    ({"curve": CurveSpec("separating", h=0)}, "'curve.h' must lie in 1..1 for genus 2"),
+    ({"curve": CurveSpec("separating", h=2)}, "'curve.h' must lie in 1..1 for genus 2"),
+    ({"b_matrix": b0_family("SU_split_a", 3, OM)}, "bending matrix is 3x3, not 5x5"),
+], ids=["free-with-presentation", "separating-without", "nonseparating-without",
+        "h-0", "h-2", "3x3-at-n5"])
+def test_bending_spec_checks_itself(change, message):
+    spec = _genus2_spec(5, b0_family("SU_split_a", 5, OM))
+    with pytest.raises(ValueError, match=message):
+        replace(spec, **change)
+
+
 def test_relator_free_mode_flagged():
     g = GammaElement(3, 3, 2, 1, 0, 0)
     spec = BendingSpec(
@@ -255,6 +276,42 @@ def test_density_certificate_monotone_under_extra_generators():
     extra = GammaElement(3, 3, 2, 0, -1, 0).matrix()
     bigger = density_certificate(_free_spec(3, good, extra=[extra]), "SLn")
     assert base.valid and bigger.valid
+
+
+def _span_rank(w, c):
+    """The rank of I, W and c as vectors of the 4-dimensional matrix space:
+    the independent oracle of the eigenline-breaker test."""
+    ident = ExactMatrix.identity(2, like=w[0, 0])
+    return ExactMatrix([[e for row in m.entries for e in row]
+                        for m in (ident, w, c)]).rank()
+
+
+def test_eigenline_breaker_by_commutation_matches_the_span_rank():
+    """g^-1 W g and W fail to commute exactly when I, W, g^-1 W g span a
+    3-dimensional space: for hyperbolic, elliptic, parabolic and scalar W,
+    and for the breaker the density evidence names."""
+    rng = random.Random(16)
+    ident = ExactMatrix.identity(2)
+    special = [ident, -ident, T, T_INV, -T, ExactMatrix([[0, -1], [1, 0]]),
+               ExactMatrix([[1, 0], [3, 1]])]
+    for _ in range(300):
+        w = rng.choice(special) if rng.random() < 0.5 else random_sl2q(rng)
+        g = rng.choice(special) if rng.random() < 0.2 else random_sl2q(rng)
+        c = g.inverse() * w * g
+        assert (c * w != w * c) == (_span_rank(w, c) == 3)
+    breakers = set()
+    for _ in range(60):
+        gens = {f"g{i}": rng.choice(special) if rng.random() < 0.3
+                else random_sl2q(rng) for i in range(rng.randint(1, 3))}
+        evidence = _sl2_density_evidence(gens)
+        expected = None
+        if evidence.witness_word is not None:
+            w = evaluate_word(gens, parse_word(evidence.witness_word))
+            expected = next((name for name, g in gens.items()
+                             if _span_rank(w, g.inverse() * w * g) == 3), None)
+        assert evidence.eigenline_breaker == expected
+        breakers.add(expected)
+    assert None in breakers and len(breakers) > 1
 
 
 def test_density_certificate_needs_provenance():

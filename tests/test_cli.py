@@ -289,12 +289,15 @@ def test_bending_spec_field_types(capsys, command, key, value):
         capsys, [command, "--spec", json.dumps(data), *extra])
 
 
-@pytest.mark.parametrize("kind", [5, None, ["SU_split_a"]],
-                         ids=["int", "none", "list"])
+@pytest.mark.parametrize("kind", [5, None, ["SU_split_a"], "missing"],
+                         ids=["int", "none", "list", "missing"])
 def test_bending_spec_unknown_kind_is_usage_error(capsys, kind):
     data = json.loads(FREE_SPEC)
     data["n"] = 4           # an unlooked-up kind used to build the Sp family
     data["b0"]["kind"] = kind
+    if kind == "missing":   # a missing kind is named as None
+        del data["b0"]["kind"]
+        kind = None
     assert run(["bend", "--spec", json.dumps(data), "--word", "g1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -323,6 +326,28 @@ def test_bending_spec_integer_fields(capsys, spec, path, value):
     assert f"'{'.'.join(path)}'" in line
     if isinstance(value, int) and not isinstance(value, bool):
         assert line == "error: bending spec 'curve.h' must lie in 1..1 for genus 2"
+
+
+def _with_curve(spec, **curve):
+    data = json.loads(spec)
+    data["curve"] = curve
+    return json.dumps(data)
+
+
+# the curve kind states the mode: a presentation spec needs a separating or
+# non-separating curve, a free spec a free one; each misfit is one line
+@pytest.mark.parametrize("spec, argv, line", [
+    (_with_curve(GENUS2_SPEC, h=1), ["--word", "b2"], None),
+    (_with_curve(GENUS2_SPEC, h=1), ["--check-relator"], None),
+    (_with_curve(FREE_SPEC, kind="separating", gamma="g1"), ["--word", "g1"], None),
+    (_with_curve(GENUS2_SPEC, kind="nonseparating"), ["--check-relator"],
+     "error: word uses unknown generator 's'"),
+], ids=["presentation-without-kind-word", "presentation-without-kind-relator",
+        "free-separating", "unassigned-stable-letter"])
+def test_bending_spec_curve_must_fit_the_mode(capsys, spec, argv, line):
+    got = _assert_one_line_usage_error(capsys, ["bend", "--spec", spec, *argv])
+    assert got == (line or "error: bending spec 'curve.kind' must be 'free' in "
+                   "free mode, 'separating' or 'nonseparating' in presentation mode")
 
 
 def test_bending_spec_mode_must_be_known(capsys):

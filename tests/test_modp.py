@@ -305,6 +305,7 @@ def test_full_closures_never_walk(monkeypatch):
     assert len(trace_set("SU", 3, 3)) == 9
     assert len(trace_set("Omega", 4, 5)) == 5
     assert len(omega4_elements(3)[1]) == 288
+    assert matrix_order(reduce_int_matrix(ExactMatrix([[0, -1], [1, 1]]), 7)) == 6
 
 
 @pytest.mark.parametrize("family, n, p", [("SL", 3, 7), ("SL", 4, 3),
