@@ -212,14 +212,16 @@ class SurfacePresentation:
 
 @dataclass(frozen=True)
 class CurveSpec:
-    """The simple closed curve along which to bend: either separating
-    (split index h, side C carries a1..bh), non-separating (an HNN
-    stable letter) or, in free mode, a designated group element."""
+    """The simple closed curve along which to bend: separating (split
+    index h, side C carries a1..bh, the curve is their boundary word),
+    non-separating (HNN bending: the stable letter, a surface generator,
+    is bent to rho(s)*B, and gamma names the curve, the generator dual to
+    it) or, in free mode, the designated group element gamma."""
 
     kind: str                 # "separating" | "nonseparating" | "free"
     h: int = 1
     stable: str = "s"
-    gamma_name: Optional[str] = None   # free mode: designated diagonal element
+    gamma_name: Optional[str] = None   # free, non-separating: the curve element
 
     def __post_init__(self) -> None:
         if self.kind not in ("separating", "nonseparating", "free"):
@@ -271,6 +273,10 @@ class BendingSpec:
         if kind == "separating" and not 1 <= self.curve.h < genus:
             raise ValueError(f"bending spec 'curve.h' must lie in 1..{genus - 1} "
                              f"for genus {genus}")
+        stable = self.curve.stable
+        if kind == "nonseparating" and stable not in self.presentation.generators:
+            raise ValueError(f"bending spec 'curve.stable' {stable!r} is not "
+                             f"a generator of the genus-{genus} surface")
         n, b = self.n, self.b_matrix
         if b.nrows != n or b.ncols != n:
             raise ValueError(f"bending matrix is {b.nrows}x{b.ncols}, not {n}x{n}")
@@ -280,20 +286,13 @@ class BendingSpec:
         return "free" if self.curve.kind == "free" else "presentation"
 
     def curve_word(self) -> list[tuple[str, int]]:
-        if self.mode == "free":
-            if not self.curve.gamma_name:
-                raise ValueError("free mode needs a designated curve element")
-            return [(self.curve.gamma_name, 1)]
         if self.curve.kind == "separating":
             return self.presentation.boundary_word(self.curve.h)
-        raise ValueError("a non-separating curve has no boundary word")
+        if not self.curve.gamma_name:
+            raise ValueError(f"a {self.curve.kind} curve needs 'curve.gamma'")
+        return [(self.curve.gamma_name, 1)]
 
     def curve_image(self) -> ExactMatrix:
-        if self.curve.kind == "nonseparating":
-            # the curve class is the conjugation core of the stable letter;
-            # its image is the designated assignment entry
-            name = self.curve.gamma_name or self.curve.stable
-            return evaluate_word(self.assignment, [(name, 1)])
         return evaluate_word(self.assignment, self.curve_word())
 
     def d_side(self) -> frozenset[str]:
@@ -333,8 +332,9 @@ def bend_eval(spec: BendingSpec, word: Union[str, Sequence[tuple[str, int]]]
               ) -> ExactMatrix:
     """Evaluate the bent representation on a word: C-side generators map
     through the assignment, D-side generators are conjugated by the
-    bending matrix, and a non-separating stable letter is premultiplied by
-    it."""
+    bending matrix, and a non-separating stable letter s is postmultiplied
+    by it, rho(s)*B, so the relator survives when B commutes with the image
+    of the generator dual to s."""
     if isinstance(word, str):
         word = parse_word(word)
     b = spec.b_matrix
@@ -346,7 +346,7 @@ def bend_eval(spec: BendingSpec, word: Union[str, Sequence[tuple[str, int]]]
             images[name] = b * m * b_inv
         elif (spec.curve.kind == "nonseparating"
               and name == spec.curve.stable):
-            images[name] = b * m
+            images[name] = m * b
         else:
             images[name] = m
     return evaluate_word(images, word)
@@ -362,26 +362,17 @@ class RelatorCheck:
 
 
 def relator_ok(spec: BendingSpec) -> RelatorCheck:
-    """Well-definedness of the bent representation.
-
-    Separating: the surface relator must evaluate to the identity (it does
-    exactly when the unbent assignment satisfies it and the bending matrix
-    commutes with the curve image).  Non-separating: the stable-letter
-    conjugation relation on the curve class is checked.  Free mode has no
-    relator and is vacuously fine.
+    """Well-definedness of the bent representation: the surface relator
+    must evaluate to the identity, for either curve kind.  If the unbent
+    assignment satisfies it, the bent one does exactly when the bending
+    matrix commutes with the curve image.  Free mode has no relator and is
+    vacuously fine.
     """
     if spec.mode == "free":
         return RelatorCheck(True, "free mode: no relator to check")
-    if spec.curve.kind == "separating":
-        image = bend_eval(spec, spec.presentation.relator())
-        ok = image.is_identity()
-        return RelatorCheck(ok, "relator evaluates to identity" if ok else
-                            "relator image differs from identity")
-    gamma = spec.curve_image()
-    s_img = bend_eval(spec, [(spec.curve.stable, 1)])
-    ok = s_img.inverse() * gamma * s_img == gamma
-    return RelatorCheck(ok, "stable-letter conjugation fixes the curve class"
-                        if ok else "stable letter breaks the curve relation")
+    ok = bend_eval(spec, spec.presentation.relator()).is_identity()
+    return RelatorCheck(ok, "relator evaluates to identity" if ok else
+                        "relator image differs from identity")
 
 
 # -- density certificates -----------------------------------------------------

@@ -110,20 +110,12 @@ def is_tau_pgl2_diagonal(b: ExactMatrix) -> bool:
 
 
 def in_su_quat(m: ExactMatrix, size: int, a: int, b: int, d: int) -> bool:
-    """Quaternionic unitary lattice: entries are quaternions over (a,b)
-    with coordinates integral over Z[sqrt(d)], the twisted conjugate
-    transpose is the inverse, and the reduced-norm determinant (via the
-    2x2 embedding) is one."""
-    if m.nrows != size or m.ncols != size:
-        return False
-    _check_quat_entries(m, a, b)
-    if not is_integral_matrix(m):
-        return False
+    """Quaternionic unitary lattice: SL(size, O) whose twisted conjugate
+    transpose is the inverse, the quaternion coordinates integral over
+    Z[sqrt(d)]."""
     tau_d = GaloisAction.flipping(d)
-    if not preserves_form(m, ExactMatrix.identity(size),
-                          lambda q: q.conj().apply_galois(tau_d)):
-        return False
-    return _quat_block_det_is_one(m)
+    return in_sl_quat(m, size, a, b) and preserves_form(
+        m, ExactMatrix.identity(size), lambda q: q.conj().apply_galois(tau_d))
 
 
 def _check_quat_entries(m: ExactMatrix, a: int, b: int) -> None:
@@ -160,13 +152,11 @@ def symplectic_form(n: int) -> ExactMatrix:
     return ExactMatrix(rows)
 
 
-def in_so_q(m: ExactMatrix, q: ExactMatrix, integral: bool = True) -> bool:
-    """Special orthogonal group of a symmetric matrix; with integrality the
-    Z-point lattice.  Integrality is on the monomial basis, so entries in
-    Z[sqrt(d)] count (the orthogonal bending family lives there)."""
-    if integral and not is_integral_matrix(m):
-        return False
-    return in_group(m, q.nrows, q)
+def in_so_q(m: ExactMatrix, q: ExactMatrix) -> bool:
+    """Z-points of the special orthogonal group of a symmetric matrix.
+    Integrality is on the monomial basis, so entries in Z[sqrt(d)] count
+    (the orthogonal bending family lives there)."""
+    return is_integral_matrix(m) and in_group(m, q.nrows, q)
 
 
 def in_g2z(m: ExactMatrix) -> bool:
@@ -182,9 +172,7 @@ def in_sl_quat(m: ExactMatrix, size: int, a: int, b: int) -> bool:
     if m.nrows != size or m.ncols != size:
         return False
     _check_quat_entries(m, a, b)
-    if not is_integral_matrix(m):
-        return False
-    return _quat_block_det_is_one(m)
+    return is_integral_matrix(m) and _quat_block_det_is_one(m)
 
 
 # kind -> membership predicate of a LatticeSpec; the CLI offers the kinds

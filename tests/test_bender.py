@@ -178,12 +178,58 @@ def test_relator_fails_with_noncommuting_bending():
 
 
 def test_nonseparating_curve_has_image_but_no_boundary_word():
+    # the curve is the generator named by gamma, not the stable letter
     b = b0_family("SU_split_a", 3, OM)
     spec = replace(_genus2_spec(3, b),
-                   curve=CurveSpec("nonseparating", stable="a1"))
-    assert spec.curve_image() == spec.assignment["a1"]
-    with pytest.raises(ValueError, match="no boundary word"):
-        spec.curve_word()
+                   curve=CurveSpec("nonseparating", stable="a1", gamma_name="b1"))
+    assert spec.curve_word() == [("b1", 1)]
+    assert spec.curve_image() == spec.assignment["b1"]
+    with pytest.raises(ValueError, match="^a nonseparating curve needs 'curve.gamma'$"):
+        replace(spec, curve=CurveSpec("nonseparating", stable="a1")).curve_image()
+
+
+DUAL = {"a1": "b1", "b1": "a1", "a2": "b2", "b2": "a2"}
+
+
+def _over_q3(rows):
+    desc = field(3)
+    return ExactMatrix(rows).map_entries(lambda e: FieldElem.from_rational(desc, e))
+
+
+@pytest.mark.parametrize("stable", sorted(DUAL))
+def test_nonseparating_relator_matches_the_hand_product(stable):
+    """The bent relator multiplied out from the tau images, without
+    bend_eval: rho(s) becomes rho(s)*B and the two commutators are formed
+    by hand.  relator_ok agrees with it.  When the unbent relator holds,
+    both hold exactly when B commutes with the image of the generator dual
+    to s; when it fails, a commuting B does not mend it."""
+    unipotent = _over_q3([[1, 1], [0, 1]])
+    bendings = [b0_family("SU_split_a", 5, OM), tau(5, unipotent),
+                tau(5, _over_q3([[0, 1], [-1, 0]]))]
+    other_handle = ("a2", "b2") if stable[1] == "1" else ("a1", "b1")
+    seen = set()
+    for unbent_holds in (True, False):
+        for b in bendings:
+            spec = replace(_genus2_spec(5, b),
+                           curve=CurveSpec("nonseparating", stable=stable,
+                                           gamma_name=DUAL[stable]))
+            rho = dict(spec.assignment)
+            if not unbent_holds:
+                rho[other_handle[0]] = tau(5, unipotent)
+                rho[other_handle[1]] = tau(5, unipotent.transpose())
+                spec = replace(spec, assignment=dict(rho))
+            rho[stable] = rho[stable] * b
+            a1, b1, a2, b2 = (rho[g] for g in ("a1", "b1", "a2", "b2"))
+            product = (a1 * b1 * a1.inverse() * b1.inverse()
+                       * a2 * b2 * a2.inverse() * b2.inverse())
+            holds = product.is_identity()
+            assert relator_ok(spec).ok is holds
+            commutes = spec.invariant_violations() == []
+            assert holds is (unbent_holds and commutes)
+            seen.add((unbent_holds, commutes))
+    # every case is met: each stable letter has a commuting and a
+    # non-commuting bending, with the unbent relator holding or not
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
 # the curve kind states the mode, and the spec refuses what does not fit it
@@ -195,8 +241,10 @@ def test_nonseparating_curve_has_image_but_no_boundary_word():
     ({"curve": CurveSpec("separating", h=0)}, "'curve.h' must lie in 1..1 for genus 2"),
     ({"curve": CurveSpec("separating", h=2)}, "'curve.h' must lie in 1..1 for genus 2"),
     ({"b_matrix": b0_family("SU_split_a", 3, OM)}, "bending matrix is 3x3, not 5x5"),
+    ({"curve": CurveSpec("nonseparating")},
+     "'curve.stable' 's' is not a generator of the genus-2 surface"),
 ], ids=["free-with-presentation", "separating-without", "nonseparating-without",
-        "h-0", "h-2", "3x3-at-n5"])
+        "h-0", "h-2", "3x3-at-n5", "stable-not-a-generator"])
 def test_bending_spec_checks_itself(change, message):
     spec = _genus2_spec(5, b0_family("SU_split_a", 5, OM))
     with pytest.raises(ValueError, match=message):

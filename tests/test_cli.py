@@ -341,13 +341,51 @@ def _with_curve(spec, **curve):
     (_with_curve(GENUS2_SPEC, h=1), ["--check-relator"], None),
     (_with_curve(FREE_SPEC, kind="separating", gamma="g1"), ["--word", "g1"], None),
     (_with_curve(GENUS2_SPEC, kind="nonseparating"), ["--check-relator"],
-     "error: word uses unknown generator 's'"),
+     "error: bending spec 'curve.stable' 's' is not a generator of the genus-2 surface"),
 ], ids=["presentation-without-kind-word", "presentation-without-kind-relator",
         "free-separating", "unassigned-stable-letter"])
 def test_bending_spec_curve_must_fit_the_mode(capsys, spec, argv, line):
     got = _assert_one_line_usage_error(capsys, ["bend", "--spec", spec, *argv])
     assert got == (line or "error: bending spec 'curve.kind' must be 'free' in "
                    "free mode, 'separating' or 'nonseparating' in presentation mode")
+
+
+# a non-separating curve bends its stable letter s to rho(s)*B, and the
+# bent surface relator decides well-definedness, as for a separating one
+@pytest.mark.parametrize("kind", ["SU_split_a", "SO_odd"])
+def test_bend_nonseparating_relator_holds_when_b_commutes_with_the_dual(capsys, kind):
+    data = json.loads(_with_curve(GENUS2_SPEC, kind="nonseparating",
+                                  stable="a1", gamma="b1"))
+    data["b0"]["kind"] = kind
+    code, doc = run_json(capsys, ["bend", "--spec", json.dumps(data),
+                                  "--check-relator"])
+    assert code == 0 and doc["relator_ok"]
+    assert doc["invariant_violations"] == []
+    images = []
+    for k in (1, 3):
+        data["b0"]["k"] = k
+        code, doc = run_json(capsys, ["bend", "--spec", json.dumps(data),
+                                      "--word", "a1"])
+        images.append(doc["image"])
+    assert code == 0 and images[0] != images[1]
+
+
+def test_bend_nonseparating_relator_fails_when_the_unbent_one_does(capsys):
+    # the unipotent second handle breaks the relator before any bending,
+    # whether or not B commutes with the curve image
+    data = json.loads(GENUS2_SPEC)
+    data["sl2_assignment"]["a2"] = [["1", "1"], ["0", "1"]]
+    data["sl2_assignment"]["b2"] = [["1", "0"], ["1", "1"]]
+    for stable, gamma, violations in (("b1", "a1", 1), ("a1", "b1", 0)):
+        data["curve"] = {"kind": "nonseparating", "stable": stable, "gamma": gamma}
+        code, doc = run_json(capsys, ["bend", "--spec", json.dumps(data),
+                                      "--check-relator"])
+        assert code == 1 and not doc["relator_ok"]
+        assert len(doc["invariant_violations"]) == violations
+    del data["curve"]["gamma"]
+    line = _assert_one_line_usage_error(
+        capsys, ["bend", "--spec", json.dumps(data), "--check-relator"])
+    assert line == "error: a nonseparating curve needs 'curve.gamma'"
 
 
 def test_bending_spec_mode_must_be_known(capsys):

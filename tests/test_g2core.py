@@ -90,4 +90,4 @@ def test_in_g2_implies_orthogonal(rng):
     from hitchinforge.symrep import j_matrix
     m = tau(7, random_sl2z(rng))
     assert in_g2(m)
-    assert in_so_q(m, j_matrix(7), integral=False)
+    assert in_so_q(m, j_matrix(7))
