@@ -215,13 +215,13 @@ class CurveSpec:
     """The simple closed curve along which to bend: separating (split
     index h, side C carries a1..bh, the curve is their boundary word),
     non-separating (HNN bending: the stable letter, a surface generator,
-    is bent to rho(s)*B, and gamma names the curve, the generator dual to
-    it) or, in free mode, the designated group element gamma."""
+    is bent to rho(s)*B, and the curve is the generator dual to it) or,
+    in free mode, the designated group element gamma."""
 
     kind: str                 # "separating" | "nonseparating" | "free"
     h: int = 1
     stable: str = "s"
-    gamma_name: Optional[str] = None   # free, non-separating: the curve element
+    gamma_name: Optional[str] = None   # free mode: designated diagonal element
 
     def __post_init__(self) -> None:
         if self.kind not in ("separating", "nonseparating", "free"):
@@ -286,10 +286,14 @@ class BendingSpec:
         return "free" if self.curve.kind == "free" else "presentation"
 
     def curve_word(self) -> list[tuple[str, int]]:
-        if self.curve.kind == "separating":
+        kind, stable = self.curve.kind, self.curve.stable
+        if kind == "separating":
             return self.presentation.boundary_word(self.curve.h)
+        if kind == "nonseparating":
+            # the generator dual to the stable letter: b_i for a_i, a_i for b_i
+            return [({"a": "b", "b": "a"}[stable[0]] + stable[1:], 1)]
         if not self.curve.gamma_name:
-            raise ValueError(f"a {self.curve.kind} curve needs 'curve.gamma'")
+            raise ValueError("free mode needs a designated curve element")
         return [(self.curve.gamma_name, 1)]
 
     def curve_image(self) -> ExactMatrix:

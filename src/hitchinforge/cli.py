@@ -282,10 +282,10 @@ def _load_bending_spec(text: str) -> BendingSpec:
     presentation = (SurfacePresentation(_spec_int(data.get("genus", 2), "genus"))
                     if mode == "presentation" else None)
     curve_data = data.get("curve", {})
-    curve = CurveSpec(curve_data.get("kind", "free"),
-                      h=_spec_int(curve_data.get("h", 1), "curve.h"),
+    kind = curve_data.get("kind", "free")
+    curve = CurveSpec(kind, h=_spec_int(curve_data.get("h", 1), "curve.h"),
                       stable=curve_data.get("stable", "s"),
-                      gamma_name=curve_data.get("gamma"))
+                      gamma_name=curve_data.get("gamma") if kind == "free" else None)
     return BendingSpec(n=n, assignment=assignment, b_matrix=b, curve=curve,
                        presentation=presentation, sl2_assignment=sl2)
 

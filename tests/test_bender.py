@@ -177,18 +177,19 @@ def test_relator_fails_with_noncommuting_bending():
     assert not check.ok
 
 
-def test_nonseparating_curve_has_image_but_no_boundary_word():
-    # the curve is the generator named by gamma, not the stable letter
-    b = b0_family("SU_split_a", 3, OM)
-    spec = replace(_genus2_spec(3, b),
-                   curve=CurveSpec("nonseparating", stable="a1", gamma_name="b1"))
-    assert spec.curve_word() == [("b1", 1)]
-    assert spec.curve_image() == spec.assignment["b1"]
-    with pytest.raises(ValueError, match="^a nonseparating curve needs 'curve.gamma'$"):
-        replace(spec, curve=CurveSpec("nonseparating", stable="a1")).curve_image()
-
-
 DUAL = {"a1": "b1", "b1": "a1", "a2": "b2", "b2": "a2"}
+
+
+def test_nonseparating_curve_has_image_but_no_boundary_word():
+    # the curve is the generator dual to the stable letter, not the stable
+    # letter itself, and a gamma_name does not override it
+    b = b0_family("SU_split_a", 3, OM)
+    for stable, dual in DUAL.items():
+        for gamma_name in (None, stable, "a2"):
+            curve = CurveSpec("nonseparating", stable=stable, gamma_name=gamma_name)
+            spec = replace(_genus2_spec(3, b), curve=curve)
+            assert spec.curve_word() == [(dual, 1)]
+            assert spec.curve_image() == spec.assignment[dual]
 
 
 def _over_q3(rows):
@@ -211,8 +212,7 @@ def test_nonseparating_relator_matches_the_hand_product(stable):
     for unbent_holds in (True, False):
         for b in bendings:
             spec = replace(_genus2_spec(5, b),
-                           curve=CurveSpec("nonseparating", stable=stable,
-                                           gamma_name=DUAL[stable]))
+                           curve=CurveSpec("nonseparating", stable=stable))
             rho = dict(spec.assignment)
             if not unbent_holds:
                 rho[other_handle[0]] = tau(5, unipotent)
