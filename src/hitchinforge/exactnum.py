@@ -13,11 +13,12 @@ and `field` interns descriptors, so equal fields are one object.  An
 inverse descends the tower in closed form, one element per level.
 
 Matrix products pick one dot-product kernel in one pass over both
-operands: over Q and over one field (the descriptor's own `kernel`) a
-vector is split once into integer numerators over one denominator, and
-each output entry is integer sums and one scalar, and a Fraction meeting
-one field's elements is read as an element of that field there; every
-other ring and mix runs the generic loop `_dot`.
+operands: over Q, over one field and over one finite field F_q (the
+kernel its entries' descriptor names) a vector is split once into integer
+coordinates over one denominator, and each output entry is integer sums
+and one scalar, and a Fraction meeting one field's elements is read as an
+element of that field there; quaternions and every other mix run the
+generic loop `_dot`.
 """
 
 from __future__ import annotations
@@ -169,8 +170,12 @@ def field(*radicands: int) -> FieldDescriptor:
 # is zero.  A RingElem subclass supplies only what differs between rings:
 # _coerce (the other operand in its own ring, or None), the same-ring
 # kernels _add, _sub and _mul, __neg__, inverse, is_zero, __eq__ and
-# __hash__.  RingElem derives every other operator from these once.  The
-# helpers below are the one place where bare rationals join the protocol.
+# __hash__; optionally `desc`, a descriptor whose `kernel` runs matrix
+# products over the ring, and `_RATIONAL_OPS`, kernels that take an int or
+# Fraction operand as its numerator and denominator, with `_operand`, the
+# operators' _coerce, which then takes only the ring's own elements.
+# RingElem derives every other operator from these once.  The helpers
+# below are the one place where bare rationals join the protocol.
 
 
 def _zero_like(x):
@@ -206,22 +211,31 @@ def _power(x, e: int, one):
     return out
 
 
-def _operator_fallbacks(kernel: Callable):
+def _operator_fallbacks(kernel: Callable, operand: Callable,
+                        rational: Optional[tuple] = None):
     """The forward and reflected operator of one same-ring kernel, as
     fractions.Fraction builds its operators: each coerces the other
-    operand into the ring of self and keeps the order of the operands."""
+    operand into the ring of self with `operand` and keeps the order of
+    the operands.  An int or Fraction that `operand` declines goes to
+    `rational`, when given: the pair of kernels (x, n, d) -> x op n/d and
+    n/d op x, which build no element for the rational."""
+    on_right, on_left = rational or (None, None)
 
     def forward(a, b):
-        o = a._coerce(b)
-        if o is None:
+        o = operand(a, b)
+        if o is not None:
+            return kernel(a, o)
+        if on_right is None or not isinstance(b, (int, Fraction)):
             return NotImplemented
-        return kernel(a, o)
+        return on_right(a, b.numerator, b.denominator)
 
     def reverse(b, a):
-        o = b._coerce(a)
-        if o is None:
+        o = operand(b, a)
+        if o is not None:
+            return kernel(o, b)
+        if on_left is None or not isinstance(a, (int, Fraction)):
             return NotImplemented
-        return kernel(o, b)
+        return on_left(b, a.numerator, a.denominator)
 
     return forward, reverse
 
@@ -231,19 +245,22 @@ class RingElem:
     a / b = a * b.inverse(), which matters only in a noncommutative ring."""
 
     __slots__ = ()
+    desc = None  # no fused kernel: matrix products run the generic loop
+    _RATIONAL_OPS: Mapping[str, tuple] = {}
 
     def __init_subclass__(cls) -> None:
         # Operators closed over this subclass's own kernels add one frame
         # above the kernel and live on the subclass itself, where a
         # per-class wrapper finds them (bench/tracer.py wraps FieldElem.__mul__).
-        mul = cls._mul
+        mul, operand = cls._mul, getattr(cls, "_operand", cls._coerce)
 
         def div(a, b):
             return mul(a, b.inverse())
 
         for name, kernel in (("add", cls._add), ("sub", cls._sub),
                              ("mul", mul), ("truediv", div)):
-            forward, reverse = _operator_fallbacks(kernel)
+            forward, reverse = _operator_fallbacks(kernel, operand,
+                                                   cls._RATIONAL_OPS.get(name))
             setattr(cls, f"__{name}__", forward)
             setattr(cls, f"__r{name}__", reverse)
 
@@ -339,12 +356,15 @@ class FieldElem(RingElem):
     # -- ring operations ----------------------------------------------
 
     def _coerce(self, other) -> Optional["FieldElem"]:
+        if isinstance(other, (int, Fraction)):
+            return FieldElem.from_rational(self.desc, other)
+        return self._operand(other)
+
+    def _operand(self, other) -> Optional["FieldElem"]:
         if isinstance(other, FieldElem):
             if other.desc is not self.desc and other.desc != self.desc:
                 raise ValueError("field descriptor mismatch")
             return other
-        if isinstance(other, (int, Fraction)):
-            return FieldElem.from_rational(self.desc, other)
         return None
 
     def _add(self, o: "FieldElem") -> "FieldElem":
@@ -371,6 +391,23 @@ class FieldElem(RingElem):
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero field element")
         return _field_inverse(self.desc, self.nums, self.den, self.desc.k)
+
+    def _affine(self, n: int, d: int, c: int = 0, e: int = 1) -> "FieldElem":
+        """self * n/d + c/e for integers with d, e != 0, as one element."""
+        nums = [a * n * e for a in self.nums]
+        nums[0] += c * self.den * d
+        return FieldElem(self.desc, nums, self.den * d * e)
+
+    # x op n/d and n/d op x for a rational operand n/d, one element each
+    # (an inverse first for n/d / x)
+    _RATIONAL_OPS = {
+        "add": (lambda x, n, d: x._affine(1, 1, n, d),) * 2,
+        "sub": (lambda x, n, d: x._affine(1, 1, -n, d),
+                lambda x, n, d: x._affine(-1, 1, n, d)),
+        "mul": (lambda x, n, d: x._affine(n, d),) * 2,
+        "truediv": (lambda x, n, d: x._affine(d, n),
+                    lambda x, n, d: x.inverse()._affine(n, d)),
+    }
 
     # -- predicates and accessors --------------------------------------
 
@@ -831,18 +868,22 @@ def _echelon(rows: list[list], ncols: int) -> tuple[list[int], int]:
 # -- dot products ----------------------------------------------------------
 #
 # Every dot product picks its kernel once, in one pass over all the
-# entries it will see (_kernel).  A kernel splits a vector once into
+# entries it will see (_kernel): every entry but a Fraction names its
+# kernel by its descriptor `desc`.  A kernel splits a vector once into
 # coordinates over one denominator: (den, one list per coordinate).  Over
 # Q (every entry a Fraction) and over one multiquadratic field (FieldElems
 # of one descriptor, and Fractions, the elements with only a constant
-# coordinate; the descriptor holds its kernel) the coordinates are the
-# integer numerators over the lcm of the denominators, one list per
-# monomial, and a dot product of two split vectors is one integer sum per
-# plan entry and one scalar, whose constructor takes the only gcd (Cohen,
-# A Course in Computational Algebraic Number Theory, 4.2).  Every other
-# ring and mix (two descriptors, a finite-field or quaternion entry)
-# keeps its entries as its one coordinate over the denominator 1, and its
-# dot product is the generic loop _dot.
+# coordinate) the coordinates are the integer numerators over the lcm of
+# the denominators, one list per monomial; over one finite field F_p or
+# F_p[r]/(r^2 - r2) (FqElems of one descriptor, no Fraction; modp builds
+# the kernel) they are the integer coordinates x and y over 1, multiplied
+# by the plan of Q(sqrt(r2)).  A dot product of two split vectors is one
+# integer sum per plan entry and one scalar, whose constructor takes the
+# only gcd or the only reduction mod p (Cohen, A Course in Computational
+# Algebraic Number Theory, 4.2).  Every other ring and mix (quaternions,
+# two descriptors, Fractions with FqElems) keeps its entries as its one
+# coordinate over the denominator 1, and its dot product is the generic
+# loop _dot.
 
 
 def _dot(row, col):
@@ -869,20 +910,24 @@ def _split_field(zeros: tuple, vec: Sequence) -> tuple[int, list[tuple[int, ...]
 
 
 class _Fused:
-    """The fused kernel of Q (desc is field(), entries are Fractions) or, by
-    default, of one field (entries are FieldElems of desc and Fractions;
-    built once per descriptor, as `desc.kernel`).
+    """The fused kernel of Q (desc is field(), entries are Fractions), of a
+    finite field (desc is modp's plan-shaped descriptor, with its own
+    split and build; no Fractions) or, by default, of one field (entries
+    are FieldElems of desc and Fractions).  Each is built once per
+    descriptor, as `desc.kernel`.
     `unit` and `times` are the one and the product on integer coordinates,
     so callers can build integral vectors without building scalars;
-    `build(nums, den)` makes the one scalar of a result."""
+    `build(nums, den)` makes the one scalar of a result, and `rationals`
+    says whether `split` reads Fraction entries."""
 
-    __slots__ = ("desc", "plan", "split", "build", "unit")
+    __slots__ = ("desc", "plan", "split", "build", "unit", "rationals")
 
-    def __init__(self, desc: FieldDescriptor, split: Optional[Callable] = None,
-                 build: Optional[Callable] = None):
+    def __init__(self, desc, split: Optional[Callable] = None,
+                 build: Optional[Callable] = None, rationals: bool = True):
         self.desc, self.plan, self.unit = desc, desc.plan, [1] + [0] * (desc.dim - 1)
         self.split = split or partial(_split_field, (0,) * (desc.dim - 1))
         self.build = build or partial(FieldElem, desc)
+        self.rationals = rationals
 
     def times(self, u: Sequence[int], v: Sequence[int]) -> list[int]:
         return _times(self.desc, u, v)
@@ -896,9 +941,9 @@ class _Fused:
 
 
 class _Loop:
-    """The kernel of every other ring and of every other mix: the one
-    coordinate of an entry is the entry itself, over the denominator 1,
-    and the ring operations do the work."""
+    """The kernel of quaternions and of every mix no fused kernel takes:
+    the one coordinate of an entry is the entry itself, over the
+    denominator 1, and the ring operations do the work."""
 
     __slots__ = ("like",)
 
@@ -927,15 +972,21 @@ _RATIONALS = _Fused(field(), _split_rationals, lambda nums, den: Fraction(nums[0
 
 def _kernel(vectors: Sequence[Sequence]) -> Union[_Fused, _Loop]:
     """The kernel of the entries of `vectors`, from one pass: Q's if all
-    are Fractions, a field's if the rest are FieldElems of its one
-    descriptor, else the generic loop."""
-    desc = None
+    are Fractions, else the kernel of the one descriptor that every other
+    entry has (a field's also takes the Fractions, a finite field's none),
+    else the generic loop."""
+    desc, rational = None, False
     for x in chain.from_iterable(vectors):
-        if type(x) is not Fraction:  # first: all-Fraction input is the common case
-            if type(x) is not FieldElem or (x.desc is not desc and desc is not None):
+        if type(x) is Fraction:  # first: all-Fraction input is the common case
+            rational = True
+        elif x.desc is not desc or desc is None:
+            if desc is not None or x.desc is None:
                 return _Loop(next(chain.from_iterable(vectors)))
             desc = x.desc
-    return _RATIONALS if desc is None else desc.kernel
+    kernel = _RATIONALS if desc is None else desc.kernel
+    if rational and not kernel.rationals:
+        return _Loop(next(chain.from_iterable(vectors)))
+    return kernel
 
 
 def _products(rows: Sequence[Sequence], cols: Sequence[Sequence]) -> list[list]:

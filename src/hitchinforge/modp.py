@@ -20,6 +20,7 @@ from .exactnum import (
     ExactMatrix,
     FieldElem,
     RingElem,
+    _Fused,
     _is_prime,
     field,
     in_group,
@@ -78,6 +79,11 @@ class FqElem(RingElem):
     @property
     def degree(self) -> int:
         return 1 if self.r2 is None else 2
+
+    @property
+    def desc(self) -> "FqDescriptor":
+        """The descriptor of this element's field; it holds the kernel."""
+        return _FQ_DESCRIPTORS[self.p, self.r2]
 
     def _coerce(self, other) -> Optional["FqElem"]:
         if isinstance(other, FqElem):
@@ -151,6 +157,33 @@ class FqElem(RingElem):
         return f"{self.x}+{self.y}r"
 
     __repr__ = __str__
+
+
+class FqDescriptor:
+    """F_p (r2 None) or F_p[r]/(r^2 - r2) as a matrix product sees it: an
+    element splits into its integer coordinates x (and y) over the
+    denominator 1, they multiply by the plan of Q(sqrt(r2)) (F_p keeps its
+    constant entry), and the one FqElem of each output entry reduces mod p
+    once.  Interned in _FQ_DESCRIPTORS, so each field builds one kernel."""
+
+    __slots__ = ("dim", "plan", "kernel")
+
+    def __init__(self, p: int, r2: Optional[int]):
+        self.dim = 1 if r2 is None else 2
+        self.plan = ((0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1), (1, 1, 0, r2))[:self.dim ** 2]
+        if r2 is None:
+            def split(vec):
+                return 1, [[e.x for e in vec]]
+
+            def build(nums, den):
+                return FqElem(p, nums[0])
+        else:
+            def split(vec):
+                return 1, [[e.x for e in vec], [e.y for e in vec]]
+
+            def build(nums, den):
+                return FqElem(p, nums[0], nums[1], r2)
+        self.kernel = _Fused(self, split, build, rationals=False)
 
 
 # -- reduction contexts ------------------------------------------------------
@@ -232,13 +265,16 @@ class _Lazy(dict):
 
     __slots__ = ("fn",)
 
-    def __init__(self, fn: Callable[[int], int]):
+    def __init__(self, fn: Callable):
         super().__init__()
         self.fn = fn
 
-    def __missing__(self, key: int) -> int:
+    def __missing__(self, key):
         value = self[key] = self.fn(key)
         return value
+
+
+_FQ_DESCRIPTORS = _Lazy(lambda key: FqDescriptor(*key))  # by (p, r2 mod p)
 
 
 def _field(gens: Sequence[ExactMatrix]) -> tuple[int, Optional[int]]:

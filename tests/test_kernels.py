@@ -1,8 +1,8 @@
 """The dot-product kernels behind ExactMatrix products, g2core and tau:
-each fused kernel (Q, one multiquadratic field) against the generic loop
-`_dot`, entrywise and in canonical form; the scan that picks a kernel and
-its fallbacks; interned field descriptors; and tau against the expansion
-in ring operations that it replaced."""
+each fused kernel (Q, one multiquadratic field, one finite field) against
+the generic loop `_dot`, entrywise and in canonical form; the scan that
+picks a kernel and its fallbacks; interned field descriptors; and tau
+against the expansion in ring operations that it replaced."""
 
 from fractions import Fraction
 from math import comb, gcd
@@ -29,7 +29,8 @@ from hitchinforge import symrep
 from hitchinforge.exactnum import preserves_form
 from hitchinforge.g2core import _BASIS_PAIRS, J7, Vec7, cross7, in_g2
 from hitchinforge.lattices import containment_check
-from hitchinforge.modp import FqElem
+from hitchinforge import modp
+from hitchinforge.modp import FqDescriptor, FqElem, trace_witness
 from hitchinforge.quatalg import QuatAlgebra
 from hitchinforge.symrep import j_matrix, so_form_from_cocycle, tau
 
@@ -57,7 +58,13 @@ def scalars(desc):
 def matrices(desc, nrows, ncols):
     """nrows x ncols entries, sometimes with a whole zero row or column."""
     zero = Fraction(0) if not desc.radicands else FieldElem.zero(desc)
-    rows = st.lists(st.lists(scalars(desc), min_size=ncols, max_size=ncols),
+    return blanked_matrices(scalars(desc), zero, nrows, ncols)
+
+
+def blanked_matrices(entries, zero, nrows, ncols):
+    """nrows x ncols draws of entries, sometimes with a whole zero row or
+    column."""
+    rows = st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
                     min_size=nrows, max_size=nrows)
 
     def blank(rows, what):
@@ -271,8 +278,119 @@ def test_finite_field_and_quaternion_products_take_the_generic_loop(ring):
     a = ExactMatrix([[make(i + j, i * j + 1) for j in range(3)] for i in range(2)])
     b = ExactMatrix([[make(i - j, 2 * j) for j in range(2)] for i in range(3)])
     cols = list(zip(*b.entries))
+    assert isinstance(_kernel((*a.entries, *cols)), _Fused if ring == "F9" else _Loop)
+    assert (a * b).entries == tuple(map(tuple, generic(a.entries, cols)))
+
+
+# F_p and F_p[r]/(r^2 - 2): 2 is not a square mod 3, 5 or 101
+FINITE_FIELDS = [(p, r2) for p in (3, 5, 101) for r2 in (None, 2)]
+
+
+def fq_scalars(p, r2):
+    """FqElems from unreduced coordinates; a quarter are zero."""
+    coord = st.integers(-3 * p, 3 * p)
+    elem = st.builds(lambda x, y: FqElem(p, x, 0 if r2 is None else y, r2), coord, coord)
+    return st.one_of(elem, elem, elem, st.just(FqElem(p, 0, 0, r2)))
+
+
+def fq_coordinates(x):
+    return x.p, x.x, x.y, x.r2
+
+
+@pytest.mark.parametrize("p, r2", FINITE_FIELDS)
+def test_finite_field_kernel_matches_generic_loop(p, r2):
+    zero = FqElem(p, 0, 0, r2)
+
+    def pair(s):
+        return st.tuples(blanked_matrices(fq_scalars(p, r2), zero, s[0], s[1]),
+                         blanked_matrices(fq_scalars(p, r2), zero, s[1], s[2]))
+
+    @given(shapes().flatmap(pair))
+    def check(ab):
+        a, b = ab
+        cols = list(zip(*b))
+        assert _kernel((*a, *cols)) is zero.desc.kernel
+        got = _products(a, cols)
+        want = generic(a, cols)
+        for row_got, row_want in zip(got, want):
+            for x, y in zip(row_got, row_want):
+                assert type(x) is FqElem
+                assert fq_coordinates(x) == fq_coordinates(y)
+                assert 0 <= x.x < p and 0 <= x.y < p
+        assert (ExactMatrix(a) * ExactMatrix(b)).entries == tuple(map(tuple, want))
+    check()
+
+
+def test_finite_field_power_matches_repeated_products():
+    f9 = fq_scalars(3, 2)
+
+    @given(st.integers(1, 4).flatmap(
+        lambda n: blanked_matrices(f9, FqElem(3, 0, 0, 2), n, n)), st.integers(0, 9))
+    def check(rows, e):
+        m = ExactMatrix(rows)
+        want = ExactMatrix.identity(m.nrows, like=rows[0][0]).entries
+        for _ in range(e):
+            want = generic(want, list(zip(*rows)))
+        got = (m ** e).entries
+        assert [fq_coordinates(x) for x in sum(got, ())] == [
+            fq_coordinates(x) for x in sum(map(tuple, want), ())]
+    check()
+
+
+@pytest.mark.parametrize("left, right, message", [
+    (FqElem(5, 2), FqElem(7, 3), "mixed characteristics"),
+    (FqElem(5, 1, 1, 2), FqElem(5, 1, 1, 3), "mixed quadratic extensions"),
+])
+def test_two_finite_fields_take_the_loop_and_refuse_to_mix(left, right, message):
+    a = ExactMatrix([[left, left], [left, left]])
+    b = ExactMatrix([[right, right], [right, right]])
+    assert isinstance(_kernel((*a.entries, *zip(*b.entries))), _Loop)
+    with pytest.raises(ValueError, match=message):
+        a * b
+
+
+def test_prime_field_times_its_extension_takes_the_loop():
+    a = ExactMatrix([[FqElem(3, i + 2 * j) for j in range(3)] for i in range(2)])
+    b = ExactMatrix([[FqElem(3, i - j, j + 1, 2) for j in range(2)] for i in range(3)])
+    cols = list(zip(*b.entries))
     assert isinstance(_kernel((*a.entries, *cols)), _Loop)
     assert (a * b).entries == tuple(map(tuple, generic(a.entries, cols)))
+
+
+def su3_conjugates():
+    gens = modp.su3_generators(3)[0]
+    c = gens[1] * gens[2]
+    c_inv = c.inverse()
+    return [c * g * c_inv for g in gens[:6]]
+
+
+@pytest.mark.parametrize("call", [
+    "omega4 Schreier generators", "trace witnesses", "separation certificate",
+    "su3 conjugation"])
+def test_finite_field_data_takes_its_kernel(monkeypatch, call):
+    """Every product over reduced data runs the kernel of its finite field;
+    the rational data these build before reducing it runs Q's."""
+    bending = b0_family("SU_split_a", 3, fundamental_unit(3).value, 1)
+    run = {
+        "omega4 Schreier generators": lambda: modp._omega4_schreier_generators(5),
+        "trace witnesses": lambda: [
+            trace_witness("SL", 3, 5, 2), trace_witness("Sp", 4, 5, 2),
+            trace_witness("SU", 3, 3, FqElem(3, 1, 1, 2)), trace_witness("Omega", 4, 5, 2)],
+        "separation certificate": lambda: modp.separation_certificate(3, bending, 5),
+        "su3 conjugation": su3_conjugates,
+    }[call]
+    kernels = []
+
+    def recording(vectors):
+        kernel = _kernel(vectors)
+        kernels.append(kernel)
+        return kernel
+
+    monkeypatch.setattr(exactnum, "_kernel", recording)
+    monkeypatch.setattr(symrep, "_kernel", recording)
+    assert run()
+    assert {type(k) for k in kernels} == {_Fused}
+    assert {type(k.desc) for k in kernels} - {FieldDescriptor} == {FqDescriptor}
 
 
 def reference_in_g2(m):
