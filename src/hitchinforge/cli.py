@@ -411,10 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_so_form)
 
     p = sub.add_parser("lattice-check", help="arithmetic group membership")
-    # _load_matrix parses no quaternion scalars, so the quaternion kinds
-    # could never answer from the command line
-    p.add_argument("--kind", required=True,
-                   choices=[k for k in LATTICE_KINDS if not k.endswith("_quat")])
+    p.add_argument("--kind", required=True, choices=list(LATTICE_KINDS))
     p.add_argument("--matrix", required=True)
     p.add_argument("--n", type=int, default=0)
     p.add_argument("--d", type=int, default=0)

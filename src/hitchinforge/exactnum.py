@@ -17,8 +17,9 @@ operands: over Q, over one field and over one finite field F_q (the
 kernel its entries' descriptor names) a vector is split once into integer
 coordinates over one denominator, and each output entry is integer sums
 and one scalar, and a Fraction meeting one field's elements is read as an
-element of that field there; quaternions and every other mix run the
-generic loop `_dot`.
+element of that field there; quaternions and every mix no kernel takes
+(Fractions with FqElems, two descriptors) run the generic loop `_dot`.
+An int or Fraction operand of a ring element is coerced into its ring.
 """
 
 from __future__ import annotations
@@ -171,11 +172,9 @@ def field(*radicands: int) -> FieldDescriptor:
 # _coerce (the other operand in its own ring, or None), the same-ring
 # kernels _add, _sub and _mul, __neg__, inverse, is_zero, __eq__ and
 # __hash__; optionally `desc`, a descriptor whose `kernel` runs matrix
-# products over the ring, and `_RATIONAL_OPS`, kernels that take an int or
-# Fraction operand as its numerator and denominator, with `_operand`, the
-# operators' _coerce, which then takes only the ring's own elements.
-# RingElem derives every other operator from these once.  The helpers
-# below are the one place where bare rationals join the protocol.
+# products over the ring.  RingElem derives every other operator from
+# these once.  The helpers below are the one place where bare rationals
+# join the protocol.
 
 
 def _zero_like(x):
@@ -211,31 +210,22 @@ def _power(x, e: int, one):
     return out
 
 
-def _operator_fallbacks(kernel: Callable, operand: Callable,
-                        rational: Optional[tuple] = None):
+def _operator_fallbacks(kernel: Callable):
     """The forward and reflected operator of one same-ring kernel, as
     fractions.Fraction builds its operators: each coerces the other
-    operand into the ring of self with `operand` and keeps the order of
-    the operands.  An int or Fraction that `operand` declines goes to
-    `rational`, when given: the pair of kernels (x, n, d) -> x op n/d and
-    n/d op x, which build no element for the rational."""
-    on_right, on_left = rational or (None, None)
+    operand into the ring of self and keeps the order of the operands."""
 
     def forward(a, b):
-        o = operand(a, b)
-        if o is not None:
-            return kernel(a, o)
-        if on_right is None or not isinstance(b, (int, Fraction)):
+        o = a._coerce(b)
+        if o is None:
             return NotImplemented
-        return on_right(a, b.numerator, b.denominator)
+        return kernel(a, o)
 
     def reverse(b, a):
-        o = operand(b, a)
-        if o is not None:
-            return kernel(o, b)
-        if on_left is None or not isinstance(a, (int, Fraction)):
+        o = b._coerce(a)
+        if o is None:
             return NotImplemented
-        return on_left(b, a.numerator, a.denominator)
+        return kernel(o, b)
 
     return forward, reverse
 
@@ -246,21 +236,19 @@ class RingElem:
 
     __slots__ = ()
     desc = None  # no fused kernel: matrix products run the generic loop
-    _RATIONAL_OPS: Mapping[str, tuple] = {}
 
     def __init_subclass__(cls) -> None:
         # Operators closed over this subclass's own kernels add one frame
         # above the kernel and live on the subclass itself, where a
         # per-class wrapper finds them (bench/tracer.py wraps FieldElem.__mul__).
-        mul, operand = cls._mul, getattr(cls, "_operand", cls._coerce)
+        mul = cls._mul
 
         def div(a, b):
             return mul(a, b.inverse())
 
         for name, kernel in (("add", cls._add), ("sub", cls._sub),
                              ("mul", mul), ("truediv", div)):
-            forward, reverse = _operator_fallbacks(kernel, operand,
-                                                   cls._RATIONAL_OPS.get(name))
+            forward, reverse = _operator_fallbacks(kernel)
             setattr(cls, f"__{name}__", forward)
             setattr(cls, f"__r{name}__", reverse)
 
@@ -356,15 +344,12 @@ class FieldElem(RingElem):
     # -- ring operations ----------------------------------------------
 
     def _coerce(self, other) -> Optional["FieldElem"]:
-        if isinstance(other, (int, Fraction)):
-            return FieldElem.from_rational(self.desc, other)
-        return self._operand(other)
-
-    def _operand(self, other) -> Optional["FieldElem"]:
         if isinstance(other, FieldElem):
             if other.desc is not self.desc and other.desc != self.desc:
                 raise ValueError("field descriptor mismatch")
             return other
+        if isinstance(other, (int, Fraction)):
+            return FieldElem.from_rational(self.desc, other)
         return None
 
     def _add(self, o: "FieldElem") -> "FieldElem":
@@ -391,23 +376,6 @@ class FieldElem(RingElem):
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero field element")
         return _field_inverse(self.desc, self.nums, self.den, self.desc.k)
-
-    def _affine(self, n: int, d: int, c: int = 0, e: int = 1) -> "FieldElem":
-        """self * n/d + c/e for integers with d, e != 0, as one element."""
-        nums = [a * n * e for a in self.nums]
-        nums[0] += c * self.den * d
-        return FieldElem(self.desc, nums, self.den * d * e)
-
-    # x op n/d and n/d op x for a rational operand n/d, one element each
-    # (an inverse first for n/d / x)
-    _RATIONAL_OPS = {
-        "add": (lambda x, n, d: x._affine(1, 1, n, d),) * 2,
-        "sub": (lambda x, n, d: x._affine(1, 1, -n, d),
-                lambda x, n, d: x._affine(-1, 1, n, d)),
-        "mul": (lambda x, n, d: x._affine(n, d),) * 2,
-        "truediv": (lambda x, n, d: x._affine(d, n),
-                    lambda x, n, d: x.inverse()._affine(n, d)),
-    }
 
     # -- predicates and accessors --------------------------------------
 
@@ -881,9 +849,8 @@ def _echelon(rows: list[list], ncols: int) -> tuple[list[int], int]:
 # integer sum per plan entry and one scalar, whose constructor takes the
 # only gcd or the only reduction mod p (Cohen, A Course in Computational
 # Algebraic Number Theory, 4.2).  Every other ring and mix (quaternions,
-# two descriptors, Fractions with FqElems) keeps its entries as its one
-# coordinate over the denominator 1, and its dot product is the generic
-# loop _dot.
+# two descriptor objects, Fractions with FqElems) has no kernel, and its
+# dot product is the generic loop _dot.
 
 
 def _dot(row, col):
@@ -914,7 +881,8 @@ class _Fused:
     finite field (desc is modp's plan-shaped descriptor, with its own
     split and build; no Fractions) or, by default, of one field (entries
     are FieldElems of desc and Fractions).  Each is built once per
-    descriptor, as `desc.kernel`.
+    descriptor, as `desc.kernel`; it is the only kernel, and every ring
+    without one runs `_dot`.
     `unit` and `times` are the one and the product on integer coordinates,
     so callers can build integral vectors without building scalars;
     `build(nums, den)` makes the one scalar of a result, and `rationals`
@@ -940,60 +908,32 @@ class _Fused:
         return self.build(out, da * db)
 
 
-class _Loop:
-    """The kernel of quaternions and of every mix no fused kernel takes:
-    the one coordinate of an entry is the entry itself, over the
-    denominator 1, and the ring operations do the work."""
-
-    __slots__ = ("like",)
-
-    def __init__(self, like):
-        self.like = like
-
-    @property
-    def unit(self) -> list:
-        return [_one_like(self.like)]
-
-    @staticmethod
-    def split(vec: Sequence) -> tuple[int, list[Sequence]]:
-        return 1, [vec]
-
-    @staticmethod
-    def times(u: Sequence, v: Sequence) -> list:
-        return [u[0] * v[0]]
-
-    @staticmethod
-    def dot(a, b):
-        return _dot(a[1][0], b[1][0])
-
-
 _RATIONALS = _Fused(field(), _split_rationals, lambda nums, den: Fraction(nums[0], den))
 
 
-def _kernel(vectors: Sequence[Sequence]) -> Union[_Fused, _Loop]:
+def _kernel(vectors: Sequence[Sequence]) -> Optional[_Fused]:
     """The kernel of the entries of `vectors`, from one pass: Q's if all
     are Fractions, else the kernel of the one descriptor that every other
     entry has (a field's also takes the Fractions, a finite field's none),
-    else the generic loop."""
+    else None: quaternions and every other mix run the generic loop."""
     desc, rational = None, False
     for x in chain.from_iterable(vectors):
         if type(x) is Fraction:  # first: all-Fraction input is the common case
             rational = True
         elif x.desc is not desc or desc is None:
             if desc is not None or x.desc is None:
-                return _Loop(next(chain.from_iterable(vectors)))
+                return None
             desc = x.desc
     kernel = _RATIONALS if desc is None else desc.kernel
-    if rational and not kernel.rationals:
-        return _Loop(next(chain.from_iterable(vectors)))
-    return kernel
+    return None if rational and not kernel.rationals else kernel
 
 
 def _products(rows: Sequence[Sequence], cols: Sequence[Sequence]) -> list[list]:
     """[[row . col for col in cols] for row in rows], every column split
-    once and every row once, through one kernel for all of them."""
+    once and every row once, through one kernel for all of them, or the
+    generic loop _dot on the entries when there is none."""
     kernel = _kernel((*rows, *cols))
-    if type(kernel) is _Loop:  # nothing to split: the loop runs on the entries
+    if kernel is None:
         return [[_dot(r, c) for c in cols] for r in rows]
     split, dot = kernel.split, kernel.dot
     cols = [split(c) for c in cols]

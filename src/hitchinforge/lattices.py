@@ -180,10 +180,8 @@ def in_sl_quat(m: ExactMatrix, size: int, a: int, b: int) -> bool:
 LATTICE_KINDS = {
     "SLnZ": lambda s, m: m.nrows == s.n and in_slnz(m),
     "SU_sqrt_d": lambda s, m: in_su_sqrt_d(m, s.n, s.d),
-    "SU_quat": lambda s, m: in_su_quat(m, s.n, s.a, s.b, s.d),
     "Sp": lambda s, m: in_sp(m, s.n),
     "SO_Q": lambda s, m: in_so_q(m, s.q_matrix),
-    "SL_quat": lambda s, m: in_sl_quat(m, s.n, s.a, s.b),
     "G2Z": lambda s, m: m.nrows == 7 and in_g2z(m),
 }
 
@@ -195,8 +193,6 @@ class LatticeSpec:
     kind: str  # a key of LATTICE_KINDS
     n: int = 0
     d: int = 0
-    a: int = 0
-    b: int = 0
     q_matrix: Optional[ExactMatrix] = None
 
     def __post_init__(self) -> None:
@@ -204,8 +200,6 @@ class LatticeSpec:
             raise ValueError(f"unknown lattice kind {self.kind!r}")
         if self.kind == "SU_sqrt_d" and square_free_part(self.d) <= 1:
             raise ValueError("SU_sqrt_d needs a positive non-square d")
-        if self.kind == "SU_quat" and square_free_part(self.d) <= 1:
-            raise ValueError("SU_quat needs a positive non-square d")
         if self.kind == "Sp" and self.n % 2:
             raise ValueError("Sp needs even dimension")
         if self.kind == "SO_Q":

@@ -89,9 +89,7 @@ class FqElem(RingElem):
         if isinstance(other, FqElem):
             if other.p != self.p:
                 raise ValueError("mixed characteristics")
-            if self.r2 is not None and other.r2 is None:
-                return FqElem(self.p, other.x, 0, self.r2)
-            if self.r2 != other.r2 and other.r2 is not None and self.r2 is not None:
+            if other.r2 != self.r2:  # F_p next to F_p^2 too: one field per operation
                 raise ValueError("mixed quadratic extensions")
             return other
         if isinstance(other, (int, Fraction)):
@@ -102,18 +100,16 @@ class FqElem(RingElem):
         return self.x == 0 and self.y == 0
 
     def _add(self, o: "FqElem") -> "FqElem":
-        r2 = self.r2 if self.r2 is not None else o.r2
-        return FqElem(self.p, self.x + o.x, self.y + o.y, r2)
+        return FqElem(self.p, self.x + o.x, self.y + o.y, self.r2)
 
     def _sub(self, o: "FqElem") -> "FqElem":
-        r2 = self.r2 if self.r2 is not None else o.r2
-        return FqElem(self.p, self.x - o.x, self.y - o.y, r2)
+        return FqElem(self.p, self.x - o.x, self.y - o.y, self.r2)
 
     def __neg__(self):
         return FqElem(self.p, -self.x, -self.y, self.r2)
 
     def _mul(self, o: "FqElem") -> "FqElem":
-        r2 = self.r2 if self.r2 is not None else o.r2
+        r2 = self.r2
         if r2 is None:
             return FqElem(self.p, self.x * o.x)
         return FqElem(self.p,
@@ -218,18 +214,21 @@ class ReductionContext:
 def reduce_scalar(x: Union[int, Fraction, FieldElem],
                   ctx: ReductionContext) -> FqElem:
     """Ring homomorphism onto the residue ring of Z[sqrt(d)], on values
-    lifted into Q(sqrt(d)); denominators must be invertible mod p."""
+    lifted into Q(sqrt(d)); denominators must be invertible mod p.  Every
+    value, a rational too, lands in that one ring: F_p when p splits,
+    F_p^2 when p is inert."""
     p = ctx.p
     if isinstance(x, (int, Fraction)):
-        return FqElem(p, _mod_p(x, p))
-    if isinstance(x, FieldElem):
+        a, b = _mod_p(x, p), 0
+    elif isinstance(x, FieldElem):
         x = lift(x, field(ctx.d))
         den_inv = _mod_p(Fraction(1, x.den), p)
         a, b = (c * den_inv for c in x.nums)
-        if ctx.mode == "split":
-            return FqElem(p, a + b * ctx.root)
-        return FqElem(p, a, b, ctx.d % p)
-    raise TypeError(f"cannot reduce {type(x)!r}")
+    else:
+        raise TypeError(f"cannot reduce {type(x)!r}")
+    if ctx.mode == "split":
+        return FqElem(p, a + b * ctx.root)
+    return FqElem(p, a, b, ctx.d % p)
 
 
 def reduce_matrix(m: ExactMatrix, ctx: ReductionContext) -> ExactMatrix:
@@ -278,8 +277,8 @@ _FQ_DESCRIPTORS = _Lazy(lambda key: FqDescriptor(*key))  # by (p, r2 mod p)
 
 
 def _field(gens: Sequence[ExactMatrix]) -> tuple[int, Optional[int]]:
-    """(p, r2) of the field that holds every generator entry; r2 is None
-    for the prime field."""
+    """(p, r2) of the one field of every generator entry; r2 is None for
+    the prime field."""
     if not gens:
         raise ValueError("need at least one generator")
     entries = [e for g in gens for row in g.entries for e in row]
@@ -287,10 +286,10 @@ def _field(gens: Sequence[ExactMatrix]) -> tuple[int, Optional[int]]:
         raise TypeError("closure needs FqElem entries")
     if len({e.p for e in entries}) > 1:
         raise ValueError("mixed characteristics")
-    r2s = {e.r2 for e in entries} - {None}
+    r2s = {e.r2 for e in entries}  # with one p, one r2 is one FqDescriptor
     if len(r2s) > 1:
         raise ValueError("mixed quadratic extensions")
-    return entries[0].p, next(iter(r2s), None)
+    return entries[0].p, r2s.pop()
 
 
 def _codes(g: ExactMatrix, p: int, q: int) -> tuple[int, ...]:
@@ -330,13 +329,11 @@ def _row_action(rows: Sequence[int], p: int, r2: Optional[int]) -> _Lazy:
     return _Lazy(image)
 
 
-def _walk(gens: Sequence[ExactMatrix], cap: int,
-          depth: Optional[int] = None) -> set[tuple[int, ...]]:
+def _walk(gens: Sequence[ExactMatrix], cap: int, depth: int) -> set[tuple[int, ...]]:
     """Breadth-first walk of the products of the generators from the
-    identity: the whole group when depth is None (only the tests' oracle
-    walks a whole group), else the words of length at most depth.  Returns
-    the set of elements; raises CapExceeded (with the partial count,
-    cap + 1) as soon as the set outgrows the cap."""
+    identity: the words of length at most depth.  Returns the set of
+    elements; raises CapExceeded (with the partial count, cap + 1) as soon
+    as the set outgrows the cap."""
     p, r2 = _field(gens)
     q = p if r2 is None else p * p
     steps = [_row_action(_codes(g, p, q), p, r2).__getitem__ for g in gens]
@@ -344,7 +341,7 @@ def _walk(gens: Sequence[ExactMatrix], cap: int,
     seen = {ident}
     frontier = [ident]
     level = 0
-    while frontier and (depth is None or level < depth):
+    while frontier and level < depth:
         level += 1
         new = []
         for m in frontier:

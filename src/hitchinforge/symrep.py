@@ -46,7 +46,9 @@ def tau(n: int, m: ExactMatrix) -> ExactMatrix:
     degree n-1: the basis monomial X^(n-1-i) Y^i maps to
     (aX+cY)^(n-1-i) (bX+dY)^i, expanded on the same basis.
 
-    Multiplicative, and of determinant 1 on determinant-1 input.
+    Multiplicative, and of determinant 1 on determinant-1 input.  The
+    entries must share one ring with a fused kernel (Q, one field, one
+    finite field): over a noncommutative ring tau is not multiplicative.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -64,6 +66,8 @@ def tau(n: int, m: ExactMatrix) -> ExactMatrix:
     # C(n-1-i, s) a^(n-1-i-s) c^s; the second factor's are listed from Y^i
     # down, so that each entry is one dot product of two windows.
     kernel = _kernel(m.entries)
+    if kernel is None:
+        raise ValueError("tau needs the entries of one ring with a kernel")
     den, coords = kernel.split(m.entries[0] + m.entries[1])
     unit = kernel.unit
 

@@ -163,6 +163,14 @@ def test_lattice_spec_dispatch():
         LatticeSpec(kind="nope", n=2)
 
 
+@pytest.mark.parametrize("kind", ["SU_quat", "SL_quat"])
+def test_lattice_spec_has_no_quaternion_kinds(kind):
+    """in_su_quat and in_sl_quat take their algebra as arguments; a spec
+    names no algebra, so it offers neither kind."""
+    with pytest.raises(ValueError, match="unknown lattice kind"):
+        LatticeSpec(kind=kind, n=2, d=3)
+
+
 def test_applicable_sign_patterns():
     assert applicable_sign_patterns(3, 3) == [(1, 1), (-1, -1)]
     assert applicable_sign_patterns(3, 5) == [(1, 1), (1, -1), (-1, 1), (-1, -1)]

@@ -27,6 +27,7 @@ from hitchinforge.modp import (
     matrix_order,
     group_closure_and_traces,
     omega4_elements,
+    reduce_matrix,
     reduce_scalar,
     separation_certificate,
     sl_generators,
@@ -125,6 +126,20 @@ def test_reduce_denominator_failure():
     ctx = ReductionContext.build(5, 3)
     with pytest.raises(ZeroDivisionError):
         reduce_scalar(Fraction(1, 5), ctx)
+
+
+def test_rationals_and_field_elements_reduce_into_one_field_at_an_inert_prime():
+    """At the inert 7 a matrix of Fractions and elements of Q(sqrt(3))
+    reduces into the one field F_49, and its order is the first power that
+    is the identity."""
+    s3 = FieldElem.sqrt_int(field(3), 3)
+    red = reduce_matrix(ExactMatrix([[2 + s3, Fraction(1, 2)], [0, 2 - s3]]),
+                        ReductionContext.build(7, 3))
+    assert len({e.desc for row in red.entries for e in row}) == 1
+    powers = [red]
+    while not powers[-1].is_identity():
+        powers.append(powers[-1] * red)
+    assert matrix_order(red) == len(powers)
 
 
 def test_group_closure_examples():
@@ -227,7 +242,7 @@ def _reference_traces(walked, n, p, r2):
 def _assert_chain_matches_walk(gens):
     p, r2 = modp._field(gens)
     n = gens[0].nrows
-    walked = _walk(gens, DEFAULT_CLOSURE_CAP)
+    walked = _walk(gens, DEFAULT_CLOSURE_CAP, DEFAULT_CLOSURE_CAP)
     chain = _Chain(gens, DEFAULT_CLOSURE_CAP)
     enumerated = list(chain.elements())
     assert chain.order == len(walked) == len(enumerated)
