@@ -4,9 +4,9 @@ deterministic JSON output.
 Exit codes: 0 = computed, 1 = computed with failures (membership false,
 containment failures, invalid certificates), 2 = usage error, 3 = an
 internal self-check failed (an AssertionError, reported on one stderr
-line).  Exact
-values are emitted as decimal strings; matrices are arrays of strings
-over the grammar  int('/'int)? (('+'|'-') coeff 'sqrt(' int ')')* .
+line).  Exact values are emitted as decimal strings of any size; matrices
+are arrays of strings over the grammar
+int('/'int)? (('+'|'-') coeff 'sqrt(' int ')')* .
 """
 
 from __future__ import annotations
@@ -487,7 +487,12 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
+    # exact integers of any size cross the text boundary: lift CPython's
+    # int <-> str digit limit while the command runs, then restore it
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda digits: None)
     try:
+        set_limit(0)
         return args.fn(args)
     except (UsageError, ValueError, KeyError, ZeroDivisionError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
@@ -495,6 +500,8 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except AssertionError as e:
         print(f"internal self-check failed: {e}", file=sys.stderr)
         return 3
+    finally:
+        set_limit(limit)
 
 
 def main() -> None:

@@ -10,7 +10,9 @@ Algebraic Number Theory, 4.2; FLINT's fmpq_poly), so a field operation is
 integer arithmetic plus one gcd.  Each field descriptor caches its product
 plan, the monomial pairs with the radicand factor their product picks up,
 and `field` interns descriptors, so equal fields are one object.  An
-inverse descends the tower in closed form, one element per level.
+inverse descends the tower in closed form, one element per level, and so
+does a sign, decided from signs one level down.  `fundamental_unit` stops
+where the period of the continued fraction of sqrt(d) ends, for every d.
 
 Matrix products pick one dot-product kernel in one pass over both
 operands: over Q, over one field and over one finite field F_q (the
@@ -414,42 +416,11 @@ class FieldElem(RingElem):
             return hash(Fraction(self.nums[0], self.den))
         return hash((self.desc, self.nums, self.den))
 
-    # -- exact sign via rational interval refinement --------------------
+    # -- exact sign ------------------------------------------------------
 
     def signum(self) -> int:
-        """Sign of the real value (all square roots taken positive).
-
-        Exact: zero is decided from the coefficients, nonzero values by
-        refining rational enclosures of the square roots.
-        """
-        if self.is_zero():
-            return 0
-        bits = 16
-        while True:
-            lo, hi = self._interval(bits)
-            if lo > 0:
-                return 1
-            if hi < 0:
-                return -1
-            bits *= 2
-            if bits > 2 ** 16:  # unreachable for nonzero exact input
-                raise RuntimeError("sign refinement failed to converge")
-
-    def _interval(self, bits: int) -> tuple[int, int]:
-        """Integer bounds lo <= den * x * 2**bits <= hi."""
-        lo = hi = 0
-        scale = 1 << bits
-        for mask, c in enumerate(self.nums):
-            if not c:
-                continue
-            root_lo = isqrt(self.desc.monomial_radicand(mask) * scale * scale)
-            if c > 0:
-                lo += c * root_lo
-                hi += c * (root_lo + 1)
-            else:
-                lo += c * (root_lo + 1)
-                hi += c * root_lo
-        return lo, hi
+        """Exact sign of the real value, every square root taken positive."""
+        return _sign(self.desc, self.nums, self.desc.k)
 
     def __lt__(self, other) -> bool:
         return (self - other).signum() < 0
@@ -481,6 +452,17 @@ def _times(desc: FieldDescriptor, a: Sequence[int], b: Sequence[int]) -> list[in
     return out
 
 
+def _split(desc: FieldDescriptor, nums: Sequence[int], level: int):
+    """x = u + v*sqrt(r) for numerators on the monomials of the first
+    `level` radicands: the numerators of u, v and the norm u^2 - r*v^2
+    (over the square of x's denominator), all one level down."""
+    bit = 1 << (level - 1)
+    r = desc.radicands[level - 1]
+    u = [c if mask < bit else 0 for mask, c in enumerate(nums)]
+    v = [nums[mask | bit] if mask < bit else 0 for mask in range(desc.dim)]
+    return u, v, [x - r * y for x, y in zip(_times(desc, u, u), _times(desc, v, v))]
+
+
 def _field_inverse(desc: FieldDescriptor, nums: Sequence[int], den: int,
                    level: int) -> FieldElem:
     """1 / (nums / den) for nonzero integer numerators on the monomials of
@@ -492,14 +474,25 @@ def _field_inverse(desc: FieldDescriptor, nums: Sequence[int], den: int,
         out = [0] * desc.dim
         out[0] = den
         return FieldElem(desc, out, nums[0])
+    ninv = _field_inverse(desc, _split(desc, nums, level)[2], den * den, level - 1)
     bit = 1 << (level - 1)
-    r = desc.radicands[level - 1]
-    u = [c if mask < bit else 0 for mask, c in enumerate(nums)]
-    v = [nums[mask | bit] if mask < bit else 0 for mask in range(desc.dim)]
-    norm = [x - r * y for x, y in zip(_times(desc, u, u), _times(desc, v, v))]
-    ninv = _field_inverse(desc, norm, den * den, level - 1)
     conj = [-c if mask & bit else c for mask, c in enumerate(nums)]
     return FieldElem(desc, _times(desc, conj, ninv.nums), den * ninv.den)
+
+
+def _sign(desc: FieldDescriptor, nums: Sequence[int], level: int) -> int:
+    """The sign of numerators on the monomials of the first `level`
+    radicands, by the split x = u + v*sqrt(r) of `_split`: x has the sign
+    of u and v when they agree or one is zero, and otherwise sign(u) *
+    sign(u^2 - r*v^2), as |u| and |v|*sqrt(r) compare as their squares
+    do.  Each sign is decided one level down."""
+    if level == 0:
+        return (nums[0] > 0) - (nums[0] < 0)
+    u, v, norm = _split(desc, nums, level)
+    su, sv = _sign(desc, u, level - 1), _sign(desc, v, level - 1)
+    if su * sv >= 0:
+        return su or sv
+    return su * _sign(desc, norm, level - 1)
 
 
 @dataclass(frozen=True)
@@ -559,7 +552,10 @@ def fundamental_unit(d: int) -> FundamentalUnit:
     continued-fraction expansion of sqrt(d).
 
     The returned (x, y) is the minimal positive solution of
-    x^2 - d*y^2 = +-1; the norm flag records which sign is attained.
+    x^2 - d*y^2 = +-1; the norm flag records which sign is attained.  The
+    convergent h/k before the complete quotient with denominator q has
+    h^2 - d*k^2 = +-q, so the loop stops where the period ends, at the
+    first q = 1 (Cohen, ch. 5).
     """
     if d <= 1:
         raise ValueError("d must be an integer > 1")
@@ -569,18 +565,14 @@ def fundamental_unit(d: int) -> FundamentalUnit:
     m, q, a = 0, 1, a0
     h_prev, h = 1, a0
     k_prev, k = 0, 1
-    for _ in range(10_000):
-        norm = h * h - d * k * k
-        if norm in (1, -1):
-            desc = field(d)
-            value = FieldElem(desc, [h, k], 1)
-            return FundamentalUnit(value, h, k, norm)
+    while True:
         m = q * a - m
         q = (d - m * m) // q
+        if q == 1:
+            return FundamentalUnit(FieldElem(field(d), [h, k], 1), h, k, h * h - d * k * k)
         a = (a0 + m) // q
         h, h_prev = a * h + h_prev, h
         k, k_prev = a * k + k_prev, k
-    raise RuntimeError(f"continued fraction for sqrt({d}) did not close")
 
 
 def lift(x: Scalar, desc: FieldDescriptor) -> FieldElem:

@@ -240,12 +240,12 @@ def reduce_int_matrix(m: ExactMatrix, p: int) -> ExactMatrix:
     return m.map_entries(lambda e: FqElem(p, _mod_p(e, p)))
 
 
-def matrix_order(m: ExactMatrix, cap: int = 1_000_000) -> int:
+def matrix_order(m: ExactMatrix) -> int:
     """Multiplicative order of an invertible FqElem matrix: the order of
     the cyclic group it generates, from its stabilizer chain."""
     if m.det() == 0:
         raise ValueError("a singular matrix has no multiplicative order")
-    return _Chain([m], cap).order
+    return _Chain([m], DEFAULT_CLOSURE_CAP).order
 
 
 # -- the row action -------------------------------------------------------------

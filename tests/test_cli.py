@@ -1,9 +1,12 @@
 import json
+import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 
 from hitchinforge.cli import run
+from hitchinforge.exactnum import ExactMatrix, parse_scalar
 
 GENUS2_SPEC = json.dumps({
     "n": 5,
@@ -46,6 +49,52 @@ def test_pell(capsys):
 
 def test_pell_usage_error(capsys):
     assert run(["pell", "--d", "4"]) == 2
+
+
+def _digit_limit() -> int:
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@contextmanager
+def any_digits():
+    """Lift CPython's limit on int <-> str conversion for the test's own
+    parsing, and restore it."""
+    limit = _digit_limit()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+def test_pell_past_the_old_step_cap_prints_its_unit(capsys):
+    """The period of sqrt(1000000007) closes at step 12,351, and x has
+    6,382 digits, past CPython's default 4,300."""
+    limit = _digit_limit()
+    code, doc = run_json(capsys, ["pell", "--d", "1000000007"])
+    assert code == 0 and _digit_limit() == limit
+    assert len(doc["x"]) > 4300
+    with any_digits():
+        x, y, d = int(doc["x"]), int(doc["y"]), doc["d"]
+    assert d == 1000000007 and y > 0
+    assert x * x - d * y * y == doc["norm"] in (1, -1)
+
+
+def test_bend_prints_entries_of_any_size(capsys):
+    """B0 to the power 1500 has entries of more than 4,300 digits; the
+    word's image is printed whole and parses back to a matrix of det 1."""
+    data = json.loads(GENUS2_SPEC)
+    data["b0"]["k"] = 1500
+    limit = _digit_limit()
+    code, doc = run_json(capsys, ["bend", "--spec", json.dumps(data),
+                                  "--word", "b2"])
+    assert code == 0 and _digit_limit() == limit
+    assert max(len(e) for row in doc["image"] for e in row) > 4300
+    with any_digits():
+        image = ExactMatrix([[parse_scalar(e) for e in row] for row in doc["image"]])
+        assert image.det() == 1
 
 
 def test_classify_form_named(capsys):

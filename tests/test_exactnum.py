@@ -1,7 +1,7 @@
 from fractions import Fraction
 from functools import partial
 from itertools import combinations, permutations
-from math import prod
+from math import isqrt, prod
 
 import pytest
 
@@ -28,6 +28,7 @@ from hitchinforge.exactnum import (
     span_dimension,
     square_class,
     square_free_decomposition,
+    square_free_part,
 )
 from hitchinforge.modp import FqElem, trace_witness
 from hitchinforge.quatalg import QuatAlgebra, gamma_enumerate
@@ -159,6 +160,41 @@ def test_fundamental_unit_is_minimal(d):
     assert prod == norm
 
 
+def capped_pell(d: int, steps: int = 10_000) -> tuple[int, int, int]:
+    """The old slow path: the same continued fraction, multiplying out
+    h^2 - d*k^2 at every convergent and giving up after `steps`."""
+    a0 = isqrt(d)
+    m, q, a = 0, 1, a0
+    h_prev, h = 1, a0
+    k_prev, k = 0, 1
+    for _ in range(steps):
+        norm = h * h - d * k * k
+        if norm in (1, -1):
+            return h, k, norm
+        m = q * a - m
+        q = (d - m * m) // q
+        a = (a0 + m) // q
+        h, h_prev = a * h + h_prev, h
+        k, k_prev = a * k + k_prev, k
+    raise AssertionError(f"continued fraction for sqrt({d}) did not close")
+
+
+def test_fundamental_unit_matches_the_capped_loop():
+    squarefree = [d for d in range(2, 2001) if square_free_part(d) == d]
+    assert len(squarefree) == 1214
+    for d in squarefree:
+        u = fundamental_unit(d)
+        assert (u.x, u.y, u.norm) == capped_pell(d), d
+        assert u.value == FieldElem(field(d), [u.x, u.y])
+
+
+def test_fundamental_unit_past_the_old_step_cap():
+    """The period of sqrt(1000000007) ends after 12,351 steps."""
+    d = 1_000_000_007
+    u = fundamental_unit(d)
+    assert u.y > 0 and u.x * u.x - d * u.y * u.y == u.norm in (1, -1)
+
+
 def test_matrix_examples():
     d = field(3)
     s3 = FieldElem.sqrt_int(d, 3)
@@ -206,6 +242,21 @@ def test_signum_exact():
     # 7/5 < sqrt(2) < 17/12, tight rational comparisons
     assert (s2 - Fraction(7, 5)).signum() == 1
     assert (s2 - Fraction(17, 12)).signum() == -1
+
+
+@pytest.mark.parametrize("n", [17_000, 18_000, 30_000])
+def test_sign_of_unit_powers_past_the_old_bit_cap(n):
+    """(2 - sqrt(3))**n is about 3.73**-n with coefficients near 3.73**n
+    / 2: positive, and from n = 18,000 on it needs rational enclosures of
+    sqrt(3) finer than 2**-65536 to resolve.  sqrt(3) - 2 and sqrt(2) -
+    sqrt(3) are negative, so their powers alternate in sign."""
+    q3, q23 = field(3), field(2, 3)
+    assert FieldElem(q3, [2, -1]) ** n > 0
+    assert (FieldElem(q3, [2, -1]) ** n).signum() == 1
+    assert (FieldElem(q3, [-2, 1]) ** n).signum() == (-1) ** n
+    s2, s3 = FieldElem.sqrt_int(q23, 2), FieldElem.sqrt_int(q23, 3)
+    assert ((s2 - s3) ** n).signum() == (-1) ** n
+    assert ((s3 - s2) ** n).signum() == 1
 
 
 def test_scalar_parsing_roundtrip():
