@@ -18,7 +18,6 @@ from .exactnum import (
     GaloisAction,
     apply_galois,
     field,
-    in_group,
     lift,
     span_dimension,
     value_radicands,
@@ -29,7 +28,6 @@ from .lattices import (
     in_g2z,
     in_so_q,
     in_su_sqrt_d,
-    is_integral_matrix,
     is_tau_pgl2_diagonal,
     preserves_form,
 )
@@ -132,11 +130,10 @@ def _b0_membership(kind: B0Kind, b: ExactMatrix, n: int, rad: int) -> bool:
         return in_su_sqrt_d(b, n, rad)
     if kind in (B0Kind.SU_NONSPLIT, B0Kind.SU_QUAT_EVEN):
         return diagonal_su_nonsplit_conditions(b, rad)
-    if kind in (B0Kind.SO_ODD, B0Kind.SO_N7):
-        return in_so_q(b, j_matrix(n))
     if kind is B0Kind.G2:
         return in_g2z(b)
-    return is_integral_matrix(b) and in_group(b, n, j_matrix(n))
+    # SO_odd, SO_n7 and Sp: the Z-points of the group of the form J
+    return in_so_q(b, j_matrix(n))
 
 
 def b0_breaking_profile(kind: Union[B0Kind, str], b: ExactMatrix,

@@ -82,7 +82,7 @@ def _load_matrix(text: str) -> ExactMatrix:
         return cocycle_matrix(2, 3, _parse_signs(text[1:]))
     if text.startswith("B0:"):
         parts = text.split(":")
-        if len(parts) < 3:
+        if not 3 <= len(parts) <= 5:
             raise UsageError("bending matrices are named B0:<kind>:<n>[:k[:d]]")
         kind, n = parts[1], int(parts[2])
         k = int(parts[3]) if len(parts) > 3 else 1

@@ -1018,6 +1018,33 @@ _TERM_RE = re.compile(
 )
 
 
+# Exact integers meet text _CHUNK decimal digits at a time, below the least
+# int <-> str digit limit CPython accepts (640), whatever limit is set.
+_CHUNK = 600
+_CHUNK_BASE = 10 ** _CHUNK
+
+
+def _rational_text(q: Union[int, Fraction]) -> str:
+    """str(q) for an int or Fraction, converted one chunk at a time."""
+    parts = []
+    for n in (abs(q.numerator), q.denominator):
+        chunks = []
+        while n >= _CHUNK_BASE:
+            n, low = divmod(n, _CHUNK_BASE)
+            chunks.append(f"{low:0{_CHUNK}d}")
+        parts.append(str(n) + "".join(reversed(chunks)))
+    sign = "-" if q < 0 else ""
+    return sign + (parts[0] if q.denominator == 1 else "/".join(parts))
+
+
+def _text_int(digits: str) -> int:
+    """int(digits) for a string of decimal digits, one chunk at a time."""
+    n = int(digits[:len(digits) % _CHUNK] or 0)
+    for i in range(len(digits) % _CHUNK, len(digits), _CHUNK):
+        n = n * _CHUNK_BASE + int(digits[i:i + _CHUNK])
+    return n
+
+
 def format_scalar(x: Scalar) -> str:
     """Render on the grammar int('/'int)? (('+'|'-') coeff 'sqrt(' int ')')*.
 
@@ -1025,18 +1052,18 @@ def format_scalar(x: Scalar) -> str:
     square-free radicand of the product.
     """
     if not isinstance(x, FieldElem):
-        return str(x)
+        return _rational_text(x) if isinstance(x, (int, Fraction)) else str(x)
     parts: list[str] = []
     coeffs = x.coeffs
     if coeffs[0]:
-        parts.append(str(coeffs[0]))
+        parts.append(_rational_text(coeffs[0]))
     for mask in range(1, x.desc.dim):
         c = coeffs[mask]
         if not c:
             continue
         s, m = square_free_decomposition(x.desc.monomial_radicand(mask))
         c = c * s
-        coeff = "" if abs(c) == 1 else str(abs(c))
+        coeff = "" if abs(c) == 1 else _rational_text(abs(c))
         term = f"{coeff}sqrt({m})"
         if not parts:
             parts.append(term if c > 0 else "-" + term)
@@ -1060,14 +1087,12 @@ def parse_scalar(text: str) -> Scalar:
         if not m or m.end() == pos:
             raise ValueError(f"cannot parse scalar {text!r} at offset {pos}")
         sign = -1 if m.group("sign") == "-" else 1
-        num = m.group("num")
-        den = m.group("den")
+        num, den = m.group("num", "den")
         if num is None and not m.group("sqrt"):
             raise ValueError(f"cannot parse scalar {text!r} at offset {pos}")
-        coeff = Fraction(int(num) if num is not None else 1,
-                         int(den) if den is not None else 1) * sign
+        coeff = Fraction(_text_int(num or "1"), _text_int(den or "1")) * sign
         if m.group("sqrt"):
-            s, rad = square_free_decomposition(int(m.group("rad")))
+            s, rad = square_free_decomposition(_text_int(m.group("rad")))
             terms.append((coeff * s, rad))
         else:
             terms.append((coeff, 1))

@@ -3,6 +3,8 @@
 symplectic, orthogonal, and the exceptional group over Z), plus batch
 verification that the symmetric-power image of the quaternion lattice
 lands in the predicted unitary group.
+
+Both unitary lattices over Z[sqrt(d)] are `_in_su` under two forms.
 """
 
 from __future__ import annotations
@@ -21,12 +23,21 @@ from .exactnum import (
     common_field,
     field,
     in_group,
+    is_square,
+    lift,
     preserves_form,
     square_free_part,
 )
 from .g2core import in_g2
 from .quatalg import QuatElem, embed_m2, gamma_enumerate
-from .symrep import SignPair, hermitian_h, tau
+from .symrep import (
+    SignPair,
+    _pattern_name,
+    _sign_action,
+    applicable_sign_patterns,
+    hermitian_h,
+    tau,
+)
 
 
 def is_integral_scalar(x) -> bool:
@@ -58,39 +69,39 @@ def in_slnz(m: ExactMatrix) -> bool:
     return _rational_integer_entries(m) and in_group(m, m.nrows)
 
 
-def in_su_sqrt_d(m: ExactMatrix, n: int, d: int) -> bool:
-    """The unitary lattice over Z[sqrt(d)]: entries integral over Z[sqrt(d)],
-    determinant one, and sigma(M)^T M = I for the conjugation of
-    Q(sqrt(d))/Q."""
+def _in_su(m: ExactMatrix, n: int, d: int, form: ExactMatrix) -> bool:
+    """The unitary lattice of a form over Z[sqrt(d)]: M is n x n with
+    entries integral over Z[sqrt(d)], determinant one, and
+    sigma(M)^T form M = form for the conjugation sigma of Q(sqrt(d))/Q."""
     d = square_free_part(d)
     if d <= 1:
         raise ValueError("d must be a positive non-square")
     # a wrong shape answers False before the entries are lifted
     if m.nrows != n or m.ncols != n:
         return False
-    desc = field(d)
-    mm = m.lift(desc)
-    sigma = GaloisAction.flipping(d)
+    mm = m.lift(field(d))
     return is_integral_matrix(mm) and in_group(
-        mm, n, ExactMatrix.identity(n), partial(apply_galois, sigma))
+        mm, n, form, partial(apply_galois, GaloisAction.flipping(d)))
+
+
+def in_su_sqrt_d(m: ExactMatrix, n: int, d: int) -> bool:
+    """The unitary lattice over Z[sqrt(d)] of the identity form."""
+    return _in_su(m, n, d, ExactMatrix.identity(n))
 
 
 def diagonal_su_nonsplit_conditions(m: ExactMatrix, d: int) -> bool:
-    """Diagonal membership conditions in the unitary lattice attached to a
-    quadratic extension not containing the splitting root: the entry
-    vector is palindromic and w_i * tau(w_(n+1-i)) = 1 for the conjugation
-    tau of Q(sqrt(d))/Q, with integral entries and determinant one."""
-    d = square_free_part(d)
-    if not m.is_diagonal():
+    """Diagonal membership in the unitary lattice attached to a quadratic
+    extension not containing the splitting root: a palindromic diagonal in
+    the unitary lattice of the exchange form (ones on the antidiagonal),
+    that is w_i * tau(w_(n+1-i)) = 1 for the conjugation tau of
+    Q(sqrt(d))/Q."""
+    n = m.nrows
+    exchange = ExactMatrix([[int(i + j == n - 1) for j in range(n)]
+                            for i in range(n)])
+    if not (_in_su(m, n, d, exchange) and m.is_diagonal()):
         return False
-    desc = field(d)
-    mm = m.lift(desc)
-    if not (is_integral_matrix(mm) and in_group(mm, mm.nrows)):
-        return False
-    w = mm.diagonal_entries()
-    tau_d = GaloisAction.flipping(d)
-    return all(x == y and x * apply_galois(tau_d, y) == FieldElem.one(desc)
-               for x, y in zip(w, reversed(w)))
+    w = [lift(x, field(d)) for x in m.diagonal_entries()]
+    return w == w[::-1]
 
 
 def is_tau_pgl2_diagonal(b: ExactMatrix) -> bool:
@@ -215,23 +226,6 @@ class LatticeSpec:
 # -- batch containment -------------------------------------------------------
 
 
-def applicable_sign_patterns(a: int, b: int) -> list[SignPair]:
-    """Sign patterns realizable by a Galois element of Q(sqrt(a),sqrt(b)):
-    a square radicand cannot flip, and equal radicands flip together."""
-    a_sf, b_sf = square_free_part(a), square_free_part(b)
-    out = []
-    for sa in (1, -1):
-        for sb in (1, -1):
-            if sa == -1 and a_sf == 1:
-                continue
-            if sb == -1 and b_sf == 1:
-                continue
-            if a_sf == b_sf and a_sf != 1 and sa != sb:
-                continue
-            out.append((sa, sb))
-    return out
-
-
 @dataclass(frozen=True)
 class ContainmentReport:
     a: int
@@ -261,10 +255,6 @@ class ContainmentReport:
         }
 
 
-def _pattern_name(signs: SignPair) -> str:
-    return ("+" if signs[0] == 1 else "-") + ("+" if signs[1] == 1 else "-")
-
-
 def containment_check(a: int, b: int, n: int,
                       signs: Optional[SignPair] = None,
                       height: int = 2) -> ContainmentReport:
@@ -272,28 +262,15 @@ def containment_check(a: int, b: int, n: int,
     twisted unitarity of tau(n, embed(g)) against the derived Hermitian
     matrix, under the requested Galois sign pattern (or all applicable
     ones)."""
-    a_sf, b_sf = square_free_part(a), square_free_part(b)
-    if a < 1 or b < 1 or a_sf == 1 or b_sf == 1:
+    if a < 1 or b < 1 or is_square(a) or is_square(b):
         raise ValueError("a and b must be positive non-squares")
     if n < 2:
         raise ValueError("n must be at least 2")
-    patterns = applicable_sign_patterns(a, b)
-    if signs is not None:
-        if signs not in patterns:
-            raise ValueError(
-                f"sign pattern {_pattern_name(signs)} is not realizable "
-                f"for (a,b)=({a},{b})")
-        patterns = [signs]
+    patterns = applicable_sign_patterns(a, b) if signs is None else [signs]
+    # hermitian_h refuses a pattern that no Galois element realizes
+    hmats = {p: hermitian_h(n, a, b, p) for p in patterns}
+    twists = {p: partial(apply_galois, _sign_action(a, b, p)) for p in patterns}
     elements = gamma_enumerate(a, b, height)
-    twists = {
-        p: partial(apply_galois, GaloisAction.from_signs(
-            {a_sf: p[0], b_sf: p[1]} if a_sf != b_sf else {a_sf: p[0]}))
-        for p in patterns
-    }
-    hmats = {
-        p: hermitian_h(n, a, b, p)
-        for p in patterns
-    }
     failures = []
     checked = 0
     for g in elements:

@@ -24,7 +24,6 @@ from .exactnum import (
     _kernel,
     galois_matrix,
     field,
-    is_square,
     square_free_part,
 )
 from .qforms import (
@@ -39,6 +38,26 @@ from .qforms import (
 SignPair = tuple[int, int]
 
 SIGN_CASES: tuple[SignPair, ...] = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+
+
+def applicable_sign_patterns(a: int, b: int) -> list[SignPair]:
+    """Sign patterns realizable by a Galois element of Q(sqrt(a),sqrt(b)):
+    a square radicand cannot flip, and equal radicands flip together."""
+    a_sf, b_sf = square_free_part(a), square_free_part(b)
+    return [(sa, sb) for sa, sb in SIGN_CASES
+            if (sa == 1 or a_sf != 1) and (sb == 1 or b_sf != 1)
+            and (sa == sb or a_sf != b_sf)]
+
+
+def _pattern_name(signs: SignPair) -> str:
+    return "".join({1: "+", -1: "-"}.get(s, f"({s})") for s in signs)
+
+
+def _sign_action(a: int, b: int, signs: SignPair) -> GaloisAction:
+    """The Galois element acting on sqrt(a) and sqrt(b) by an applicable
+    sign pattern; equal radicands give one radicand's action."""
+    return GaloisAction.from_signs({square_free_part(a): signs[0],
+                                    square_free_part(b): signs[1]})
 
 
 def tau(n: int, m: ExactMatrix) -> ExactMatrix:
@@ -163,23 +182,14 @@ def cocycle_matrix(a: int, b: int, signs: SignPair) -> ExactMatrix:
     sqrt(b) by the given signs: I; diag(1,-1); antidiag(1,1); or the
     rotation [[0,1],[-1,0]] when both flip.
 
-    A sign of -1 on a radicand that is a perfect square is rejected (no
-    Galois element flips a rational square root).
+    A pattern no Galois element realizes is rejected (see
+    applicable_sign_patterns).
     """
     sa, sb = signs
-    if sa not in (1, -1) or sb not in (1, -1):
-        raise ValueError("signs must be +-1")
-    if sa == -1 and is_square(a):
-        raise ValueError(f"sqrt({a}) is rational and cannot change sign")
-    if sb == -1 and is_square(b):
-        raise ValueError(f"sqrt({b}) is rational and cannot change sign")
-    if (sa, sb) == (1, 1):
-        return ExactMatrix.identity(2)
-    if (sa, sb) == (1, -1):
-        return ExactMatrix([[1, 0], [0, -1]])
-    if (sa, sb) == (-1, 1):
-        return ExactMatrix([[0, 1], [1, 0]])
-    return ExactMatrix([[0, 1], [-1, 0]])
+    if (sa, sb) not in applicable_sign_patterns(a, b):
+        raise ValueError(f"sign pattern {_pattern_name(signs)} is not "
+                         f"realizable for (a,b)=({a},{b})")
+    return ExactMatrix([[1, 0], [0, sb]] if sa == 1 else [[0, 1], [sb, 0]])
 
 
 def tau_of_lifted_cocycle(n: int, signs: SignPair) -> ExactMatrix:
@@ -301,19 +311,9 @@ def _averaging_vectors(n: int, case: CaseName, desc) -> list[list[Scalar]]:
 def _galois_group(case: CaseName, a: int, b: int) -> list[tuple[SignPair, GaloisAction]]:
     """Sign patterns and field actions of the Galois group used in the
     averaging map, per extension degree."""
-    if case == "degree-2":
-        a = square_free_part(a)
-        return [
-            ((1, 1), GaloisAction.from_signs({a: 1})),
-            ((-1, -1), GaloisAction.from_signs({a: -1})),
-        ]
-    a, b = square_free_part(a), square_free_part(b)
-    return [
-        ((1, 1), GaloisAction.from_signs({a: 1, b: 1})),
-        ((1, -1), GaloisAction.from_signs({a: 1, b: -1})),
-        ((-1, 1), GaloisAction.from_signs({a: -1, b: 1})),
-        ((-1, -1), GaloisAction.from_signs({a: -1, b: -1})),
-    ]
+    if case == "degree-2":  # both square roots act as sqrt(a)
+        b = a
+    return [(p, _sign_action(a, b, p)) for p in applicable_sign_patterns(a, b)]
 
 
 def so_form_closed_hasse(n: int, a: int, b: int, case: CaseName,

@@ -6,7 +6,12 @@ from pathlib import Path
 import pytest
 
 from hitchinforge.cli import run
-from hitchinforge.exactnum import ExactMatrix, parse_scalar
+from hitchinforge.exactnum import (
+    ExactMatrix,
+    format_scalar,
+    fundamental_unit,
+    parse_scalar,
+)
 
 GENUS2_SPEC = json.dumps({
     "n": 5,
@@ -80,6 +85,19 @@ def test_pell_past_the_old_step_cap_prints_its_unit(capsys):
         x, y, d = int(doc["x"]), int(doc["y"]), doc["d"]
     assert d == 1000000007 and y > 0
     assert x * x - d * y * y == doc["norm"] in (1, -1)
+
+
+def test_format_scalar_prints_the_pell_unit_outside_the_cli(capsys):
+    """Called in-process, under the interpreter's own digit limit, the
+    exact unit prints as the CLI prints it and parses back to itself."""
+    limit = _digit_limit()
+    unit = fundamental_unit(1000000007).value
+    text = format_scalar(unit)
+    assert _digit_limit() == limit
+    code, doc = run_json(capsys, ["pell", "--d", "1000000007"])
+    assert code == 0 and text == doc["unit"] and len(text) > 4300
+    assert parse_scalar(text) == unit
+    assert _digit_limit() == limit
 
 
 def test_bend_prints_entries_of_any_size(capsys):
@@ -317,6 +335,18 @@ def _assert_one_line_usage_error(capsys, argv):
 ], ids=["bend-spec", "certify-density-spec", "pell-output"])
 def test_a_directory_for_a_file_is_one_line_usage_error(capsys, tmp_path, argv):
     _assert_one_line_usage_error(capsys, [a.format(dir=tmp_path) for a in argv])
+
+
+@pytest.mark.parametrize("name", [
+    "B0:SU_split_a:5:1:3:junk",
+    "B0:SU_split_a:5:1:3:",
+    "B0:SU_split_a",
+], ids=["trailing-field", "trailing-colon", "no-dimension"])
+def test_malformed_bending_matrix_name_is_one_line_usage_error(capsys, name):
+    line = _assert_one_line_usage_error(capsys, [
+        "lattice-check", "--kind", "SU_sqrt_d", "--n", "5", "--d", "3",
+        "--matrix", name])
+    assert line == "error: bending matrices are named B0:<kind>:<n>[:k[:d]]"
 
 
 def test_matrix_rows_must_be_arrays(capsys):

@@ -233,7 +233,8 @@ def _pell_pairs(bound):
 @pytest.mark.parametrize("p, q, n", _pell_pairs(10 ** 6))
 def test_sign_near_zero_matches_the_norm(p, q, n):
     """p - q sqrt(3) has the sign of p^2 - 3 q^2 and is within 1/p of
-    zero, so the interval refinement must run to its finest steps."""
+    zero: the reference sign refines its intervals to their finest steps,
+    while the library sign is one tower descent to that norm."""
     desc = field(3)
     x = FieldElem(desc, [p, -q], 1)
     rx = ref.FieldElem(desc, [p, -q])

@@ -9,9 +9,12 @@ from hitchinforge.exactnum import (
     apply_galois,
     field,
     fundamental_unit,
+    square_free_part,
 )
+from hitchinforge.bender import b0_family
 from hitchinforge.lattices import (
     LatticeSpec,
+    _in_su,
     applicable_sign_patterns,
     containment_check,
     diagonal_su_nonsplit_conditions,
@@ -22,12 +25,13 @@ from hitchinforge.lattices import (
     in_sp,
     in_su_quat,
     in_su_sqrt_d,
+    is_integral_matrix,
     is_integral_scalar,
     is_tau_pgl2_diagonal,
     preserves_form,
 )
 from hitchinforge.quatalg import QuatAlgebra, gamma_enumerate
-from hitchinforge.symrep import j_matrix, tau
+from hitchinforge.symrep import hermitian_h, j_matrix, tau
 from conftest import random_sl2q, random_sl2z
 
 OM = fundamental_unit(3).value
@@ -105,6 +109,85 @@ def test_diagonal_su_nonsplit_conditions():
     assert diagonal_su_nonsplit_conditions(b, 3)
     bad = ExactMatrix.diagonal([th ** 2, ONE, th ** -4, ONE, th ** -2])
     assert not diagonal_su_nonsplit_conditions(bad, 3)
+
+
+def _old_diagonal_su_nonsplit_conditions(m, d):
+    """The entrywise conditions that the unitary predicate of the exchange
+    form replaced, as they were written."""
+    d = square_free_part(d)
+    if not m.is_diagonal():
+        return False
+    desc = field(d)
+    mm = m.lift(desc)
+    if not (is_integral_matrix(mm) and mm.det() == 1):
+        return False
+    w = mm.diagonal_entries()
+    tau_d = GaloisAction.flipping(d)
+    return all(x == y and x * apply_galois(tau_d, y) == FieldElem.one(desc)
+               for x, y in zip(w, reversed(w)))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_diagonal_su_nonsplit_matches_the_entrywise_conditions(rng, d):
+    """Random diagonals of powers of the unit, its conjugate and small
+    rationals, half of them palindromic, against the old conditions."""
+    u = fundamental_unit(d).value
+    su = apply_galois(GaloisAction.flipping(d), u)
+    one = FieldElem.one(field(d))
+    pool = [one, -one, Fraction(2), Fraction(1, 2), u, su, -u, -su, u ** 2,
+            su ** 2, u ** -1, su ** -1, u ** -4, u * 2, Fraction(1)]
+    seen = set()
+    for _ in range(400):
+        n = rng.randint(2, 6)
+        w = [rng.choice(pool) for _ in range(n)]
+        if rng.random() < 0.5:
+            w[n - (n // 2):] = reversed(w[:n // 2])
+        m = ExactMatrix.diagonal(w)
+        got = diagonal_su_nonsplit_conditions(m, d)
+        assert got == _old_diagonal_su_nonsplit_conditions(m, d)
+        seen.add(got)
+    assert seen == {True, False}
+
+
+def test_diagonal_su_nonsplit_needs_the_palindrome():
+    """1+sqrt(2) has norm -1, so w_i * tau(w_(n+1-i)) = 1 allows
+    w_(n+1-i) = -w_i: diag(u, 1/u, -1/u, -u) preserves the exchange form
+    with determinant one, but is not palindromic."""
+    u = fundamental_unit(2).value
+    m = ExactMatrix.diagonal([u, u ** -1, -u ** -1, -u])
+    exchange = ExactMatrix([[int(i + j == 3) for j in range(4)]
+                            for i in range(4)])
+    assert _in_su(m, 4, 2, exchange)
+    assert not diagonal_su_nonsplit_conditions(m, 2)
+    assert not _old_diagonal_su_nonsplit_conditions(m, 2)
+
+
+def test_diagonal_su_nonsplit_refuses_what_in_su_sqrt_d_refuses():
+    exchange = ExactMatrix([[0, 0, 1], [0, 1, 0], [1, 0, 0]])
+    # -exchange has determinant one and preserves the exchange form, but
+    # is not diagonal
+    assert _in_su(-exchange, 3, 3, exchange)
+    assert not diagonal_su_nonsplit_conditions(-exchange, 3)
+    for d in (1, 4, 0):
+        with pytest.raises(ValueError, match="positive non-square"):
+            diagonal_su_nonsplit_conditions(ExactMatrix.identity(3), d)
+        with pytest.raises(ValueError, match="positive non-square"):
+            in_su_sqrt_d(ExactMatrix.identity(3), 3, d)
+
+
+def test_unitary_predicate_takes_a_hermitian_form():
+    """H = hermitian_h(3, 3, 3, (-1, -1)) = diag(2, 1, 2): tau of a
+    generator of the Gamma(3, 3) Fuchsian group and the SU_split_a bending
+    matrix both preserve it under sqrt(3) -> -sqrt(3); the bending matrix
+    does not preserve the H of the pattern (+, +)."""
+    h = hermitian_h(3, 3, 3, (-1, -1))
+    assert h == ExactMatrix.diagonal([2, 1, 2])
+    b = b0_family("SU_split_a", 3, OM)
+    assert _in_su(tau(3, ExactMatrix.diagonal([OM, SIG])), 3, 3, h)
+    assert _in_su(b, 3, 3, h)
+    assert not _in_su(b, 3, 3, hermitian_h(3, 3, 3, (1, 1)))
+    # the identity form is in_su_sqrt_d
+    assert _in_su(b, 3, 3, ExactMatrix.identity(3)) == in_su_sqrt_d(b, 3, 3)
 
 
 def test_in_sp_and_in_so_q():

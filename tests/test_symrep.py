@@ -4,10 +4,20 @@ from math import factorial
 import pytest
 from hypothesis import given, strategies as st
 
-from hitchinforge.exactnum import ExactMatrix, FieldElem, field, preserves_form
+from hitchinforge.exactnum import (
+    ExactMatrix,
+    FieldElem,
+    GaloisAction,
+    field,
+    preserves_form,
+    square_free_part,
+)
 from hitchinforge.qforms import Place, diagonalize_qform, form_invariants
 from hitchinforge.symrep import (
     SIGN_CASES,
+    _galois_group,
+    _sign_action,
+    applicable_sign_patterns,
     cocycle_commutes_with_form,
     cocycle_matrix,
     hermitian_h,
@@ -124,6 +134,91 @@ def test_cocycle_matrix_cases():
         cocycle_matrix(4, 5, (-1, 1))
     with pytest.raises(ValueError):
         cocycle_matrix(3, 9, (1, -1))
+
+
+def test_patterns_no_galois_element_realizes_are_refused():
+    """Equal radicands flip together, so (+,-) has no cocycle over
+    Q(sqrt(3)); containment refuses the same pattern."""
+    with pytest.raises(ValueError, match="not realizable"):
+        cocycle_matrix(3, 3, (1, -1))
+    with pytest.raises(ValueError, match="not realizable"):
+        hermitian_h(5, 3, 3, (1, -1))
+    with pytest.raises(ValueError, match="not realizable"):
+        cocycle_matrix(3, 12, (-1, 1))
+    with pytest.raises(ValueError, match=r"pattern \(2\)\+ is not"):
+        hermitian_h(3, 3, 5, (2, 1))
+
+
+# The sign rules as they were written out before one rule served them all:
+# the realizable patterns, containment_check's action and the two cases of
+# so_form_from_cocycle's Galois group.
+
+def _old_applicable_sign_patterns(a, b):
+    a_sf, b_sf = square_free_part(a), square_free_part(b)
+    out = []
+    for sa in (1, -1):
+        for sb in (1, -1):
+            if sa == -1 and a_sf == 1:
+                continue
+            if sb == -1 and b_sf == 1:
+                continue
+            if a_sf == b_sf and a_sf != 1 and sa != sb:
+                continue
+            out.append((sa, sb))
+    return out
+
+
+def _old_containment_action(a, b, p):
+    a_sf, b_sf = square_free_part(a), square_free_part(b)
+    return GaloisAction.from_signs(
+        {a_sf: p[0], b_sf: p[1]} if a_sf != b_sf else {a_sf: p[0]})
+
+
+def _old_galois_group(case, a, b):
+    if case == "degree-2":
+        a = square_free_part(a)
+        return [
+            ((1, 1), GaloisAction.from_signs({a: 1})),
+            ((-1, -1), GaloisAction.from_signs({a: -1})),
+        ]
+    a, b = square_free_part(a), square_free_part(b)
+    return [
+        ((1, 1), GaloisAction.from_signs({a: 1, b: 1})),
+        ((1, -1), GaloisAction.from_signs({a: 1, b: -1})),
+        ((-1, 1), GaloisAction.from_signs({a: -1, b: 1})),
+        ((-1, -1), GaloisAction.from_signs({a: -1, b: -1})),
+    ]
+
+
+# squares (1, 4, 9, 16), equal radicands (3 and 12, 2 and 8 and 18, 5 and 20)
+SIGN_GRID = range(1, 21)
+
+
+def test_sign_rule_matches_the_old_formulas():
+    for a in SIGN_GRID:
+        for b in SIGN_GRID:
+            patterns = applicable_sign_patterns(a, b)
+            assert patterns == _old_applicable_sign_patterns(a, b)
+            for p in patterns:
+                assert _sign_action(a, b, p) == _old_containment_action(a, b, p)
+            for p in SIGN_CASES:
+                if p in patterns:
+                    cocycle_matrix(a, b, p)
+                else:
+                    with pytest.raises(ValueError):
+                        cocycle_matrix(a, b, p)
+
+
+def test_galois_group_matches_the_old_lists():
+    for a in SIGN_GRID:
+        if square_free_part(a) == 1:
+            continue
+        for b in SIGN_GRID:
+            assert _galois_group("degree-2", a, b) == _old_galois_group(
+                "degree-2", a, b)
+            if 1 not in {square_free_part(b), square_free_part(a * b)}:
+                assert _galois_group("degree-4", a, b) == _old_galois_group(
+                    "degree-4", a, b)
 
 
 def test_hermitian_h_examples():
