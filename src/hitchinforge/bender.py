@@ -18,6 +18,7 @@ from .exactnum import (
     GaloisAction,
     apply_galois,
     field,
+    format_scalar,
     lift,
     span_dimension,
     value_radicands,
@@ -459,7 +460,7 @@ def _sl2_density_evidence(gens: Mapping[str, ExactMatrix]) -> Sl2Evidence:
         if conj * witness != witness * conj:
             breaker = name
             break
-    return Sl2Evidence(rank, witness_word, str(witness.trace()), breaker)
+    return Sl2Evidence(rank, witness_word, format_scalar(witness.trace()), breaker)
 
 
 def required_breaks_for(target: str, n: int) -> tuple[str, ...]:

@@ -6,7 +6,9 @@ containment failures, invalid certificates), 2 = usage error, 3 = an
 internal self-check failed (an AssertionError, reported on one stderr
 line).  Exact values are emitted as decimal strings of any size; matrices
 are arrays of strings over the grammar
-int('/'int)? (('+'|'-') coeff 'sqrt(' int ')')* .
+int('/'int)? (('+'|'-') coeff 'sqrt(' int ')')* .  Every exact integer
+meets text through exactnum (`_read_json` in, `format_scalar` out), in
+chunks below CPython's int <-> str digit limit, which stays as it is set.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .bender import (
 )
 from .exactnum import (
     ExactMatrix,
+    _text_int,
     common_field,
     format_scalar,
     fundamental_unit,
@@ -59,6 +62,8 @@ from .symrep import (
 )
 
 SCHEMA = "hitchin-forge/1"
+# the one JSON reader: integer literals of any size are read by exactnum
+_read_json = json.JSONDecoder(parse_int=_text_int).decode
 
 
 class UsageError(Exception):
@@ -69,9 +74,14 @@ def _matrix_to_json(m: ExactMatrix) -> list:
     return [[format_scalar(e) for e in row] for row in m.entries]
 
 
+def _named_b0(kind, n: int, k: int = 1, d: int = 3) -> ExactMatrix:
+    """The bending matrix B0(kind, n) to the power k over Z[sqrt(d)]."""
+    return b0_family(kind, n, fundamental_unit(d).value, k)
+
+
 def _load_matrix(text: str) -> ExactMatrix:
     """A named built-in (J2..J9, T++/T+-/T-+/T--, B0:<kind>:<n>[:k[:d]])
-    or a JSON array of scalar strings."""
+    or a JSON array of scalars."""
     text = text.strip()
     if text.startswith("J") and text[1:].isdigit():
         n = int(text[1:])
@@ -84,18 +94,20 @@ def _load_matrix(text: str) -> ExactMatrix:
         parts = text.split(":")
         if not 3 <= len(parts) <= 5:
             raise UsageError("bending matrices are named B0:<kind>:<n>[:k[:d]]")
-        kind, n = parts[1], int(parts[2])
-        k = int(parts[3]) if len(parts) > 3 else 1
-        d = int(parts[4]) if len(parts) > 4 else 3
-        return b0_family(kind, n, fundamental_unit(d).value, k)
+        return _named_b0(parts[1], *(int(p) for p in parts[2:]))
     try:
-        rows = json.loads(text)
+        return _matrix_from_rows(_read_json(text))
     except json.JSONDecodeError as e:
         raise UsageError(f"matrix is neither a built-in name nor JSON: {e}")
+
+
+def _matrix_from_rows(rows) -> ExactMatrix:
+    """Rows of scalar strings and integers; a bool, null or float is refused."""
     if not (isinstance(rows, list) and rows
             and all(isinstance(row, list) and row for row in rows)):
         raise UsageError("matrix JSON must be a nonempty array of nonempty rows")
-    m = ExactMatrix([[parse_scalar(str(e)) for e in row] for row in rows])
+    m = ExactMatrix([[e if type(e) is int else parse_scalar(str(e))
+                      for e in row] for row in rows])
     desc = common_field(e for row in m.entries for e in row)
     return m.lift(desc) if desc.k else m
 
@@ -120,8 +132,8 @@ def _cmd_pell(args) -> int:
     return _emit(args, {
         "d": args.d,
         "unit": format_scalar(u.value),
-        "x": str(u.x),
-        "y": str(u.y),
+        "x": format_scalar(u.x),
+        "y": format_scalar(u.y),
         "norm": u.norm,
     })
 
@@ -150,7 +162,7 @@ def _cmd_classify_form(args) -> int:
     inv = form_invariants(m)
     return _emit(args, {
         "matrix": _matrix_to_json(m),
-        "diagonal_classes": [str(c) for c in diag.classes],
+        "diagonal_classes": [format_scalar(c) for c in diag.classes],
         **inv.to_json(),
     })
 
@@ -166,7 +178,7 @@ def _cmd_symrep(args) -> int:
         "det": format_scalar(image.det()),
         "preserves_invariant_form": preserves_form(image, j_matrix(args.n)),
         "trace": format_scalar(image.trace()),
-        "trace_polynomial_coefficients": [str(c) for c in poly.coefficients],
+        "trace_polynomial_coefficients": [format_scalar(c) for c in poly.coefficients],
     })
 
 
@@ -243,10 +255,10 @@ def _spec_int(value, name: str, low: Optional[int] = None) -> int:
 
 def _load_bending_spec(text: str) -> BendingSpec:
     try:
-        data = json.loads(text)
+        data = _read_json(text)
     except json.JSONDecodeError:
         with open(text) as fh:
-            data = json.load(fh)
+            data = _read_json(fh.read())
     if not isinstance(data, dict):
         raise UsageError("bending spec must be a JSON object")
     for key in ("n", "sl2_assignment"):
@@ -260,15 +272,15 @@ def _load_bending_spec(text: str) -> BendingSpec:
     for key in ("b0", "curve"):
         if key in data and not isinstance(data[key], dict):
             raise UsageError(f"bending spec {key!r} must be an object")
-    sl2 = {name: _load_matrix(json.dumps(rows))
+    sl2 = {name: _matrix_from_rows(rows)
            for name, rows in data["sl2_assignment"].items()}
     if "b0" in data:
         spec_b = data["b0"]
-        unit = fundamental_unit(_spec_int(spec_b.get("d", 3), "b0.d")).value
-        b = b0_family(spec_b.get("kind"), n, unit,
-                      _spec_int(spec_b.get("k", 1), "b0.k"))
+        b = _named_b0(spec_b.get("kind"), n, **{
+            key: _spec_int(spec_b[key], f"b0.{key}")
+            for key in ("d", "k") if key in spec_b})
     else:
-        b = _load_matrix(json.dumps(data["b_matrix"]))
+        b = _matrix_from_rows(data["b_matrix"])
     # one field for the assignment and the bending matrix together
     desc = common_field(e for m in (*sl2.values(), b) for row in m.entries
                         for e in row)
@@ -327,8 +339,7 @@ def _cmd_reduce_modp(args) -> int:
         payload["value"] = str(reduce_scalar(x, ctx))
     if args.matrix:
         m = _load_matrix(args.matrix)
-        red = reduce_matrix(m, ctx)
-        payload["matrix"] = [[str(e) for e in row] for row in red.entries]
+        payload["matrix"] = _matrix_to_json(reduce_matrix(m, ctx))
     return _emit(args, payload)
 
 
@@ -351,8 +362,7 @@ def _cmd_trace_set(args) -> int:
 
 
 def _cmd_orbit_separate(args) -> int:
-    unit = fundamental_unit(args.d).value
-    b = b0_family(args.B, args.n, unit, args.k)
+    b = _named_b0(args.B, args.n, args.k, args.d)
     cert = separation_certificate(args.n, b, args.p, args.length)
     payload = {
         "bending_family": args.B,
@@ -487,12 +497,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
-    # exact integers of any size cross the text boundary: lift CPython's
-    # int <-> str digit limit while the command runs, then restore it
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    set_limit = getattr(sys, "set_int_max_str_digits", lambda digits: None)
     try:
-        set_limit(0)
         return args.fn(args)
     except (UsageError, ValueError, KeyError, ZeroDivisionError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
@@ -500,8 +505,6 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except AssertionError as e:
         print(f"internal self-check failed: {e}", file=sys.stderr)
         return 3
-    finally:
-        set_limit(limit)
 
 
 def main() -> None:

@@ -1039,6 +1039,8 @@ def _rational_text(q: Union[int, Fraction]) -> str:
 
 def _text_int(digits: str) -> int:
     """int(digits) for a string of decimal digits, one chunk at a time."""
+    if digits.startswith("-"):
+        return -_text_int(digits[1:])
     n = int(digits[:len(digits) % _CHUNK] or 0)
     for i in range(len(digits) % _CHUNK, len(digits), _CHUNK):
         n = n * _CHUNK_BASE + int(digits[i:i + _CHUNK])

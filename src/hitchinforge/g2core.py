@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exactnum import ExactMatrix, Scalar, in_group
+from .exactnum import ExactMatrix, Scalar, format_scalar, in_group
 from .symrep import j_matrix
 
 J7 = j_matrix(7)
@@ -66,7 +66,7 @@ class Vec7:
         return acc
 
     def __str__(self) -> str:
-        return "(" + ", ".join(str(c) for c in self.coords) + ")"
+        return "(" + ", ".join(format_scalar(c) for c in self.coords) + ")"
 
     __repr__ = __str__
 

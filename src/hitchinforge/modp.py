@@ -23,6 +23,7 @@ from .exactnum import (
     _Fused,
     _is_prime,
     field,
+    format_scalar,
     in_group,
     lift,
     preserves_form,
@@ -52,7 +53,8 @@ def _mod_p(q: Union[int, Fraction], p: int) -> int:
     """A residue of the rational q mod p; its denominator must be prime
     to p."""
     if q.denominator % p == 0:
-        raise ZeroDivisionError(f"denominator {q.denominator} not invertible mod {p}")
+        raise ZeroDivisionError(
+            f"denominator {format_scalar(q.denominator)} not invertible mod {p}")
     return q.numerator * pow(q.denominator, -1, p)
 
 

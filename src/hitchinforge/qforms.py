@@ -18,6 +18,7 @@ from .exactnum import (
     GaloisAction,
     _factor,
     _is_prime,
+    format_scalar,
     galois_matrix,
     square_class,
     square_free_part,
@@ -70,8 +71,7 @@ def hilbert_symbol(a: Union[int, Fraction], b: Union[int, Fraction],
     the valuation correction at odd p, the epsilon/omega exponent formula
     at p = 2.
     """
-    a = square_class(a)
-    b = square_class(b)
+    a, b = a.numerator * a.denominator, b.numerator * b.denominator
     if a == 0 or b == 0:
         raise ValueError("Hilbert symbol needs nonzero arguments")
     if place.is_real:
@@ -241,7 +241,7 @@ class FormInvariants:
     def to_json(self) -> dict:
         return {
             "rank": self.rank,
-            "disc": str(self.disc),
+            "disc": format_scalar(self.disc),
             "signature": list(self.signature),
             "hasse": [[str(v), -1] for v in sorted(self.hasse_minus,
                                                    key=Place.sort_key)],

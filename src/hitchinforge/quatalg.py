@@ -20,6 +20,7 @@ from .exactnum import (
     apply_galois,
     common_field,
     field,
+    format_scalar,
     lift,
     square_free_decomposition,
     square_free_part,
@@ -157,7 +158,7 @@ class QuatElem(RingElem):
         for c, name in zip(self.coords, names):
             if not c:
                 continue
-            parts.append(f"({c}){name}" if name else f"({c})")
+            parts.append(f"({format_scalar(c)}){name}")
         return " + ".join(parts) if parts else "0"
 
     __repr__ = __str__

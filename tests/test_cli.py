@@ -1,17 +1,20 @@
 import json
 import sys
-from contextlib import contextmanager
+from fractions import Fraction
+from math import prod
 from pathlib import Path
 
 import pytest
 
-from hitchinforge.cli import run
+from hitchinforge.bender import b0_family
+from hitchinforge.cli import _load_bending_spec, _load_matrix, run
 from hitchinforge.exactnum import (
     ExactMatrix,
     format_scalar,
     fundamental_unit,
     parse_scalar,
 )
+from conftest import primes_up_to
 
 GENUS2_SPEC = json.dumps({
     "n": 5,
@@ -56,22 +59,12 @@ def test_pell_usage_error(capsys):
     assert run(["pell", "--d", "4"]) == 2
 
 
+# Values past CPython's default limit of 4,300 digits on int <-> str
+# conversion cross text through exactnum (format_scalar, parse_scalar and
+# the CLI's JSON reader); neither the library nor these tests change the
+# limit.
 def _digit_limit() -> int:
     return getattr(sys, "get_int_max_str_digits", lambda: 0)()
-
-
-@contextmanager
-def any_digits():
-    """Lift CPython's limit on int <-> str conversion for the test's own
-    parsing, and restore it."""
-    limit = _digit_limit()
-    if limit:
-        sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
 
 
 def test_pell_past_the_old_step_cap_prints_its_unit(capsys):
@@ -80,9 +73,8 @@ def test_pell_past_the_old_step_cap_prints_its_unit(capsys):
     limit = _digit_limit()
     code, doc = run_json(capsys, ["pell", "--d", "1000000007"])
     assert code == 0 and _digit_limit() == limit
-    assert len(doc["x"]) > 4300
-    with any_digits():
-        x, y, d = int(doc["x"]), int(doc["y"]), doc["d"]
+    assert len(doc["x"]) == 6382
+    x, y, d = parse_scalar(doc["x"]), parse_scalar(doc["y"]), doc["d"]
     assert d == 1000000007 and y > 0
     assert x * x - d * y * y == doc["norm"] in (1, -1)
 
@@ -110,9 +102,50 @@ def test_bend_prints_entries_of_any_size(capsys):
                                   "--word", "b2"])
     assert code == 0 and _digit_limit() == limit
     assert max(len(e) for row in doc["image"] for e in row) > 4300
-    with any_digits():
-        image = ExactMatrix([[parse_scalar(e) for e in row] for row in doc["image"]])
-        assert image.det() == 1
+    image = ExactMatrix([[parse_scalar(e) for e in row] for row in doc["image"]])
+    assert image.det() == 1
+
+
+# P, the product of the first 1,700 primes, is square-free with 6,222 digits
+PRIMORIAL_1700 = prod(sorted(primes_up_to(15000))[:1700])
+
+
+@pytest.mark.parametrize("quote", ['"', ""], ids=["string", "bare-integer"])
+def test_classify_form_prints_a_discriminant_of_any_size(capsys, quote):
+    """diag(P, 1) reads P from a JSON string or a bare JSON integer alike,
+    and prints P whole as its entry, its square class and its
+    discriminant."""
+    p = format_scalar(PRIMORIAL_1700)
+    limit = _digit_limit()
+    code = run(["classify-form", "--matrix", f'[[{quote}{p}{quote}, 0], [0, 1]]'])
+    out = capsys.readouterr().out
+    assert code == 0 and _digit_limit() == limit
+    assert len(p) == 6222 and len(out) == 18937
+    doc = json.loads(out)
+    assert doc["matrix"] == [[p, "0"], ["0", "1"]]
+    assert doc["diagonal_classes"] == [p, "1"] and doc["disc"] == p
+    assert doc["signature"] == [2, 0]
+
+
+@pytest.mark.parametrize("quote", ['"', ""], ids=["string", "bare-integer"])
+def test_certify_density_prints_a_witness_trace_of_any_size(capsys, quote):
+    """g1 = diag(w, 1/w) with w = 10^5001 + 1 is the infinite-order witness;
+    its trace (w^2 + 1)/w prints whole, with 10,003 + 5,002 digits."""
+    w = 10 ** 5001 + 1
+    spec = json.dumps({
+        "n": 3, "mode": "free", "curve": {"gamma": "g1"},
+        "sl2_assignment": {"g1": [["W", "0"], ["0", "1/" + format_scalar(w)]],
+                           "g2": [["1", "1"], ["0", "1"]]},
+        "b_matrix": [["2", "0", "0"], ["0", "1", "0"], ["0", "0", "1/2"]],
+    }).replace('"W"', quote + format_scalar(w) + quote)
+    limit = _digit_limit()
+    code = run(["certify-density", "--spec", spec, "--target", "SLn"])
+    out = capsys.readouterr().out
+    assert code == 1 and _digit_limit() == limit
+    assert len(out) == 15451
+    evidence = json.loads(out)["sl2_dense"]
+    assert evidence["infinite_order_witness"] == "g1"
+    assert evidence["witness_trace"] == format_scalar(Fraction(w * w + 1, w))
 
 
 def test_classify_form_named(capsys):
@@ -262,6 +295,17 @@ def test_reduce_modp_names_the_foreign_field(capsys):
     assert captured.err == "error: sqrt(2) does not lie in Q(sqrt(3))\n"
 
 
+@pytest.mark.parametrize("option", ["--value", "--matrix"])
+def test_reduce_modp_names_a_denominator_of_any_size(capsys, option):
+    """A denominator of 4,401 digits that p divides is named whole on the
+    one error line, under the interpreter's own digit limit."""
+    den = "5" + "0" * 4400
+    value = "1/" + den if option == "--value" else f'[["1/{den}"]]'
+    line = _assert_one_line_usage_error(
+        capsys, ["reduce-modp", "--p", "5", "--d", "3", option, value])
+    assert line == f"error: denominator {den} not invertible mod 5"
+
+
 def test_trace_set(capsys):
     code, doc = run_json(capsys, ["trace-set", "--family", "SL",
                                   "--n", "2", "--p", "3"])
@@ -352,6 +396,25 @@ def test_malformed_bending_matrix_name_is_one_line_usage_error(capsys, name):
 def test_matrix_rows_must_be_arrays(capsys):
     _assert_one_line_usage_error(
         capsys, ["lattice-check", "--kind", "SLnZ", "--matrix", "[1,2]"])
+
+
+# JSON reads true as a bool, a subclass of int, but only integer literals
+# are scalars: every other entry is refused as its text is
+@pytest.mark.parametrize("literal, line", [
+    ("true", "error: cannot parse scalar 'True' at offset 0"),
+    ("null", "error: cannot parse scalar 'None' at offset 0"),
+    ("1.5", "error: cannot parse scalar '1.5' at offset 1"),
+    ("1e3", "error: cannot parse scalar '1000.0' at offset 4"),
+])
+@pytest.mark.parametrize("command", ["classify-form", "certify-density"])
+def test_non_integer_json_entries_are_one_line_usage_errors(capsys, literal,
+                                                            line, command):
+    if command == "classify-form":
+        argv = ["--matrix", f'[[{literal}, "0"], ["0", "1"]]']
+    else:
+        argv = ["--spec", FREE_SPEC.replace('"2+sqrt(3)"', literal, 1),
+                "--target", "SLn"]
+    assert _assert_one_line_usage_error(capsys, [command, *argv]) == line
 
 
 @pytest.mark.parametrize("command", ["bend", "certify-density"])
@@ -594,6 +657,14 @@ def test_named_bending_matrix(capsys):
     assert code == 1 and not doc["in_g2"]
 
 
+def test_bending_matrix_names_and_specs_default_to_k_1_and_d_3():
+    b = b0_family("SU_split_a", 3, fundamental_unit(3).value, 1)
+    assert _load_matrix("B0:SU_split_a:3") == _load_matrix("B0:SU_split_a:3:1:3") == b
+    data = json.loads(FREE_SPEC)
+    data["b0"] = {"kind": "SU_split_a"}
+    assert _load_bending_spec(json.dumps(data)).b_matrix == b
+
+
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 # every README example; bend and certify-density read the genus-2 spec,
@@ -628,6 +699,18 @@ def test_readme_example_golden_stdout(capsys, name):
     out = capsys.readouterr().out
     assert code == expected_code
     assert out == (GOLDEN_DIR / f"{name}.json").read_text()
+
+
+def test_readme_examples_leave_the_digit_limit_alone(capsys, monkeypatch):
+    """The interpreter-wide digit limit is no part of the CLI: every README
+    example prints its golden stdout with no call to set it."""
+    calls = []
+    monkeypatch.setattr(sys, "set_int_max_str_digits",
+                        lambda *args: calls.append(args), raising=False)
+    for name, (argv, expected_code) in sorted(README_EXAMPLES.items()):
+        assert run(argv) == expected_code
+        assert capsys.readouterr().out == (GOLDEN_DIR / f"{name}.json").read_text()
+    assert calls == []
 
 
 @pytest.mark.parametrize("module, name, value, argv, message", [

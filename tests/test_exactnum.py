@@ -14,6 +14,7 @@ from hitchinforge.exactnum import (
     _invert,
     _is_prime,
     _one_like,
+    _text_int,
     _zero_like,
     apply_galois,
     common_field,
@@ -267,6 +268,14 @@ def test_scalar_parsing_roundtrip():
     with pytest.raises(ValueError):
         parse_scalar("sqrt(-3)+")
 
+
+
+@pytest.mark.parametrize("n", [0, 7, -7, 10 ** 600, -(10 ** 5000 + 3), 2 ** 20000],
+                         ids=["0", "7", "-7", "10^600", "-(10^5000+3)", "2^20000"])
+def test_integer_text_converts_in_chunks_with_its_sign(n):
+    """_text_int reads what format_scalar prints, a leading '-' included,
+    at any size under the interpreter's own digit limit."""
+    assert _text_int(format_scalar(n)) == n
 
 RING_SAMPLES = {
     "Q": Fraction(-3, 7),

@@ -18,6 +18,15 @@ def _rvec(rng):
                  for _ in range(7)])
 
 
+def test_str_prints_coordinates_of_any_size():
+    """A 5,000-digit coordinate prints whole under the interpreter's own
+    int <-> str digit limit; small ones print as str does."""
+    big = Fraction(-(10 ** 4999 + 7), 3)
+    v = Vec7([big, Fraction(1, 2), 0, 0, 0, 0, Fraction(-3)])
+    assert str(v) == "(-1" + "0" * 4998 + "7/3, 1/2, 0, 0, 0, 0, -3)"
+    assert repr(Vec7.basis(2)) == "(0, 1, 0, 0, 0, 0, 0)"
+
+
 def test_cross_basis_examples():
     e = Vec7.basis
     assert cross7(e(1), e(4)) == e(1).scale(6)

@@ -42,6 +42,19 @@ def test_hilbert_symbol_examples():
         assert hilbert_symbol(1, -7, v) == 1
 
 
+def test_hilbert_of_integers_needs_no_square_class():
+    """The closed form takes square factors as they come: on integers and
+    fractions with square factors it agrees with the oracle, which
+    reduces both arguments to their square classes first."""
+    values = [v for v in range(-40, 41) if v]
+    values += [Fraction(v, 4) for v in (-9, -3, 5, 18)]
+    values += [Fraction(v, 50) for v in (-7, 3, 12)]
+    for v in [Place.finite(p) for p in (2, 3, 5, 7)] + [INF]:
+        for a in values:
+            for b in values[::3]:
+                assert hilbert_symbol(a, b, v) == hilbert_symbol_oracle(a, b, v), (a, b, v)
+
+
 def test_hilbert_symbol_oracle_agreement_small():
     places = [INF, P2, Place.finite(3), Place.finite(5), Place.finite(7)]
     for a in range(-12, 13):

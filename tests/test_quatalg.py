@@ -8,6 +8,7 @@ from hitchinforge.quatalg import (
     GammaElement,
     LiftKind,
     QuatAlgebra,
+    QuatElem,
     diagonal_lift_disjointness,
     embed_m2,
     gamma_enumerate,
@@ -21,6 +22,17 @@ def test_algebra_normalization():
     assert (alg.a, alg.b) == (3, -2)
     with pytest.raises(ValueError):
         QuatAlgebra(0, 3)
+
+
+def test_str_prints_coordinates_of_any_size():
+    """A 5,000-digit coordinate prints whole under the interpreter's own
+    int <-> str digit limit; small ones print as str does."""
+    alg = QuatAlgebra(3, 5)
+    big = Fraction(-(10 ** 4999 + 7), 3)
+    assert (str(QuatElem(alg, big, 0, Fraction(1, 2), -1))
+            == "(-1" + "0" * 4998 + "7/3) + (1/2)j + (-1)ij")
+    sqrt3 = FieldElem(field(3), [Fraction(0), Fraction(2)])
+    assert repr(alg.i() * sqrt3) == "(2sqrt(3))i" and str(alg(0)) == "0"
 
 
 def test_scalar_quaternions_hash_like_their_coordinate():
