@@ -51,7 +51,7 @@ from .modp import (
     separation_certificate,
     trace_set,
 )
-from .qforms import diagonalize_qform, form_invariants
+from .qforms import diagonalize_qform, invariants_from_classes
 from .quatalg import QuatAlgebra, gamma_enumerate, is_division
 from .symrep import (
     cocycle_matrix,
@@ -159,7 +159,7 @@ def _cmd_quat_info(args) -> int:
 def _cmd_classify_form(args) -> int:
     m = _load_matrix(args.matrix)
     diag = diagonalize_qform(m)
-    inv = form_invariants(m)
+    inv = invariants_from_classes(diag.classes)
     return _emit(args, {
         "matrix": _matrix_to_json(m),
         "diagonal_classes": [format_scalar(c) for c in diag.classes],

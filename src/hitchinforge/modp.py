@@ -1,11 +1,14 @@
 """Reduction of exact data modulo an odd prime; finite matrix groups as
 permutation groups on row codes (an element is the tuple of its row codes,
-multiplied through lazily filled row-action tables): one stabilizer chain
-by deterministic Schreier-Sims for every full closure (orders, element
-enumeration and trace sets, `matrix_order` too), one breadth-first walk
-for bounded words; the standard order formulas, trace sets and trace
-witnesses over finite fields, Omega(4, p) from Schreier generators, and
-the mod-p orbit-separation certificate.
+each row's coordinates packed in fixed-width fields of one integer, so a
+row times matrices is one integer sum reduced mod p in one step, held in
+lazily filled row-action tables): one stabilizer chain by deterministic
+Schreier-Sims for every full closure (orders, element enumeration and
+trace sets, `matrix_order` too), one breadth-first walk for bounded words,
+where one sum gives a row's images under every generator; the standard
+order formulas, trace sets and trace witnesses over finite fields,
+Omega(4, p) from Schreier generators, and the mod-p orbit-separation
+certificate.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import getitem
+from operator import rshift
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .exactnum import (
@@ -250,15 +253,20 @@ def matrix_order(m: ExactMatrix) -> int:
     return _Chain([m], DEFAULT_CLOSURE_CAP).order
 
 
-# -- the row action -------------------------------------------------------------
+# -- row codes and the row action ----------------------------------------------
 #
 # An element is the tuple of its row codes.  An entry x + y*r of F_q (q = p,
-# or q = p^2 with r^2 = r2) is the integer u = x + p*y, and a row
-# (u_0, ..., u_(n-1)) is the code sum u_j q^j.  Right multiplication by a
-# matrix maps each row code on its own, so it is n lookups in a table of
-# the matrix's action on rows, filled the first time a row is met.  The
-# codes are the points of a permutation action, and the base images of the
-# base e_1, ..., e_n under an element are its row codes.
+# or q = p^2 with r^2 = r2) keeps x, and y over F_p^2, in fields `width` bits
+# wide of one integer, the row's code.  A row (x_j + y_j r)_j times a matrix
+# with rows R_j is then the one integer sum of x_j R_j + y_j (r R_j) over
+# the codes, every field at most `top`, and one step reduces every field mod
+# p at once: with mult about 2^shift / p, each field v becomes
+# v - p * (v * mult >> shift) (Granlund and Montgomery, "Division by
+# invariant integers using multiplication", PLDI 1994), which is already
+# the image's code.  Matrices side by side in the sum give a row's images
+# under each of them at once.  The codes are the points of a permutation
+# action, and the base images of the base e_1, ..., e_n under an element
+# are its row codes.
 
 
 class _Lazy(dict):
@@ -278,6 +286,79 @@ class _Lazy(dict):
 _FQ_DESCRIPTORS = _Lazy(lambda key: FqDescriptor(*key))  # by (p, r2 mod p)
 
 
+class _Layout:
+    """The row codes of n x n matrices over F_p (r2 None) or
+    F_p[r]/(r^2 - r2): `fields` fields of `width` bits per row, `bits` in
+    all.  mult and shift give v // p as v * mult >> shift for every field v
+    up to `top`, the largest field of an unreduced row times a matrix, and
+    top * mult fits in a field.  Interned in _LAYOUTS by (p, r2, n)."""
+
+    __slots__ = ("p", "r2", "dim", "fields", "top", "shift", "mult", "width",
+                 "mask", "bits", "base", "x_fields", "reduce")
+
+    def __init__(self, p: int, r2: Optional[int], n: int):
+        self.p, self.r2 = p, r2
+        self.dim = 1 if r2 is None else 2
+        self.fields = self.dim * n
+        self.top = self.fields * (p - 1) ** 2
+        # v * mult / 2^shift exceeds v / p by under 1 / p when top * p < 2^shift
+        self.shift = (self.top * p).bit_length()
+        self.mult = -(-(1 << self.shift) // p)
+        self.width = (self.top * self.mult).bit_length()
+        self.mask = (1 << self.width) - 1
+        self.bits = self.width * self.fields
+        self.base = tuple(1 << self.width * self.dim * i for i in range(n))
+        self.x_fields = sum(self.mask << self.width * f for f in range(0, self.fields, self.dim))
+        # by the number of codes side by side: a map that reduces every
+        # field of such an integer, each at most top, mod p at once
+        self.reduce = _Lazy(self._reducer)
+
+    def _reducer(self, blocks: int) -> Callable[[int], int]:
+        p, mult, shift = self.p, self.mult, self.shift
+        quotient = (1 << self.width - shift) - 1
+        low = sum(quotient << self.width * f for f in range(self.fields * blocks))
+        return lambda acc: acc - p * (acc * mult >> shift & low)
+
+    def codes(self, g: ExactMatrix) -> tuple[int, ...]:
+        """The row codes of an FqElem matrix (y is 0 over F_p)."""
+        w, step = self.width, self.width * self.dim
+        return tuple(sum((e.x + (e.y << w)) << step * k for k, e in enumerate(row))
+                     for row in g.entries)
+
+    def entries(self, code: int) -> list[FqElem]:
+        """The row of FqElems with the given code."""
+        values = [code >> self.width * f & self.mask for f in range(self.fields)]
+        if self.r2 is None:
+            return [FqElem(self.p, x) for x in values]
+        return [FqElem(self.p, x, y, self.r2) for x, y in zip(values[::2], values[1::2])]
+
+    def product(self, matrices: Sequence[tuple[int, ...]]) -> Callable[[int], int]:
+        """The map from a row code to its images under each matrix, given
+        by its row codes, side by side every `bits` bits: one integer sum
+        over the fields of the row, reduced once."""
+        r2, width, mask, bits, xs = self.r2, self.width, self.mask, self.bits, self.x_fields
+        reduce_row = self.reduce[1]
+        terms = [0] * self.fields        # what field f of a row multiplies
+        for i, rows in enumerate(matrices):
+            for j, code in enumerate(rows):
+                terms[self.dim * j] += code << bits * i
+                if r2 is not None:      # r (x + y r) = r2 y + x r, field by field
+                    r_code = reduce_row(r2 * (code >> width & xs) + ((code & xs) << width))
+                    terms[2 * j + 1] += r_code << bits * i
+        reduce = self.reduce[len(matrices)]
+
+        def image(code: int) -> int:
+            acc = 0
+            for term in terms:
+                acc += (code & mask) * term
+                code >>= width
+            return reduce(acc)
+        return image
+
+
+_LAYOUTS = _Lazy(lambda key: _Layout(*key))  # by (p, r2, n)
+
+
 def _field(gens: Sequence[ExactMatrix]) -> tuple[int, Optional[int]]:
     """(p, r2) of the one field of every generator entry; r2 is None for
     the prime field."""
@@ -294,61 +375,40 @@ def _field(gens: Sequence[ExactMatrix]) -> tuple[int, Optional[int]]:
     return entries[0].p, r2s.pop()
 
 
-def _codes(g: ExactMatrix, p: int, q: int) -> tuple[int, ...]:
-    """The row codes of an FqElem matrix."""
-    return tuple(sum((e.x + p * e.y) * q ** k for k, e in enumerate(row))
-                 for row in g.entries)
+def _layout(gens: Sequence[ExactMatrix]) -> _Layout:
+    """The layout of the row codes of the generators."""
+    return _LAYOUTS[(*_field(gens), gens[0].nrows)]
 
 
-def _row_action(rows: Sequence[int], p: int, r2: Optional[int]) -> _Lazy:
-    """Lazy table from a row code to the code of that row times the
-    matrix whose row codes are rows.  The image of a row (a_j + b_j r)_j is
-    one integer sum of a_j X_j + b_j Y_j, where X_j and Y_j pack the
-    coordinates of r^0 and r^1 times row j into fields of one integer, wide
-    enough that no field carries into the next (a field sums n products
-    below p^3); each field is then reduced mod p."""
-    n = len(rows)
-    q = p if r2 is None else p * p
-    r2 = r2 or 0
-    powers = [q ** k for k in range(n)]
-    width = (n * p ** 3).bit_length()
-    mask = (1 << width) - 1
-    # column k: its x and y coordinates sit at the shifts 2k and 2k + 1
-    fields = [(2 * k * width, (2 * k + 1) * width, s) for k, s in enumerate(powers)]
-    packed = []
-    for code in rows:
-        row = [(code // s % q % p, code // s % q // p) for s in powers]
-        packed.append((sum((c << sx) + (d << sy) for (c, d), (sx, sy, _) in zip(row, fields)),
-                       sum((r2 * d << sx) + (c << sy) for (c, d), (sx, sy, _) in zip(row, fields))))
-
-    def image(code: int) -> int:
-        acc = 0
-        for x_row, y_row in packed:
-            code, u = divmod(code, q)
-            acc += u % p * x_row + u // p * y_row
-        return sum(((acc >> sx & mask) % p + p * ((acc >> sy & mask) % p)) * s
-                   for sx, sy, s in fields)
-    return _Lazy(image)
+def _row_action(rows: Sequence[int], layout: _Layout) -> _Lazy:
+    """Lazy table from a row code to the code of that row times the matrix
+    whose row codes are rows."""
+    return _Lazy(layout.product([rows]))
 
 
 def _walk(gens: Sequence[ExactMatrix], cap: int, depth: int) -> set[tuple[int, ...]]:
     """Breadth-first walk of the products of the generators from the
-    identity: the words of length at most depth.  Returns the set of
-    elements; raises CapExceeded (with the partial count, cap + 1) as soon
-    as the set outgrows the cap."""
-    p, r2 = _field(gens)
-    q = p if r2 is None else p * p
-    steps = [_row_action(_codes(g, p, q), p, r2).__getitem__ for g in gens]
-    ident = tuple(q ** i for i in range(gens[0].nrows))
-    seen = {ident}
-    frontier = [ident]
+    identity: the words of length at most depth.  The first time a row is
+    met, one product gives its images under every generator.  Returns the
+    set of elements; raises CapExceeded (with the partial count, cap + 1)
+    as soon as the set outgrows the cap."""
+    layout = _layout(gens)
+    image = layout.product([layout.codes(g) for g in gens])
+    bits, mask = layout.bits, (1 << layout.bits) - 1
+    shifts = range(0, bits * len(gens), bits)
+
+    def images(code: int) -> list[int]:
+        acc = image(code)
+        return [acc >> s & mask for s in shifts]
+    table = _Lazy(images).__getitem__
+    seen = {layout.base}
+    frontier = [layout.base]
     level = 0
     while frontier and level < depth:
         level += 1
         new = []
         for m in frontier:
-            for step in steps:
-                prod = tuple(map(step, m))
+            for prod in zip(*map(table, m)):
                 if prod not in seen:
                     seen.add(prod)
                     if len(seen) > cap:
@@ -378,18 +438,16 @@ class _Chain:
     built, raises CapExceeded (cap + 1) as soon as it passes the cap."""
 
     def __init__(self, gens: Sequence[ExactMatrix], cap: int):
-        p, r2 = _field(gens)
-        q = p if r2 is None else p * p
-        self.p, self.r2, self.q, self.cap, self.order = p, r2, q, cap, 1
-        self.n = gens[0].nrows
-        self.base = tuple(q ** i for i in range(self.n))
+        self.layout = layout = _layout(gens)
+        self.cap, self.order = cap, 1
+        self.base = layout.base
         # level i: orbit point gamma -> (row codes of u_gamma, the point
         # beta and the strong generator s with u_gamma = u_beta s); the
         # base point has u = 1 and no beta
         self.trans = [{b: (self.base, None, None)} for b in self.base]
         # level i: orbit point gamma -> row action of u_gamma^-1, built on
-        # first use
-        self.inverses: list[dict] = [{b: range(q ** self.n)} for b in self.base]
+        # first use; a range is the identity on every code
+        self.inverses: list[dict] = [{b: range(1 << layout.bits)} for b in self.base]
         # level i: the row action of each strong generator fixing the
         # first i base points, with the row codes of its inverse
         self.strong: list[list[tuple[_Lazy, tuple[int, ...]]]] = [[] for _ in self.base]
@@ -397,7 +455,7 @@ class _Chain:
         # Schreier generator at that point sifted
         self.done = [{b: 0} for b in self.base]
         for g in gens:
-            level = self._add(self._sift(_codes(g, p, q), 0))
+            level = self._add(self._sift(layout.codes(g), 0))
             while level is not None and level >= 0:
                 added = self._schreier(level)
                 level = level - 1 if added is None else added
@@ -413,7 +471,7 @@ class _Chain:
         for gamma in reversed(path):
             _, beta, (_, s_inv_rows) = trans[gamma]
             rows = tuple(map(cache[beta].__getitem__, s_inv_rows))
-            cache[gamma] = _row_action(rows, self.p, self.r2)
+            cache[gamma] = _row_action(rows, self.layout)
         return cache[gamma]
 
     def _sift(self, rows: tuple[int, ...], level: int
@@ -422,7 +480,7 @@ class _Chain:
         through the chain, from its row codes.  Returns None when it sifts
         to the identity, else the residue's row codes and the level where
         its base image has no transversal element."""
-        for i in range(level, self.n):
+        for i in range(level, len(self.base)):
             if rows[i] not in self.trans[i]:
                 return rows, i
             rows = tuple(map(self._inverse(i, rows[i]).__getitem__, rows))
@@ -434,14 +492,12 @@ class _Chain:
         if residue is None:
             return None
         rows, level = residue
-        p, r2, q = self.p, self.r2, self.q
-        matrix = ExactMatrix([[FqElem(p, code // s % q % p, code // s % q // p, r2)
-                               for s in self.base] for code in rows])
+        layout = self.layout
         try:
-            inverse = matrix.inverse()
+            inverse = ExactMatrix(list(map(layout.entries, rows))).inverse()
         except ZeroDivisionError:
             raise ValueError("closure needs invertible generators") from None
-        gen = (_row_action(rows, p, r2), _codes(inverse, p, q))
+        gen = (_row_action(rows, layout), layout.codes(inverse))
         for i in range(level + 1):
             self.strong[i].append(gen)
             self._close(i)
@@ -496,7 +552,7 @@ class _Chain:
         return elements
 
     def traces(self) -> frozenset[FqElem]:
-        return _traces(self.elements(), self.n, self.p, self.r2)
+        return _traces(self.elements(), self.layout)
 
 
 def _transversal_actions(level: dict) -> list[Callable[[int], int]]:
@@ -520,24 +576,24 @@ def _times_each(elements: Iterator[tuple[int, ...]],
         map(tuple, map(map, steps, itertools.repeat(h))) for h in elements)
 
 
-def _traces(elements: Iterable[tuple[int, ...]], n: int, p: int,
-            r2: Optional[int]) -> frozenset[FqElem]:
-    """Trace set of n x n elements given by their row codes.  Row i
-    contributes its i-th coordinate x + y*r as the integer x + big*y, so
-    one integer sum per element carries both coordinates of the trace.
-    Several sums give one trace, so each sum is reduced when first seen;
-    reading stops once all q values of F_q have appeared."""
-    q = p if r2 is None else p * p
-    big = n * p
-    diagonal = [_Lazy(lambda code, s=q ** i: code // s % q % p
-                      + big * (code // s % q // p)) for i in range(n)]
+def _traces(elements: Iterable[tuple[int, ...]], layout: _Layout) -> frozenset[FqElem]:
+    """Trace set of elements given by their row codes.  Row i shifted
+    down by its diagonal's place puts that entry in the lowest fields, so
+    the sum of the shifted rows carries the trace, unreduced, in its lowest
+    field (two over F_p^2), and no field carries into the next.  Several
+    sums give one trace, so each is reduced when first seen; reading stops
+    once all q values of F_q have appeared."""
+    p, r2, width = layout.p, layout.r2, layout.width
+    shifts = [width * layout.dim * i for i in range(len(layout.base))]
+    low = (1 << width * layout.dim) - 1
+    q = p ** layout.dim
     sums: set[int] = set()
     traces: set[FqElem] = set()
     for m in elements:
-        s = sum(map(getitem, diagonal, m))
+        s = sum(map(rshift, m, shifts)) & low
         if s not in sums:
             sums.add(s)
-            traces.add(FqElem(p, s % big, s // big, r2))
+            traces.add(FqElem(p, s & layout.mask, s >> width, r2))
             if len(traces) == q:
                 break
     return frozenset(traces)
@@ -735,7 +791,7 @@ def trace_set_of_generators(gens: Sequence[ExactMatrix],
         return _Chain(gens, cap).traces()
     if word_length < 0:
         raise ValueError(f"word length {word_length} is negative")
-    return _traces(_walk(gens, cap, word_length), gens[0].nrows, *_field(gens))
+    return _traces(_walk(gens, cap, word_length), _layout(gens))
 
 
 def _check_family(family: str, n: int, p: int) -> None:

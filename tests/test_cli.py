@@ -156,6 +156,17 @@ def test_classify_form_named(capsys):
     assert doc["signature"] == [1, 2]
 
 
+def test_classify_form_diagonalizes_once(capsys, monkeypatch):
+    from hitchinforge import cli, qforms
+    calls = []
+    diagonalize = qforms.diagonalize_qform
+    for module in (cli, qforms):
+        monkeypatch.setattr(module, "diagonalize_qform",
+                            lambda m: calls.append(m) or diagonalize(m))
+    code, doc = run_json(capsys, ["classify-form", "--matrix", "J5"])
+    assert code == 0 and len(calls) == 1 and doc["signature"] == [3, 2]
+
+
 def test_classify_form_json_matrix(capsys):
     code, doc = run_json(capsys, ["classify-form", "--matrix",
                                   '[["1","0"],["0","-2"]]'])

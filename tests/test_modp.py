@@ -158,10 +158,51 @@ def test_group_closure_cap():
     assert exc.value.partial == 101
 
 
+def _words(gens, length):
+    """The distinct products of at most `length` generators, multiplied
+    out as ExactMatrix products."""
+    level = {ExactMatrix.identity(gens[0].nrows, like=gens[0].entries[0][0])}
+    words = set(level)
+    for _ in range(length):
+        level = {m * g for m in level for g in gens} - words
+        words |= level
+    return words
+
+
+WORD_SETS = {
+    "SL2-5": (lambda: sl_generators(2, 5), 4),
+    "SU3-3-first6": (lambda: su3_generators(3)[0][:6], 2),
+    "Sp4-3": (lambda: sp_generators(4, 3), 2),
+}
+
+
+@pytest.mark.parametrize("name", list(WORD_SETS))
+def test_word_walk_matches_matrix_products(name):
+    build, length = WORD_SETS[name]
+    gens = build()
+    words = _words(gens, length)
+    assert len(_walk(gens, DEFAULT_CLOSURE_CAP, length)) == len(words)
+    assert trace_set(gens, word_length=length) == {m.trace() for m in words}
+
+
 def test_word_walk_cap():
     with pytest.raises(CapExceeded) as exc:
         trace_set_of_generators(sl_generators(3, 5), cap=10, word_length=5)
     assert exc.value.partial == 11
+
+
+@pytest.mark.parametrize("gens, length", [(lambda: sl_generators(3, 5), 5),
+                                          (lambda: su3_generators(3)[0], 2)],
+                         ids=["SL3-5", "SU3-3"])
+def test_word_walk_cap_boundary(gens, length):
+    """A cap equal to the number of distinct words passes; one lower
+    raises with that number as the partial count."""
+    gens = gens()
+    count = len(_words(gens, length))
+    assert trace_set_of_generators(gens, cap=count, word_length=length)
+    with pytest.raises(CapExceeded) as exc:
+        trace_set_of_generators(gens, cap=count - 1, word_length=length)
+    assert exc.value.partial == count
 
 
 def test_negative_word_length():
@@ -188,19 +229,56 @@ def test_closures_match_formulas_small():
 @pytest.mark.parametrize("p, r2, n", [(5, None, 2), (5, None, 4), (3, 2, 3),
                                       (7, 3, 2), (3, None, 8)])
 def test_row_action_is_the_matrix_product(p, r2, n):
-    """The packed-integer row action agrees with ExactMatrix products."""
+    """The packed-integer row action agrees with ExactMatrix products, for
+    one matrix and for three side by side in one sum."""
     rng = random.Random(5)
-    q = p if r2 is None else p * p
+    layout = modp._LAYOUTS[p, r2, n]
+    row_mask = (1 << layout.bits) - 1
 
     def fq():
         return FqElem(p, rng.randrange(p), rng.randrange(p) if r2 else 0, r2)
+
+    def matrix(nrows):
+        return ExactMatrix([[fq() for _ in range(n)] for _ in range(nrows)])
     for _ in range(5):
-        m = ExactMatrix([[fq() for _ in range(n)] for _ in range(n)])
-        table = modp._row_action(modp._codes(m, p, q), p, r2)
+        ms = [matrix(n) for _ in range(3)]
+        table = modp._row_action(layout.codes(ms[0]), layout)
+        stacked = layout.product([layout.codes(m) for m in ms])
         for _ in range(40):
-            row = ExactMatrix([[fq() for _ in range(n)]])
-            code, = modp._codes(row, p, q)
-            assert (table[code],) == modp._codes(row * m, p, q)
+            row = matrix(1)
+            code, = layout.codes(row)
+            assert layout.entries(code) == list(row.entries[0])
+            images = [(row * m).entries[0] for m in ms]
+            assert layout.entries(table[code]) == list(images[0])
+            acc = stacked(code)
+            assert [layout.entries(acc >> layout.bits * i & row_mask)
+                    for i in range(3)] == [list(image) for image in images]
+            assert acc >> 3 * layout.bits == 0
+
+
+@pytest.mark.parametrize("p", [p for p in range(2, 32) if all(p % d for d in range(2, p))])
+@pytest.mark.parametrize("degree", [1, 2])
+def test_row_code_reduction_is_exact_on_every_field_value(p, degree):
+    """For n = 1..16, top * mult fits in a field, mult and shift give
+    v // p for every field value v up to top = dim * n * (p - 1)^2, and the
+    one-step reduction of fields holding every such value, v next to
+    top - v so that a borrow or carry across fields would show, leaves
+    v mod p in each field."""
+    for n in range(1, 17):
+        layout = modp._Layout(p, 1 if degree == 2 else None, n)
+        top = degree * n * (p - 1) ** 2
+        assert layout.top == top and layout.fields == degree * n
+        assert (top * layout.mult).bit_length() <= layout.width
+        values = range(top + 1)
+        assert all(v * layout.mult >> layout.shift == v // p for v in values)
+        seq = [v for pair in zip(values, reversed(values)) for v in pair]
+        reduce = layout.reduce[2]
+        for at in range(0, len(seq), 2 * layout.fields):
+            chunk = seq[at:at + 2 * layout.fields]
+            reduced = reduce(sum(v << layout.width * f for f, v in enumerate(chunk)))
+            assert [reduced >> layout.width * f & layout.mask
+                    for f in range(len(chunk))] == [v % p for v in chunk]
+            assert reduced >> layout.width * len(chunk) == 0
 
 
 def _fq_matrices(p, *rows_list):
@@ -229,27 +307,42 @@ ORACLE_GRID = {
 }
 
 
-def _reference_traces(walked, n, p, r2):
-    """The trace set of every walked element, with no early stop: each
-    distinct diagonal decoded from the row codes and summed as FqElems."""
-    q = p if r2 is None else p * p
-    diagonals = {tuple(m[i] // q ** i % q for i in range(n)) for m in walked}
-    zero = FqElem(p, 0, 0, r2)
-    return frozenset(sum((FqElem(p, c % p, c // p, r2) for c in d), zero)
-                     for d in diagonals)
+def _decoded(m, layout):
+    """The FqElem matrix of an element's row codes, its fields read with
+    plain shifts, checked to encode back to the same codes."""
+    n, w, dim = len(m), layout.width, layout.dim
+    rows = []
+    for code in m:
+        assert code >> w * dim * n == 0
+        values = [code >> w * f & (1 << w) - 1 for f in range(dim * n)]
+        ys = values[1::2] if dim == 2 else [0] * n
+        rows.append([FqElem(layout.p, x, y, layout.r2) for x, y in zip(values[::dim], ys)])
+    matrix = ExactMatrix(rows)
+    assert layout.codes(matrix) == m
+    return matrix
+
+
+def _reference_traces(walked, layout):
+    """The trace set of every walked element, with no early stop: one
+    element per diagonal, its fields read with plain shifts, is decoded
+    into an ExactMatrix and its trace taken there."""
+    w, dim = layout.width, layout.dim
+    diagonal = [(w * dim * (i + 1), w * dim * i) for i in range(len(layout.base))]
+    firsts = {tuple(c % (1 << hi) >> lo for c, (hi, lo) in zip(m, diagonal)): m
+              for m in walked}
+    return frozenset(_decoded(m, layout).trace() for m in firsts.values())
 
 
 def _assert_chain_matches_walk(gens):
-    p, r2 = modp._field(gens)
-    n = gens[0].nrows
+    layout = modp._layout(gens)
     walked = _walk(gens, DEFAULT_CLOSURE_CAP, DEFAULT_CLOSURE_CAP)
     chain = _Chain(gens, DEFAULT_CLOSURE_CAP)
     enumerated = list(chain.elements())
     assert chain.order == len(walked) == len(enumerated)
     assert set(enumerated) == walked
     assert group_closure(gens) == len(walked)
-    traces = _reference_traces(walked, n, p, r2)
-    assert _traces(walked, n, p, r2) == traces
+    traces = _reference_traces(walked, layout)
+    assert _traces(walked, layout) == traces
     assert group_closure_and_traces(gens) == (len(walked), traces)
     assert trace_set_of_generators(gens) == traces
 
