@@ -14,12 +14,14 @@ inverse descends the tower in closed form, one element per level, and so
 does a sign, decided from signs one level down.  `fundamental_unit` stops
 where the period of the continued fraction of sqrt(d) ends, for every d.
 
-Matrix products pick one dot-product kernel in one pass over both
-operands: over Q, over one field and over one finite field F_q (the
-kernel its entries' descriptor names) a vector is split once into integer
-coordinates over one denominator, and each output entry is integer sums
-and one scalar, and a Fraction meeting one field's elements is read as an
-element of that field there; quaternions and every mix no kernel takes
+Matrix products pick one kernel in one pass over both operands, and the
+kernel runs the whole product.  Over Q and over one field a vector is
+split once into integer coordinates over one denominator, each output
+entry is integer sums and one scalar, and a Fraction meeting one field's
+elements is read as an element of that field there.  Over one finite
+field F_q (the kernel its entries' descriptor names) the product runs on
+modp's packed row codes, in a layout sized by the inner dimension, and
+decodes into interned entries.  Quaternions and every mix no kernel takes
 (Fractions with FqElems, two descriptors) run the generic loop `_dot`.
 An int or Fraction operand of a ring element is coerced into its ring.
 """
@@ -840,9 +842,10 @@ def _echelon(rows: list[list], ncols: int) -> tuple[list[int], int]:
 # by the plan of Q(sqrt(r2)).  A dot product of two split vectors is one
 # integer sum per plan entry and one scalar, whose constructor takes the
 # only gcd or the only reduction mod p (Cohen, A Course in Computational
-# Algebraic Number Theory, 4.2).  Every other ring and mix (quaternions,
-# two descriptor objects, Fractions with FqElems) has no kernel, and its
-# dot product is the generic loop _dot.
+# Algebraic Number Theory, 4.2).  A finite field's matrix product skips
+# them: it runs on modp's packed row codes.  Every other ring and mix
+# (quaternions, two descriptor objects, Fractions with FqElems) has no
+# kernel, and its dot product is the generic loop _dot.
 
 
 def _dot(row, col):
@@ -871,23 +874,34 @@ def _split_field(zeros: tuple, vec: Sequence) -> tuple[int, list[tuple[int, ...]
 class _Fused:
     """The fused kernel of Q (desc is field(), entries are Fractions), of a
     finite field (desc is modp's plan-shaped descriptor, with its own
-    split and build; no Fractions) or, by default, of one field (entries
-    are FieldElems of desc and Fractions).  Each is built once per
+    split, build and products; no Fractions) or, by default, of one field
+    (entries are FieldElems of desc and Fractions).  Each is built once per
     descriptor, as `desc.kernel`; it is the only kernel, and every ring
     without one runs `_dot`.
+    `products(rows, cols)` is a whole matrix product: by default every
+    column and row split once and one `dot` per entry; a finite field's
+    runs modp's `_Layout` row codes, in a layout sized by the inner
+    dimension, decoded into interned entries.
     `unit` and `times` are the one and the product on integer coordinates,
-    so callers can build integral vectors without building scalars;
-    `build(nums, den)` makes the one scalar of a result, and `rationals`
-    says whether `split` reads Fraction entries."""
+    so callers (`symrep.tau`) can build integral vectors without building
+    scalars; `build(nums, den)` makes the one scalar of a result, and
+    `rationals` says whether `split` reads Fraction entries."""
 
-    __slots__ = ("desc", "plan", "split", "build", "unit", "rationals")
+    __slots__ = ("desc", "plan", "split", "build", "unit", "rationals", "products")
 
     def __init__(self, desc, split: Optional[Callable] = None,
-                 build: Optional[Callable] = None, rationals: bool = True):
+                 build: Optional[Callable] = None, rationals: bool = True,
+                 products: Optional[Callable] = None):
         self.desc, self.plan, self.unit = desc, desc.plan, [1] + [0] * (desc.dim - 1)
         self.split = split or partial(_split_field, (0,) * (desc.dim - 1))
         self.build = build or partial(FieldElem, desc)
         self.rationals = rationals
+        self.products = products or self._split_products
+
+    def _split_products(self, rows: Sequence[Sequence], cols: Sequence[Sequence]) -> list[list]:
+        split, dot = self.split, self.dot
+        cols = [split(c) for c in cols]
+        return [[dot(r, c) for c in cols] for r in map(split, rows)]
 
     def times(self, u: Sequence[int], v: Sequence[int]) -> list[int]:
         return _times(self.desc, u, v)
@@ -921,15 +935,12 @@ def _kernel(vectors: Sequence[Sequence]) -> Optional[_Fused]:
 
 
 def _products(rows: Sequence[Sequence], cols: Sequence[Sequence]) -> list[list]:
-    """[[row . col for col in cols] for row in rows], every column split
-    once and every row once, through one kernel for all of them, or the
-    generic loop _dot on the entries when there is none."""
+    """[[row . col for col in cols] for row in rows], by the one kernel of
+    all their entries, or the generic loop _dot when there is none."""
     kernel = _kernel((*rows, *cols))
     if kernel is None:
         return [[_dot(r, c) for c in cols] for r in rows]
-    split, dot = kernel.split, kernel.dot
-    cols = [split(c) for c in cols]
-    return [[dot(r, c) for c in cols] for r in map(split, rows)]
+    return kernel.products(rows, cols)
 
 
 def galois_matrix(action: GaloisAction, m: ExactMatrix) -> ExactMatrix:

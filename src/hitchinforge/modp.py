@@ -161,11 +161,14 @@ class FqElem(RingElem):
 
 
 class FqDescriptor:
-    """F_p (r2 None) or F_p[r]/(r^2 - r2) as a matrix product sees it: an
-    element splits into its integer coordinates x (and y) over the
-    denominator 1, they multiply by the plan of Q(sqrt(r2)) (F_p keeps its
-    constant entry), and the one FqElem of each output entry reduces mod p
-    once.  Interned in _FQ_DESCRIPTORS, so each field builds one kernel."""
+    """F_p (r2 None) or F_p[r]/(r^2 - r2) as its kernel sees it.  A matrix
+    product is `_Layout.times` on the layout sized by the larger of the
+    inner dimension and the column count, decoded into interned FqElems.
+    For `symrep.tau` an element splits into its integer coordinates x (and
+    y) over the denominator 1, they multiply by the plan of Q(sqrt(r2))
+    (F_p keeps its constant entry), and the one FqElem of each output entry
+    reduces mod p once.  Interned in _FQ_DESCRIPTORS, so each field builds
+    one kernel."""
 
     __slots__ = ("dim", "plan", "kernel")
 
@@ -184,7 +187,13 @@ class FqDescriptor:
 
             def build(nums, den):
                 return FqElem(p, nums[0], nums[1], r2)
-        self.kernel = _Fused(self, split, build, rationals=False)
+
+        def products(rows, cols):
+            # every field of a row sum is at most top only when the layout
+            # covers the inner dimension, not just the columns
+            right = list(zip(*cols))
+            return _LAYOUTS[p, r2, max(len(right), len(cols))].times(rows, right)
+        self.kernel = _Fused(self, split, build, rationals=False, products=products)
 
 
 # -- reduction contexts ------------------------------------------------------
@@ -283,18 +292,36 @@ class _Lazy(dict):
         return value
 
 
+class _Interned(_Lazy):
+    """A _Lazy that stores at most _INTERNED values; past that, a missing
+    key gets a fresh fn(k) each time, so a large field's table stays small."""
+
+    __slots__ = ()
+
+    def __missing__(self, key):
+        value = self.fn(key)
+        if len(self) < _INTERNED:
+            self[key] = value
+        return value
+
+
+_INTERNED = 1 << 12     # about 1 MB of FqElems per layout at most
 _FQ_DESCRIPTORS = _Lazy(lambda key: FqDescriptor(*key))  # by (p, r2 mod p)
 
 
 class _Layout:
-    """The row codes of n x n matrices over F_p (r2 None) or
-    F_p[r]/(r^2 - r2): `fields` fields of `width` bits per row, `bits` in
-    all.  mult and shift give v // p as v * mult >> shift for every field v
-    up to `top`, the largest field of an unreduced row times a matrix, and
-    top * mult fits in a field.  Interned in _LAYOUTS by (p, r2, n)."""
+    """The row codes of rows of at most n entries over F_p (r2 None) or
+    F_p[r]/(r^2 - r2), times matrices of at most n rows: `fields` fields of
+    `width` bits per row, `bits` in all, one entry every `step` bits.  mult
+    and shift give v // p as v * mult >> shift for every field v up to
+    `top`, the largest field of an unreduced row times such a matrix, and
+    top * mult fits in a field.  `element` maps an entry's code (its fields)
+    to its one interned FqElem, filled on first lookup, for the first
+    _INTERNED values met.  Interned in _LAYOUTS by (p, r2, n)."""
 
     __slots__ = ("p", "r2", "dim", "fields", "top", "shift", "mult", "width",
-                 "mask", "bits", "base", "x_fields", "reduce")
+                 "mask", "bits", "base", "x_fields", "reduce", "step", "shifts",
+                 "element")
 
     def __init__(self, p: int, r2: Optional[int], n: int):
         self.p, self.r2 = p, r2
@@ -307,11 +334,14 @@ class _Layout:
         self.width = (self.top * self.mult).bit_length()
         self.mask = (1 << self.width) - 1
         self.bits = self.width * self.fields
-        self.base = tuple(1 << self.width * self.dim * i for i in range(n))
+        self.step = self.width * self.dim
+        self.shifts = range(0, self.bits, self.step)
+        self.base = tuple(1 << s for s in self.shifts)
         self.x_fields = sum(self.mask << self.width * f for f in range(0, self.fields, self.dim))
         # by the number of codes side by side: a map that reduces every
         # field of such an integer, each at most top, mod p at once
         self.reduce = _Lazy(self._reducer)
+        self.element = _Interned(self._element)
 
     def _reducer(self, blocks: int) -> Callable[[int], int]:
         p, mult, shift = self.p, self.mult, self.shift
@@ -319,32 +349,57 @@ class _Layout:
         low = sum(quotient << self.width * f for f in range(self.fields * blocks))
         return lambda acc: acc - p * (acc * mult >> shift & low)
 
-    def codes(self, g: ExactMatrix) -> tuple[int, ...]:
-        """The row codes of an FqElem matrix (y is 0 over F_p)."""
-        w, step = self.width, self.width * self.dim
-        return tuple(sum((e.x + (e.y << w)) << step * k for k, e in enumerate(row))
-                     for row in g.entries)
+    def _element(self, code: int) -> FqElem:
+        return FqElem(self.p, code & self.mask, code >> self.width, self.r2)
 
-    def entries(self, code: int) -> list[FqElem]:
-        """The row of FqElems with the given code."""
-        values = [code >> self.width * f & self.mask for f in range(self.fields)]
-        if self.r2 is None:
-            return [FqElem(self.p, x) for x in values]
-        return [FqElem(self.p, x, y, self.r2) for x, y in zip(values[::2], values[1::2])]
+    def codes(self, rows: Sequence[Sequence[FqElem]]) -> tuple[int, ...]:
+        """The codes of rows of FqElems, such as an FqElem matrix's
+        entries (y is 0 over F_p)."""
+        w = self.width
+        return tuple(sum((e.x + (e.y << w)) << s for s, e in zip(self.shifts, row))
+                     for row in rows)
 
-    def product(self, matrices: Sequence[tuple[int, ...]]) -> Callable[[int], int]:
-        """The map from a row code to its images under each matrix, given
-        by its row codes, side by side every `bits` bits: one integer sum
-        over the fields of the row, reduced once."""
-        r2, width, mask, bits, xs = self.r2, self.width, self.mask, self.bits, self.x_fields
+    def entries(self, code: int, count: Optional[int] = None) -> list[FqElem]:
+        """The first `count` (by default all n) FqElems of the row with the
+        given code, read from the element table."""
+        element, mask = self.element, (1 << self.step) - 1
+        return [element[code >> s & mask] for s in self.shifts[:count]]
+
+    def _terms(self, matrices: Sequence[tuple[int, ...]]) -> list[int]:
+        """What field f of a row multiplies: R_j, and over F_p^2 also
+        r R_j, for the row codes R_j of each matrix, side by side every
+        `bits` bits."""
+        r2, width, bits, xs = self.r2, self.width, self.bits, self.x_fields
         reduce_row = self.reduce[1]
-        terms = [0] * self.fields        # what field f of a row multiplies
+        terms = [0] * self.fields
         for i, rows in enumerate(matrices):
             for j, code in enumerate(rows):
                 terms[self.dim * j] += code << bits * i
                 if r2 is not None:      # r (x + y r) = r2 y + x r, field by field
                     r_code = reduce_row(r2 * (code >> width & xs) + ((code & xs) << width))
                     terms[2 * j + 1] += r_code << bits * i
+        return terms
+
+    def times(self, rows: Sequence[Sequence[FqElem]],
+              right: Sequence[Sequence[FqElem]]) -> list[list[FqElem]]:
+        """The product of two FqElem matrices given by their rows: each
+        output row is the one integer sum of x_j R_j + y_j (r R_j) over the
+        right factor's row codes R_j, read from the left row's entries
+        x_j + y_j r, reduced once and decoded."""
+        terms = self._terms([self.codes(right)])
+        reduce_row, count = self.reduce[1], len(right[0])
+        if self.r2 is None:
+            sums = (sum([e.x * t for e, t in zip(row, terms)]) for row in rows)
+        else:
+            xt, yt = terms[::2], terms[1::2]
+            sums = (sum([e.x * s + e.y * t for e, s, t in zip(row, xt, yt)]) for row in rows)
+        return [self.entries(reduce_row(acc), count) for acc in sums]
+
+    def product(self, matrices: Sequence[tuple[int, ...]]) -> Callable[[int], int]:
+        """The map from a row code to its images under each matrix, given
+        by its row codes, side by side every `bits` bits: one integer sum
+        over the fields of the row, reduced once."""
+        width, mask, terms = self.width, self.mask, self._terms(matrices)
         reduce = self.reduce[len(matrices)]
 
         def image(code: int) -> int:
@@ -393,7 +448,7 @@ def _walk(gens: Sequence[ExactMatrix], cap: int, depth: int) -> set[tuple[int, .
     set of elements; raises CapExceeded (with the partial count, cap + 1)
     as soon as the set outgrows the cap."""
     layout = _layout(gens)
-    image = layout.product([layout.codes(g) for g in gens])
+    image = layout.product([layout.codes(g.entries) for g in gens])
     bits, mask = layout.bits, (1 << layout.bits) - 1
     shifts = range(0, bits * len(gens), bits)
 
@@ -455,7 +510,7 @@ class _Chain:
         # Schreier generator at that point sifted
         self.done = [{b: 0} for b in self.base]
         for g in gens:
-            level = self._add(self._sift(layout.codes(g), 0))
+            level = self._add(self._sift(layout.codes(g.entries), 0))
             while level is not None and level >= 0:
                 added = self._schreier(level)
                 level = level - 1 if added is None else added
@@ -497,7 +552,7 @@ class _Chain:
             inverse = ExactMatrix(list(map(layout.entries, rows))).inverse()
         except ZeroDivisionError:
             raise ValueError("closure needs invertible generators") from None
-        gen = (_row_action(rows, layout), layout.codes(inverse))
+        gen = (_row_action(rows, layout), layout.codes(inverse.entries))
         for i in range(level + 1):
             self.strong[i].append(gen)
             self._close(i)

@@ -4,6 +4,8 @@ the generic loop `_dot`, entrywise and in canonical form; the scan that
 picks a kernel and its fallbacks; interned field descriptors; and tau
 against the expansion in ring operations that it replaced."""
 
+import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from math import comb, gcd
 
@@ -138,6 +140,48 @@ def test_a_product_builds_one_field_element_per_entry(monkeypatch):
     monkeypatch.undo()
     assert len(built) == 9
     assert product.entries == tuple(map(tuple, generic(m.entries, list(zip(*m.entries)))))
+
+
+@pytest.mark.parametrize("p, r2", [(5, None), (3, 2)])
+def test_a_warm_finite_field_product_builds_no_element(monkeypatch, p, r2):
+    """Its entries are the layout's interned FqElems: equal and hash-equal
+    to fresh ones, and as frozen."""
+    m = ExactMatrix([[FqElem(p, i + 2 * j, 0 if r2 is None else i * j + 1, r2)
+                      for j in range(3)] for i in range(3)])
+    want = generic(m.entries, list(zip(*m.entries)))
+    m * m  # fills the element table
+    built = []
+    post_init = FqElem.__post_init__
+
+    def counting(self):
+        built.append(1)
+        post_init(self)
+
+    monkeypatch.setattr(FqElem, "__post_init__", counting)
+    product = m * m
+    monkeypatch.undo()
+    assert built == []
+    for row_got, row_want in zip(product.entries, want):
+        for x, y in zip(row_got, row_want):
+            fresh = FqElem(p, x.x, x.y, r2)
+            assert x == fresh and hash(x) == hash(fresh)
+            assert fq_coordinates(x) == fq_coordinates(y)
+    shared = product.entries[0][0]
+    assert (m * m).entries[0][0] is shared
+    with pytest.raises(FrozenInstanceError):
+        shared.x = 0
+    assert fq_coordinates(shared) == fq_coordinates(want[0][0])
+
+
+def test_a_large_field_interns_a_bounded_number_of_elements():
+    p, rng = 1000003, random.Random(3)
+
+    def matrix():
+        return ExactMatrix([[FqElem(p, rng.randrange(p)) for _ in range(3)] for _ in range(3)])
+    for _ in range(modp._INTERNED // 9 + 20):
+        a, b = matrix(), matrix()
+        assert (a * b).entries == tuple(map(tuple, generic(a.entries, list(zip(*b.entries)))))
+    assert len(modp._LAYOUTS[p, None, 3].element) == modp._INTERNED
 
 
 def test_mixed_fraction_and_field_matrix_takes_the_field_kernel():
@@ -319,6 +363,22 @@ def test_finite_field_kernel_matches_generic_loop(p, r2):
                 assert 0 <= x.x < p and 0 <= x.y < p
         assert (ExactMatrix(a) * ExactMatrix(b)).entries == tuple(map(tuple, want))
     check()
+
+
+@pytest.mark.parametrize("p, r2", [(p, None) for p in (2, 3, 5, 101)]
+                         + [(p, 2) for p in (3, 5, 101)])
+def test_finite_field_products_size_their_layout_by_the_inner_dimension(p, r2):
+    """Every coordinate p - 1 makes each field of a row sum as large as it
+    gets; with more inner entries than columns, a layout sized by the
+    column count alone overflows its fields."""
+    top = FqElem(p, p - 1, 0 if r2 is None else p - 1, r2)
+    for k in range(2, 17):
+        for nrows in (1, 2):
+            a, cols = [[top] * k] * nrows, [[top] * k]
+            assert _kernel((*a, *cols)) is top.desc.kernel
+            got = _products(a, cols)
+            assert [list(map(fq_coordinates, row)) for row in got] == [
+                list(map(fq_coordinates, row)) for row in generic(a, cols)]
 
 
 def test_finite_field_power_matches_repeated_products():

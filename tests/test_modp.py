@@ -242,11 +242,11 @@ def test_row_action_is_the_matrix_product(p, r2, n):
         return ExactMatrix([[fq() for _ in range(n)] for _ in range(nrows)])
     for _ in range(5):
         ms = [matrix(n) for _ in range(3)]
-        table = modp._row_action(layout.codes(ms[0]), layout)
-        stacked = layout.product([layout.codes(m) for m in ms])
+        table = modp._row_action(layout.codes(ms[0].entries), layout)
+        stacked = layout.product([layout.codes(m.entries) for m in ms])
         for _ in range(40):
             row = matrix(1)
-            code, = layout.codes(row)
+            code, = layout.codes(row.entries)
             assert layout.entries(code) == list(row.entries[0])
             images = [(row * m).entries[0] for m in ms]
             assert layout.entries(table[code]) == list(images[0])
@@ -318,7 +318,7 @@ def _decoded(m, layout):
         ys = values[1::2] if dim == 2 else [0] * n
         rows.append([FqElem(layout.p, x, y, layout.r2) for x, y in zip(values[::dim], ys)])
     matrix = ExactMatrix(rows)
-    assert layout.codes(matrix) == m
+    assert layout.codes(matrix.entries) == m
     return matrix
 
 
