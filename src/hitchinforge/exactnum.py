@@ -623,6 +623,14 @@ class ExactMatrix:
             raise ValueError("matrix rows have unequal length")
         object.__setattr__(self, "entries", rows)
 
+    @classmethod
+    def _from_rows(cls, rows: tuple[tuple, ...]) -> "ExactMatrix":
+        """A kernel's output, stored as given: a nonempty tuple of
+        equal-length row tuples with no int entry."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "entries", rows)
+        return m
+
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("ExactMatrix is immutable")
 
@@ -684,7 +692,7 @@ class ExactMatrix:
         if isinstance(other, ExactMatrix):
             if self.ncols != other.nrows:
                 raise ValueError("matrix dimensions incompatible for product")
-            return ExactMatrix(_products(self.entries, list(zip(*other.entries))))
+            return ExactMatrix._from_rows(_products(self.entries, other.entries))
         return self.map_entries(lambda e: e * other)
 
     def __rmul__(self, other):
@@ -878,14 +886,17 @@ class _Fused:
     (entries are FieldElems of desc and Fractions).  Each is built once per
     descriptor, as `desc.kernel`; it is the only kernel, and every ring
     without one runs `_dot`.
-    `products(rows, cols)` is a whole matrix product: by default every
-    column and row split once and one `dot` per entry; a finite field's
-    runs modp's `_Layout` row codes, in a layout sized by the inner
-    dimension, decoded into interned entries.
-    `unit` and `times` are the one and the product on integer coordinates,
-    so callers (`symrep.tau`) can build integral vectors without building
-    scalars; `build(nums, den)` makes the one scalar of a result, and
-    `rationals` says whether `split` reads Fraction entries."""
+    `products(rows, right)` is a whole matrix product of two matrices
+    given by their rows, as row tuples: by default every row and every
+    column of `right` split once and one `dot` per entry; a finite field's
+    runs modp's `_Layout` row codes on `right`'s rows, in a layout sized by
+    the inner dimension, decoded into interned entries.
+    `unit` and `times` are the one and the product on integer coordinates
+    of any size, never reduced, so `symrep.tau` multiplies coordinates
+    that each pack a polynomial's coefficients (Kronecker substitution)
+    without building scalars; `build(nums, den)` makes the one scalar of a
+    result entry, and `rationals` says whether `split` reads Fraction
+    entries."""
 
     __slots__ = ("desc", "plan", "split", "build", "unit", "rationals", "products")
 
@@ -898,10 +909,10 @@ class _Fused:
         self.rationals = rationals
         self.products = products or self._split_products
 
-    def _split_products(self, rows: Sequence[Sequence], cols: Sequence[Sequence]) -> list[list]:
+    def _split_products(self, rows: Sequence[Sequence], right: Sequence[Sequence]) -> tuple:
         split, dot = self.split, self.dot
-        cols = [split(c) for c in cols]
-        return [[dot(r, c) for c in cols] for r in map(split, rows)]
+        cols = [split(c) for c in zip(*right)]
+        return tuple([tuple([dot(r, c) for c in cols]) for r in map(split, rows)])
 
     def times(self, u: Sequence[int], v: Sequence[int]) -> list[int]:
         return _times(self.desc, u, v)
@@ -934,13 +945,15 @@ def _kernel(vectors: Sequence[Sequence]) -> Optional[_Fused]:
     return None if rational and not kernel.rationals else kernel
 
 
-def _products(rows: Sequence[Sequence], cols: Sequence[Sequence]) -> list[list]:
-    """[[row . col for col in cols] for row in rows], by the one kernel of
-    all their entries, or the generic loop _dot when there is none."""
-    kernel = _kernel((*rows, *cols))
+def _products(rows: Sequence[Sequence], right: Sequence[Sequence]) -> tuple:
+    """The rows, as tuples, of the product of the matrices whose rows are
+    `rows` and `right`, by the one kernel of all their entries, or the
+    generic loop _dot when there is none."""
+    kernel = _kernel((*rows, *right))
     if kernel is None:
-        return [[_dot(r, c) for c in cols] for r in rows]
-    return kernel.products(rows, cols)
+        cols = list(zip(*right))
+        return tuple([tuple([_dot(r, c) for c in cols]) for r in rows])
+    return kernel.products(rows, right)
 
 
 def galois_matrix(action: GaloisAction, m: ExactMatrix) -> ExactMatrix:

@@ -165,10 +165,11 @@ class FqDescriptor:
     product is `_Layout.times` on the layout sized by the larger of the
     inner dimension and the column count, decoded into interned FqElems.
     For `symrep.tau` an element splits into its integer coordinates x (and
-    y) over the denominator 1, they multiply by the plan of Q(sqrt(r2))
-    (F_p keeps its constant entry), and the one FqElem of each output entry
-    reduces mod p once.  Interned in _FQ_DESCRIPTORS, so each field builds
-    one kernel."""
+    y) over the denominator 1, and `times` multiplies them by the plan of
+    Q(sqrt(r2)) (F_p keeps its constant entry) with no reduction, so
+    coordinates that pack a polynomial's coefficients multiply as
+    polynomials; `build` reduces each output entry mod p once.  Interned in
+    _FQ_DESCRIPTORS, so each field builds one kernel."""
 
     __slots__ = ("dim", "plan", "kernel")
 
@@ -188,11 +189,10 @@ class FqDescriptor:
             def build(nums, den):
                 return FqElem(p, nums[0], nums[1], r2)
 
-        def products(rows, cols):
+        def products(rows, right):
             # every field of a row sum is at most top only when the layout
             # covers the inner dimension, not just the columns
-            right = list(zip(*cols))
-            return _LAYOUTS[p, r2, max(len(right), len(cols))].times(rows, right)
+            return _LAYOUTS[p, r2, max(len(right), len(right[0]))].times(rows, right)
         self.kernel = _Fused(self, split, build, rationals=False, products=products)
 
 
@@ -381,11 +381,11 @@ class _Layout:
         return terms
 
     def times(self, rows: Sequence[Sequence[FqElem]],
-              right: Sequence[Sequence[FqElem]]) -> list[list[FqElem]]:
-        """The product of two FqElem matrices given by their rows: each
-        output row is the one integer sum of x_j R_j + y_j (r R_j) over the
-        right factor's row codes R_j, read from the left row's entries
-        x_j + y_j r, reduced once and decoded."""
+              right: Sequence[Sequence[FqElem]]) -> tuple[tuple[FqElem, ...], ...]:
+        """The rows, as tuples, of the product of two FqElem matrices given
+        by their rows: each output row is the one integer sum of
+        x_j R_j + y_j (r R_j) over the right factor's row codes R_j, read
+        from the left row's entries x_j + y_j r, reduced once and decoded."""
         terms = self._terms([self.codes(right)])
         reduce_row, count = self.reduce[1], len(right[0])
         if self.r2 is None:
@@ -393,7 +393,7 @@ class _Layout:
         else:
             xt, yt = terms[::2], terms[1::2]
             sums = (sum([e.x * s + e.y * t for e, s, t in zip(row, xt, yt)]) for row in rows)
-        return [self.entries(reduce_row(acc), count) for acc in sums]
+        return tuple([tuple(self.entries(reduce_row(acc), count)) for acc in sums])
 
     def product(self, matrices: Sequence[tuple[int, ...]]) -> Callable[[int], int]:
         """The map from a row code to its images under each matrix, given

@@ -13,7 +13,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from math import comb, factorial
+from math import factorial
 from typing import Literal
 
 from .exactnum import (
@@ -78,46 +78,38 @@ def tau(n: int, m: ExactMatrix) -> ExactMatrix:
     det = a * d - b * c
     if not det:
         raise ValueError("matrix is singular")
-    # The expansion runs on the coordinates of m's ring (exactnum._kernel):
-    # m = M / den with M integral, and column i, the coefficients of
-    # (aX+cY)^(n-1-i) (bX+dY)^i, convolves two coordinate vectors over
-    # den^(n-1-i) and den^i.  The first factor's Y^s coefficient is
-    # C(n-1-i, s) a^(n-1-i-s) c^s; the second factor's are listed from Y^i
-    # down, so that each entry is one dot product of two windows.
+    # The expansion runs on the coordinates of m's ring (exactnum._kernel)
+    # by Kronecker substitution: m = M / den with M integral, and column i
+    # lists the coefficients of (a + cY)^(n-1-i) (b + dY)^i over den^(n-1).
+    # At Y = 2^w each coordinate of a + cY and of b + dY is one integer, so
+    # a column is one kernel product of two powers, and its Y^k coefficient
+    # is the k-th signed w-bit digit of each coordinate.  Every coefficient
+    # is below (2 dim F M)^(n-1), F the largest plan factor and M the
+    # largest |coordinate|, so w = its bit length + 1 keeps digits apart.
     kernel = _kernel(m.entries)
     if kernel is None:
         raise ValueError("tau needs the entries of one ring with a kernel")
     den, coords = kernel.split(m.entries[0] + m.entries[1])
-    unit = kernel.unit
+    top = max(abs(x) for vec in coords for x in vec)
+    factor = max(abs(common) for *_, common in kernel.plan)
+    w = ((2 * len(coords) * factor * top) ** (n - 1)).bit_length() + 1
+    a, b, c, d = zip(*coords)
 
-    def powers(x) -> list:
-        out = [unit]
+    def powers(lo, hi) -> list:
+        x, out = [u + (v << w) for u, v in zip(lo, hi)], [kernel.unit]
         for _ in range(n - 1):
             out.append(kernel.times(out[-1], x))
         return out
 
-    def vector(terms, degree: int) -> tuple:
-        """The products w * p * q as one split vector over den^degree."""
-        return den ** degree, list(zip(*([w * c for c in kernel.times(p, q)]
-                                        for w, p, q in terms)))
-
-    def window(vec: tuple, lo: int, hi: int) -> tuple:
-        return vec[0], [c[lo:hi] for c in vec[1]]
-
-    pa, pb, pc, pd = (powers(x) for x in zip(*coords))
+    pa, pb = powers(a, c), powers(b, d)
+    half, mask, scale = 1 << w - 1, (1 << w) - 1, den ** (n - 1)
+    bias = half * sum(1 << w * k for k in range(n))
     cols = []
     for i in range(n):
-        left = vector(((comb(n - 1 - i, s), pa[n - 1 - i - s], pc[s])
-                       for s in range(n - i)), n - 1 - i)
-        right = vector(((comb(i, t), pb[i - t], pd[t])
-                        for t in reversed(range(i + 1))), i)
-        col = []
-        for k in range(n):
-            lo, hi = max(0, k - i), min(k, n - 1 - i) + 1
-            col.append(kernel.dot(window(left, lo, hi),
-                                  window(right, i - k + lo, i - k + hi)))
-        cols.append(col)
-    return ExactMatrix(list(zip(*cols)))
+        packed = [x + bias for x in kernel.times(pa[n - 1 - i], pb[i])]
+        cols.append([kernel.build([(v >> w * k & mask) - half for v in packed], scale)
+                     for k in range(n)])
+    return ExactMatrix._from_rows(tuple(zip(*cols)))
 
 
 def j_matrix(n: int) -> ExactMatrix:

@@ -97,7 +97,7 @@ def assert_canonical(x):
 
 
 def generic(rows, cols):
-    return [[_dot(r, c) for c in cols] for r in rows]
+    return tuple(tuple(_dot(r, c) for c in cols) for r in rows)
 
 
 @pytest.mark.parametrize("name", sorted(RINGS))
@@ -111,7 +111,7 @@ def test_fused_kernel_matches_generic_loop(name):
         cols = list(zip(*b))
         kernel = _kernel((*a, *cols))
         assert isinstance(kernel, _Fused) and kernel.desc is desc
-        got = _products(a, cols)
+        got = _products(a, b)
         want = generic(a, cols)
         assert got == want
         for row_got, row_want in zip(got, want):
@@ -216,9 +216,9 @@ def test_rational_and_field_product_takes_the_field_kernel(name, order):
         cols = list(zip(*b))
         kernel = _kernel((*a, *cols))
         assert isinstance(kernel, _Fused) and kernel.desc is desc
-        got = _products(a, cols)
+        got = _products(a, b)
         assert got == generic(a, cols)
-        for x in sum(got, []):
+        for x in sum(got, ()):
             assert type(x) is FieldElem and x.desc is desc
             assert_canonical(x)
         assert (ExactMatrix(a) * ExactMatrix(b)).entries == tuple(map(tuple, got))
@@ -354,7 +354,7 @@ def test_finite_field_kernel_matches_generic_loop(p, r2):
         a, b = ab
         cols = list(zip(*b))
         assert _kernel((*a, *cols)) is zero.desc.kernel
-        got = _products(a, cols)
+        got = _products(a, b)
         want = generic(a, cols)
         for row_got, row_want in zip(got, want):
             for x, y in zip(row_got, row_want):
@@ -374,11 +374,11 @@ def test_finite_field_products_size_their_layout_by_the_inner_dimension(p, r2):
     top = FqElem(p, p - 1, 0 if r2 is None else p - 1, r2)
     for k in range(2, 17):
         for nrows in (1, 2):
-            a, cols = [[top] * k] * nrows, [[top] * k]
-            assert _kernel((*a, *cols)) is top.desc.kernel
-            got = _products(a, cols)
+            a, b = [[top] * k] * nrows, [[top]] * k
+            assert _kernel((*a, *b)) is top.desc.kernel
+            got = _products(a, b)
             assert [list(map(fq_coordinates, row)) for row in got] == [
-                list(map(fq_coordinates, row)) for row in generic(a, cols)]
+                list(map(fq_coordinates, row)) for row in generic(a, list(zip(*b)))]
 
 
 def test_finite_field_power_matches_repeated_products():
@@ -510,8 +510,8 @@ def test_tau_and_products_build_no_kernel(monkeypatch):
 
     monkeypatch.setattr(_Fused, "__init__", counting)
     tau(5, m), tau(5, q)
-    _products(m.entries, list(zip(*m.entries)))
-    _products(q.entries, list(zip(*q.entries)))
+    _products(m.entries, m.entries)
+    _products(q.entries, q.entries)
     assert built == []
 
 
@@ -587,3 +587,101 @@ def test_tau_over_generic_rings_matches_the_ring_expansion(ring):
                 tau(n, m)
         else:
             assert tau(n, m) == reference_tau(n, m)
+
+
+# the fields of 1-3 radicands, Q(sqrt2,sqrt3,sqrt5) with plan factor up to 30
+WIDE_FIELDS = [field(), field(3), field(2, 3), field(2, 3, 5)]
+MERSENNE_61 = 2 ** 61 - 1
+# the least non-square mod 2^61 - 1, so F_p[r]/(r^2 - r2) is F_p^2
+R2_61 = next(r for r in range(2, 100) if pow(r, MERSENNE_61 // 2, MERSENNE_61) != 1)
+
+
+def signed_entries(desc, size, signs):
+    """Entries over desc with every coordinate +-size, one per sign in
+    `signs`: +1 gives every coordinate +size, -1 gives -size, +size,
+    -size, ... along the monomials."""
+    def entry(sign):
+        coords = [sign * size * (-1) ** (mask * (sign < 0)) for mask in range(desc.dim)]
+        return Fraction(coords[0]) if not desc.radicands else FieldElem(desc, coords)
+    return [entry(s) for s in signs]
+
+
+# all positive but d: every power of a + cY has only positive coefficients,
+# the largest a column can reach; the others mix signs
+SIGN_PATTERNS = [(1, 1, 1, -1), (1, -1, 1, 1), (-1, 1, -1, -1), (1, 1, -1, 1)]
+
+
+@pytest.mark.parametrize("desc", WIDE_FIELDS, ids=str)
+def test_tau_digits_hold_the_largest_coefficients(desc):
+    """Kronecker digits sized by the coordinate bound: entries whose every
+    coordinate is +-M, over Q and fields of 1-3 radicands.  M = 1 for
+    n = 1..9 in every sign pattern, where the plan factor and the dimension
+    weigh most in the bound; M about 10^600 in the pattern of the largest
+    coefficients, for n = 1..9 (n = 1..5 over the 8-dimensional field,
+    whose ring expansion at n = 9 takes seconds)."""
+    big = 10 ** 600 + 7
+    cases = [(1, signs, 9) for signs in SIGN_PATTERNS]
+    cases.append((big, SIGN_PATTERNS[0], 9 if desc.dim < 8 else 5))
+    for size, signs, top in cases:
+        m = ExactMatrix([signed_entries(desc, size, signs[:2]),
+                         signed_entries(desc, size, signs[2:])])
+        assert m.det()
+        for n in range(1, top + 1):
+            assert tau(n, m) == reference_tau(n, m), (size, signs, n)
+
+
+@pytest.mark.parametrize("r2", [None, R2_61])
+def test_tau_over_a_large_prime_field_matches_the_ring_expansion(r2):
+    """F_p and F_p^2 at p = 2^61 - 1: `times` does not reduce, so the
+    digits hold coordinates up to p - 1 and their products unreduced."""
+    p, rng = MERSENNE_61, random.Random(61)
+    top = p - 1
+    cases = [[[top, top], [top, 1]], [[top, 1], [2, top]]]
+    cases += [[[rng.randrange(p) for _ in range(2)] for _ in range(2)] for _ in range(3)]
+    for rows in cases:
+        m = ExactMatrix([[FqElem(p, x, 0 if r2 is None else p - 1 - x, r2) for x in row]
+                         for row in rows])
+        assert m.det()
+        for n in range(1, 10):
+            got = tau(n, m)
+            assert got == reference_tau(n, m), (rows, n)
+            assert all(0 <= x.x < p and 0 <= x.y < p for x in sum(got.entries, ()))
+
+
+def test_tau_runs_no_dot_product(monkeypatch):
+    """tau is one kernel product per column, read by digits: no entry is a
+    dot product of its own."""
+    def refuse(self, a, b):
+        raise AssertionError("tau ran _Fused.dot")
+
+    monkeypatch.setattr(_Fused, "dot", refuse)
+    s5 = FieldElem.sqrt_int(field(2, 3, 5), 5)
+    for m in [ExactMatrix([[2, 1], [Fraction(3, 7), 5]]),
+              ExactMatrix([[2 + s5, 1], [Fraction(1, 3), 2 - s5]]),
+              ExactMatrix([[FqElem(7, 1, 2, 3), FqElem(7, 3, 0, 3)],
+                           [FqElem(7, 0, 5, 3), FqElem(7, 2, 2, 3)]])]:
+        for n in range(1, 10):
+            assert tau(n, m) == reference_tau(n, m)
+
+
+def test_kernel_results_are_stored_as_row_tuples():
+    """Products on every path and tau keep the constructor's storage: a
+    tuple of row tuples, equal and hash-equal to the same rows passed to
+    ExactMatrix, with no int entry."""
+    s3 = FieldElem.sqrt_int(field(3), 3)
+    alg = QuatAlgebra(3, 5)
+    matrices = [ExactMatrix([[2, 1], [Fraction(1, 3), 5]]),
+                ExactMatrix([[2 + s3, 1], [Fraction(1, 3), 2 - s3]]),
+                ExactMatrix([[FqElem(5, 1), FqElem(5, 2)], [FqElem(5, 3), FqElem(5, 3)]]),
+                ExactMatrix([[FqElem(3, 1, 1, 2), FqElem(3, 2, 0, 2)],
+                             [FqElem(3, 0, 1, 2), FqElem(3, 1, 0, 2)]]),
+                ExactMatrix([[alg(1, 1, 0, 0), alg(0, 0, 1, 0)],
+                             [alg(2, 0, 0, 1), alg(1, 0, 0, 0)]])]
+    results = [m * m for m in matrices]
+    results += [tau(4, m) for m in matrices[:4]]
+    for got in results:
+        assert type(got.entries) is tuple
+        assert all(type(row) is tuple for row in got.entries)
+        assert not any(type(x) is int for row in got.entries for x in row)
+        fresh = ExactMatrix([list(row) for row in got.entries])
+        assert got == fresh and hash(got) == hash(fresh)
