@@ -14,16 +14,18 @@ inverse descends the tower in closed form, one element per level, and so
 does a sign, decided from signs one level down.  `fundamental_unit` stops
 where the period of the continued fraction of sqrt(d) ends, for every d.
 
-Matrix products pick one kernel in one pass over both operands, and the
-kernel runs the whole product.  Over Q and over one field a vector is
-split once into integer coordinates over one denominator, each output
-entry is integer sums and one scalar, and a Fraction meeting one field's
-elements is read as an element of that field there.  Over one finite
-field F_q (the kernel its entries' descriptor names) the product runs on
-modp's packed row codes, in a layout sized by the inner dimension, and
-decodes into interned entries.  Quaternions and every mix no kernel takes
-(Fractions with FqElems, two descriptors) run the generic loop `_dot`.
-An int or Fraction operand of a ring element is coerced into its ring.
+Every matrix entry is of a ring with a kernel, and each matrix product
+picks its kernel in one pass over both operands and runs the whole
+product there.  Over Q and over one field a vector is split once into
+integer coordinates over one denominator, each output entry is integer
+sums and one scalar, and a Fraction meeting one field's elements is read
+as an element of that field there.  Over one finite field F_q (the kernel
+its entries' descriptor names) the product runs on modp's packed row
+codes, in a layout sized by the inner dimension, and decodes into
+interned entries.  A matrix refuses quaternion entries, and a product of
+entries that no one kernel takes (Fractions with FqElems, two fields) is
+a ValueError.  An int or Fraction operand of a ring element is coerced
+into its ring.
 """
 
 from __future__ import annotations
@@ -236,10 +238,11 @@ def _operator_fallbacks(kernel: Callable):
 
 class RingElem:
     """Base class of the exact ring elements.  Division is right division,
-    a / b = a * b.inverse(), which matters only in a noncommutative ring."""
+    a / b = a * b.inverse(), which matters only where products need not
+    commute, as for quaternions."""
 
     __slots__ = ()
-    desc = None  # no fused kernel: matrix products run the generic loop
+    desc = None  # no kernel: an ExactMatrix refuses the element
 
     def __init_subclass__(cls) -> None:
         # Operators closed over this subclass's own kernels add one frame
@@ -607,20 +610,28 @@ def value_radicands(scalars: Iterable) -> set[int]:
 
 
 class ExactMatrix:
-    """Dense matrix with exact entries (rationals, field elements,
-    quaternions, or finite-field elements; one ring per matrix, so a
-    product of Fractions and one field's elements is over that field)."""
+    """Dense matrix with exact entries of rings with a kernel
+    (rationals, field elements or finite-field elements; a product of
+    Fractions and one field's elements is over that field)."""
 
     __slots__ = ("entries",)
 
     def __init__(self, entries: Sequence[Sequence]):
-        rows = tuple(tuple(Fraction(e) if isinstance(e, int) else e for e in row)
-                     for row in entries)
+        rows = tuple(map(tuple, entries))
         if not rows or not rows[0]:
             raise ValueError("matrix must be nonempty")
         width = len(rows[0])
         if any(len(r) != width for r in rows):
             raise ValueError("matrix rows have unequal length")
+        # a ring's elements name their kernel's descriptor, `desc`, and a
+        # type with none (RingElem.desc is None) has no kernel
+        kinds = set(map(type, chain.from_iterable(rows)))
+        if any(not issubclass(t, (int, Fraction)) and getattr(t, "desc", None) is None
+               for t in kinds):
+            raise ValueError("matrix entries must be of a ring with a kernel")
+        if any(issubclass(t, int) for t in kinds):
+            rows = tuple(tuple(Fraction(e) if isinstance(e, int) else e for e in row)
+                         for row in rows)
         object.__setattr__(self, "entries", rows)
 
     @classmethod
@@ -722,9 +733,8 @@ class ExactMatrix:
         return t
 
     def det(self):
-        """Determinant by exact Gaussian elimination (commutative entries):
-        the signed product of the echelon pivots."""
-        self._require_commutative()
+        """Determinant by exact Gaussian elimination: the signed product
+        of the echelon pivots."""
         if not self.is_square():
             raise ValueError("determinant of a non-square matrix")
         rows = [list(r) for r in self.entries]
@@ -738,7 +748,6 @@ class ExactMatrix:
 
     def inverse(self) -> "ExactMatrix":
         """Inverse by elimination on [A | I] and back-substitution."""
-        self._require_commutative()
         if not self.is_square():
             raise ValueError("inverse of a non-square matrix")
         n = self.nrows
@@ -758,12 +767,7 @@ class ExactMatrix:
         return ExactMatrix(out)
 
     def rank(self) -> int:
-        self._require_commutative()
         return len(_echelon([list(r) for r in self.entries], self.ncols)[0])
-
-    def _require_commutative(self) -> None:
-        if getattr(self.entries[0][0], "noncommutative", False):
-            raise TypeError("operation requires commutative entries")
 
     # -- predicates ---------------------------------------------------------
 
@@ -837,10 +841,10 @@ def _echelon(rows: list[list], ncols: int) -> tuple[list[int], int]:
 
 # -- dot products ----------------------------------------------------------
 #
-# Every dot product picks its kernel once, in one pass over all the
-# entries it will see (_kernel): every entry but a Fraction names its
-# kernel by its descriptor `desc`.  A kernel splits a vector once into
-# coordinates over one denominator: (den, one list per coordinate).  Over
+# Every product picks its kernel once, in one pass over all the entries it
+# will see (_kernel): every entry but a Fraction names its kernel by its
+# descriptor `desc`.  A kernel splits a vector once into coordinates over
+# one denominator: (den, one list per coordinate).  Over
 # Q (every entry a Fraction) and over one multiquadratic field (FieldElems
 # of one descriptor, and Fractions, the elements with only a constant
 # coordinate) the coordinates are the integer numerators over the lcm of
@@ -851,18 +855,8 @@ def _echelon(rows: list[list], ncols: int) -> tuple[list[int], int]:
 # integer sum per plan entry and one scalar, whose constructor takes the
 # only gcd or the only reduction mod p (Cohen, A Course in Computational
 # Algebraic Number Theory, 4.2).  A finite field's matrix product skips
-# them: it runs on modp's packed row codes.  Every other ring and mix
-# (quaternions, two descriptor objects, Fractions with FqElems) has no
-# kernel, and its dot product is the generic loop _dot.
-
-
-def _dot(row, col):
-    it = iter(zip(row, col))
-    a, b = next(it)
-    acc = a * b
-    for a, b in it:
-        acc = acc + a * b
-    return acc
+# them: it runs on modp's packed row codes.  Every other mix (two fields,
+# Fractions with FqElems) has no kernel and is refused.
 
 
 def _split_rationals(vec: Sequence[Fraction]) -> tuple[int, list[list[int]]]:
@@ -884,8 +878,7 @@ class _Fused:
     finite field (desc is modp's plan-shaped descriptor, with its own
     split, build and products; no Fractions) or, by default, of one field
     (entries are FieldElems of desc and Fractions).  Each is built once per
-    descriptor, as `desc.kernel`; it is the only kernel, and every ring
-    without one runs `_dot`.
+    descriptor, as `desc.kernel`; it is the only kernel.
     `products(rows, right)` is a whole matrix product of two matrices
     given by their rows, as row tuples: by default every row and every
     column of `right` split once and one `dot` per entry; a finite field's
@@ -928,32 +921,30 @@ class _Fused:
 _RATIONALS = _Fused(field(), _split_rationals, lambda nums, den: Fraction(nums[0], den))
 
 
-def _kernel(vectors: Sequence[Sequence]) -> Optional[_Fused]:
+def _kernel(vectors: Sequence[Sequence]) -> _Fused:
     """The kernel of the entries of `vectors`, from one pass: Q's if all
-    are Fractions, else the kernel of the one descriptor that every other
-    entry has (a field's also takes the Fractions, a finite field's none),
-    else None: quaternions and every other mix run the generic loop."""
+    are Fractions, else the kernel of the first descriptor, which every
+    other entry's descriptor equals (a field's also takes the Fractions,
+    a finite field's none).  Any other mix is a ValueError."""
     desc, rational = None, False
     for x in chain.from_iterable(vectors):
         if type(x) is Fraction:  # first: all-Fraction input is the common case
             rational = True
         elif x.desc is not desc or desc is None:
-            if desc is not None or x.desc is None:
-                return None
-            desc = x.desc
+            if desc is None and x.desc is not None:
+                desc = x.desc
+            elif x.desc is None or x.desc != desc:
+                raise ValueError("the entries are not of one ring with a kernel")
     kernel = _RATIONALS if desc is None else desc.kernel
-    return None if rational and not kernel.rationals else kernel
+    if rational and not kernel.rationals:
+        raise ValueError("the entries are not of one ring with a kernel")
+    return kernel
 
 
 def _products(rows: Sequence[Sequence], right: Sequence[Sequence]) -> tuple:
     """The rows, as tuples, of the product of the matrices whose rows are
-    `rows` and `right`, by the one kernel of all their entries, or the
-    generic loop _dot when there is none."""
-    kernel = _kernel((*rows, *right))
-    if kernel is None:
-        cols = list(zip(*right))
-        return tuple([tuple([_dot(r, c) for c in cols]) for r in rows])
-    return kernel.products(rows, right)
+    `rows` and `right`, by the one kernel of all their entries."""
+    return _kernel((*rows, *right)).products(rows, right)
 
 
 def galois_matrix(action: GaloisAction, m: ExactMatrix) -> ExactMatrix:
@@ -967,8 +958,8 @@ def preserves_form(m: ExactMatrix, j: ExactMatrix,
     """twist(M)^T J M = J, or = lambda*J for some scalar when up_to_scalar.
 
     twist is an entrywise map (the identity when None): a Galois action
-    for unitary groups, a quaternion conjugation, a Frobenius.  A rational
-    J needs no cast: the kernel of M's field takes its Fraction entries."""
+    for unitary groups or a Frobenius.  A rational J needs no cast: the
+    kernel of M's field takes its Fraction entries."""
     if m.ncols != j.nrows or not m.is_square() or not j.is_square():
         raise ValueError("incompatible dimensions")
     mt = m if twist is None else m.map_entries(twist)
@@ -990,7 +981,7 @@ def in_group(m: ExactMatrix, n: int, form: Optional[ExactMatrix] = None,
     """Membership in the determinant-one group of n x n matrices that
     preserve form under twist: M is n x n, twist(M)^T J M = J when a form
     J is given (see preserves_form), and det M = 1.  Integrality is the
-    caller's condition.  Needs commutative entries."""
+    caller's condition."""
     if m.nrows != n or m.ncols != n:
         return False
     if form is not None and not preserves_form(m, form, twist):

@@ -4,7 +4,9 @@ symplectic, orthogonal, and the exceptional group over Z), plus batch
 verification that the symmetric-power image of the quaternion lattice
 lands in the predicted unitary group.
 
-Both unitary lattices over Z[sqrt(d)] are `_in_su` under two forms.
+Both unitary lattices over Z[sqrt(d)] are `_in_su` under two forms.  A
+quaternion matrix is given by its rows, and its predicates run on the
+2x2-block embedding (`quatalg.embed_blocks`).
 """
 
 from __future__ import annotations
@@ -12,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Optional
+from itertools import chain
+from typing import Optional, Sequence
 
 from .exactnum import (
     ExactMatrix,
@@ -20,7 +23,6 @@ from .exactnum import (
     GaloisAction,
     _invert,
     apply_galois,
-    common_field,
     field,
     in_group,
     is_square,
@@ -29,7 +31,7 @@ from .exactnum import (
     square_free_part,
 )
 from .g2core import in_g2
-from .quatalg import QuatElem, embed_m2, gamma_enumerate
+from .quatalg import QuatElem, embed_blocks, gamma_enumerate
 from .symrep import (
     SignPair,
     _pattern_name,
@@ -120,31 +122,19 @@ def is_tau_pgl2_diagonal(b: ExactMatrix) -> bool:
                for i in range(1, len(diag) - 1))
 
 
-def in_su_quat(m: ExactMatrix, size: int, a: int, b: int, d: int) -> bool:
+def in_su_quat(m: Sequence[Sequence[QuatElem]], size: int, a: int, b: int,
+               d: int) -> bool:
     """Quaternionic unitary lattice: SL(size, O) whose twisted conjugate
-    transpose is the inverse, the quaternion coordinates integral over
-    Z[sqrt(d)]."""
+    transpose sigma(M)* is the inverse, the quaternion coordinates
+    integral over Z[sqrt(d)].  sigma(M)* is built on the quaternions, each
+    entry conjugated and its coordinates moved by sqrt(d) -> -sqrt(d), and
+    sigma(M)* M = I is read on the embedding."""
+    if not in_sl_quat(m, size, a, b):
+        return False
     tau_d = GaloisAction.flipping(d)
-    return in_sl_quat(m, size, a, b) and preserves_form(
-        m, ExactMatrix.identity(size), lambda q: q.conj().apply_galois(tau_d))
-
-
-def _check_quat_entries(m: ExactMatrix, a: int, b: int) -> None:
-    for row in m.entries:
-        for e in row:
-            if not isinstance(e, QuatElem):
-                raise ValueError("entries must be quaternions")
-            if (square_free_part(e.algebra.a) != square_free_part(a)
-                    or square_free_part(e.algebra.b) != square_free_part(b)):
-                raise ValueError("entries lie in the wrong quaternion algebra")
-
-
-def _quat_block_det_is_one(m: ExactMatrix) -> bool:
-    """det of the 2x2-block embedding, over the field all blocks generate."""
-    blocks = [[embed_m2(e) for e in row] for row in m.entries]
-    big = ExactMatrix([[x for blk in row for x in blk.entries[r]]
-                       for row in blocks for r in range(2)])
-    return big.lift(common_field(x for row in big.entries for x in row)).det() == 1
+    adjoint = [[row[i].conj().apply_galois(tau_d) for row in m] for i in range(size)]
+    e_adjoint, e_m = embed_blocks(adjoint, m)
+    return (e_adjoint * e_m).is_identity()
 
 
 def in_sp(m: ExactMatrix, n: int) -> bool:
@@ -177,13 +167,20 @@ def in_g2z(m: ExactMatrix) -> bool:
     return is_integral_matrix(m) and in_g2(m)
 
 
-def in_sl_quat(m: ExactMatrix, size: int, a: int, b: int) -> bool:
+def in_sl_quat(m: Sequence[Sequence[QuatElem]], size: int, a: int, b: int) -> bool:
     """SL(size, O) for the standard order O of (a,b): integer quaternion
-    entries with reduced-norm determinant one."""
-    if m.nrows != size or m.ncols != size:
+    entries with reduced-norm determinant one, the determinant of the
+    2x2-block embedding."""
+    if len(m) != size or any(len(row) != size for row in m):
         return False
-    _check_quat_entries(m, a, b)
-    return is_integral_matrix(m) and _quat_block_det_is_one(m)
+    for e in chain.from_iterable(m):
+        if not isinstance(e, QuatElem):
+            raise ValueError("entries must be quaternions")
+        if (square_free_part(e.algebra.a) != square_free_part(a)
+                or square_free_part(e.algebra.b) != square_free_part(b)):
+            raise ValueError("entries lie in the wrong quaternion algebra")
+    return (all(map(is_integral_scalar, chain.from_iterable(m)))
+            and in_group(embed_blocks(m)[0], 2 * size))
 
 
 # kind -> membership predicate of a LatticeSpec; the CLI offers the kinds

@@ -8,6 +8,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .exactnum import (
     ExactMatrix,
@@ -74,7 +75,6 @@ class QuatElem(RingElem):
     x * r.inverse() for a scalar x."""
 
     __slots__ = ("algebra", "coords")
-    noncommutative = True
 
     def __init__(self, algebra: QuatAlgebra, x0=0, x1=0, x2=0, x3=0):
         object.__setattr__(self, "algebra", algebra)
@@ -193,6 +193,17 @@ def embed_m2(x: QuatElem) -> ExactMatrix:
         [x0 + sa * x1, sb * x2 + sab * x3],
         [sb * x2 - sab * x3, x0 - sa * x1],
     ])
+
+
+def embed_blocks(*mats: Sequence[Sequence[QuatElem]]) -> list[ExactMatrix]:
+    """Each m x m quaternion matrix, given by its rows, as the 2m x 2m
+    matrix of its `embed_m2` blocks, all of them lifted into the one field
+    their blocks generate: an injective ring map, so products and
+    equalities of quaternion matrices can be read on the images."""
+    bigs = [[[x for blk in row for x in blk[r]] for row in blocks for r in range(2)]
+            for blocks in ([[embed_m2(q).entries for q in row] for row in m] for m in mats)]
+    desc = common_field(x for big in bigs for row in big for x in row)
+    return [ExactMatrix([[lift(x, desc) for x in row] for row in big]) for big in bigs]
 
 
 # -- division / ramification -----------------------------------------------

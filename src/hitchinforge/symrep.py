@@ -66,8 +66,8 @@ def tau(n: int, m: ExactMatrix) -> ExactMatrix:
     (aX+cY)^(n-1-i) (bX+dY)^i, expanded on the same basis.
 
     Multiplicative, and of determinant 1 on determinant-1 input.  The
-    entries must share one ring with a fused kernel (Q, one field, one
-    finite field): over a noncommutative ring tau is not multiplicative.
+    entries must be of one ring with a kernel (Q, one field, one finite
+    field); any other mix is exactnum._kernel's ValueError.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -87,8 +87,6 @@ def tau(n: int, m: ExactMatrix) -> ExactMatrix:
     # is below (2 dim F M)^(n-1), F the largest plan factor and M the
     # largest |coordinate|, so w = its bit length + 1 keeps digits apart.
     kernel = _kernel(m.entries)
-    if kernel is None:
-        raise ValueError("tau needs the entries of one ring with a kernel")
     den, coords = kernel.split(m.entries[0] + m.entries[1])
     top = max(abs(x) for vec in coords for x in vec)
     factor = max(abs(common) for *_, common in kernel.plan)

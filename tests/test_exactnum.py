@@ -32,7 +32,7 @@ from hitchinforge.exactnum import (
     square_free_part,
 )
 from hitchinforge.modp import FqElem, trace_witness
-from hitchinforge.quatalg import QuatAlgebra, gamma_enumerate
+from hitchinforge.quatalg import QuatAlgebra, embed_blocks, gamma_enumerate
 from hitchinforge.symrep import hermitian_h, tau
 from conftest import primes_up_to
 
@@ -490,16 +490,20 @@ def _frobenius_case():
 
 
 def _quaternion_case():
-    """diag(u*g, g) over (3,3) with Q(sqrt 3) coordinates, u the
-    fundamental unit and g of reduced norm one, so that the
-    conjugate-Galois twist of each entry inverts it; 2*u*g does not."""
-    sigma = GaloisAction.flipping(3)
+    """The block embeddings of diag(u*g, g) and diag(2*u*g, g) over (2,5)
+    with Q(sqrt 3) coordinates, u the fundamental unit and g of reduced
+    norm one, so that the conjugate-Galois twist of each entry of the
+    first inverts it.  The embedding takes conjugation to the adjugate, and
+    sqrt(3) is independent of sqrt(2) and sqrt(5), so that twist is the
+    Galois twist of the embedding under the form of 2x2 blocks [[0, 1],
+    [-1, 0]]."""
+    sigma = GaloisAction.from_signs({2: 1, 3: -1, 5: 1})
     u = fundamental_unit(3).value
-    g = next(e.quaternion() for e in gamma_enumerate(3, 3, 1) if e.x2)
+    g = next(e.quaternion() for e in gamma_enumerate(2, 5, 2) if e.x2)
     zero = g.zero_like()
-    return (lambda q: q.conj().apply_galois(sigma), ExactMatrix.identity(2),
-            ExactMatrix([[g * u, zero], [zero, g]]),
-            ExactMatrix([[g * u * 2, zero], [zero, g]]))
+    good, bad = embed_blocks([[g * u, zero], [zero, g]], [[g * u * 2, zero], [zero, g]])
+    omega = ExactMatrix([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
+    return partial(apply_galois, sigma), omega, good, bad
 
 
 @pytest.mark.parametrize("case", [_galois_case, _frobenius_case, _quaternion_case],

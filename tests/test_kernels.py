@@ -1,8 +1,10 @@
 """The dot-product kernels behind ExactMatrix products, g2core and tau:
 each fused kernel (Q, one multiquadratic field, one finite field) against
-the generic loop `_dot`, entrywise and in canonical form; the scan that
-picks a kernel and its fallbacks; interned field descriptors; and tau
-against the expansion in ring operations that it replaced."""
+the generic loop `_dot` defined here, entrywise and in canonical form; the
+scan that picks a kernel and the mixes it refuses; interned field
+descriptors; and tau against the expansion in ring operations that it
+replaced.  Every kernel any test here picks through a product or tau is a
+`_Fused`."""
 
 import random
 from dataclasses import FrozenInstanceError
@@ -18,7 +20,6 @@ from hitchinforge.exactnum import (
     ExactMatrix,
     FieldDescriptor,
     FieldElem,
-    _dot,
     _Fused,
     _kernel,
     _products,
@@ -96,8 +97,32 @@ def assert_canonical(x):
         assert x.den == 1
 
 
+def _dot(row, col):
+    """The generic loop: a dot product in ring operations alone, the
+    oracle of every fused kernel."""
+    it = iter(zip(row, col))
+    a, b = next(it)
+    acc = a * b
+    for a, b in it:
+        acc = acc + a * b
+    return acc
+
+
 def generic(rows, cols):
     return tuple(tuple(_dot(r, c) for c in cols) for r in rows)
+
+
+@pytest.fixture(autouse=True)
+def kernels_are_never_none(monkeypatch):
+    """Every product and every tau in this module picks a `_Fused` kernel
+    or raises: `_kernel` never answers None."""
+    def checked(vectors):
+        kernel = _kernel(vectors)
+        assert isinstance(kernel, _Fused)
+        return kernel
+
+    monkeypatch.setattr(exactnum, "_kernel", checked)
+    monkeypatch.setattr(symrep, "_kernel", checked)
 
 
 @pytest.mark.parametrize("name", sorted(RINGS))
@@ -245,25 +270,34 @@ def test_tau_of_mixed_input_takes_the_field_kernel(name):
     check()
 
 
-def test_other_mixes_keep_the_generic_loop():
+NO_KERNEL = "not of one ring with a kernel"
+
+
+def test_other_mixes_are_refused():
     half, one = Fraction(1, 2), Fraction(1)
     s2, s3 = FieldElem.sqrt_int(field(2), 2), FieldElem.sqrt_int(field(3), 3)
     own = FieldElem(FieldDescriptor((3,)), [1, 1])
     f5 = FqElem(5, 2)
-    # Fractions with an FqElem, with two descriptors; each from either end
-    # of the scan
+    # Fractions with an FqElem, two fields, F_p with F_p^2; each from
+    # either end of the scan
+    f9 = FqElem(5, 1, 1, 2)
     for vectors in [((half, f5), (f5, one)), ((f5, half), (one, f5)),
-                    ((half, s2), (s3, one)), ((s2, s3), (half, one)), ((s3, half), (one, s2))]:
-        assert _kernel(vectors) is None, vectors
-        assert _kernel([(half, one), *vectors]) is None, vectors
+                    ((half, s2), (s3, one)), ((s2, s3), (half, one)), ((s3, half), (one, s2)),
+                    ((f5, f9), (f9, f5))]:
+        for mixed in (vectors, [(half, one), *vectors]):
+            with pytest.raises(ValueError, match=NO_KERNEL):
+                _kernel(mixed)
     # Fractions with a descriptor that is not interned take its own kernel
     for vectors in [((half, own), (own, one)), ((own, half), (one, own))]:
         assert _kernel(vectors) is own.desc.kernel, vectors
         assert _kernel([(half, one), *vectors]) is own.desc.kernel, vectors
     assert isinstance(_kernel([(half, s3), (s3, one)]), _Fused)
-    # Fractions and an F_5 element multiply in F_5, through the loop
-    a = ExactMatrix([[half, f5], [f5, 3]])
-    assert (a * a).entries == tuple(map(tuple, generic(a.entries, list(zip(*a.entries)))))
+    # a matrix may hold a mix, but its products are refused
+    for a in [ExactMatrix([[half, f5], [f5, 3]]), ExactMatrix([[s2, s3], [half, one]])]:
+        with pytest.raises(ValueError, match=NO_KERNEL):
+            a * a
+    with pytest.raises(ValueError, match=NO_KERNEL):
+        tau(3, ExactMatrix([[half, f5], [one, f5]]))
 
 
 def recorded_kernels(monkeypatch):
@@ -297,33 +331,53 @@ def test_rational_data_meets_a_field_on_its_kernel(monkeypatch, call):
     assert kinds and set(kinds) == {_Fused}
 
 
-def test_equal_but_distinct_descriptor_takes_the_generic_loop():
+def test_equal_but_distinct_descriptors_share_the_first_kernel():
     own = FieldDescriptor((3,))
     assert own == field(3) and own is not field(3)
     a = ExactMatrix([[FieldElem(own, [1, 2]), FieldElem(own, [0, Fraction(1, 3)])],
                      [FieldElem(own, [5, -1]), FieldElem(own, [Fraction(2, 7), 0])]])
     b = a.map_entries(lambda e: FieldElem(field(3), e.coeffs))
     cols = list(zip(*b.entries))
-    assert _kernel((*a.entries, *cols)) is None
-    assert isinstance(_kernel((*b.entries, *cols)), _Fused)
+    assert _kernel((*a.entries, *cols)) is own.kernel
+    assert _kernel((*b.entries, *zip(*a.entries))) is field(3).kernel
     assert (a * b).entries == tuple(map(tuple, generic(a.entries, cols)))
+    assert all(x.desc is own for x in sum((a * b).entries, ()))
     assert a * b == b * b  # equal values whichever kernel ran
+    assert b * a == a * a
     assert isinstance(_kernel((*a.entries, *zip(*a.entries))), _Fused)
 
 
 @pytest.mark.parametrize("ring", ["F9", "quaternion"])
 def test_finite_field_and_quaternion_products_match_the_generic_loop(ring):
+    """F_9 products match the loop; a quaternion matrix is refused by the
+    constructor, since no kernel multiplies quaternions."""
     if ring == "F9":
         make = lambda x, y: FqElem(3, x, y, r2=2)  # noqa: E731
     else:
         alg = QuatAlgebra(3, 5)
         make = lambda x, y: alg(x, y, x - y, Fraction(y, 2))  # noqa: E731
-    a = ExactMatrix([[make(i + j, i * j + 1) for j in range(3)] for i in range(2)])
-    b = ExactMatrix([[make(i - j, 2 * j) for j in range(2)] for i in range(3)])
+    a_rows = [[make(i + j, i * j + 1) for j in range(3)] for i in range(2)]
+    b_rows = [[make(i - j, 2 * j) for j in range(2)] for i in range(3)]
+    if ring == "quaternion":
+        for rows in (a_rows, b_rows):
+            with pytest.raises(ValueError, match="ring with a kernel"):
+                ExactMatrix(rows)
+        return
+    a, b = ExactMatrix(a_rows), ExactMatrix(b_rows)
     cols = list(zip(*b.entries))
-    kernel = _kernel((*a.entries, *cols))
-    assert isinstance(kernel, _Fused) if ring == "F9" else kernel is None
+    assert isinstance(_kernel((*a.entries, *cols)), _Fused)
     assert (a * b).entries == tuple(map(tuple, generic(a.entries, cols)))
+
+
+@pytest.mark.parametrize("entry", [QuatAlgebra(3, 5)(1), QuatAlgebra(2, 3)(0, 1, 1, 0),
+                                   "1", None], ids=["alg(1)", "alg(i+j)", "str", "None"])
+def test_a_matrix_refuses_an_entry_with_no_kernel(entry):
+    for rows in ([[entry]], [[1, 0], [0, entry]], [[Fraction(1, 2), entry]]):
+        with pytest.raises(ValueError, match="ring with a kernel"):
+            ExactMatrix(rows)
+    alg = QuatAlgebra(3, 5)
+    with pytest.raises(ValueError, match="ring with a kernel"):
+        ExactMatrix.identity(2, like=alg(1))
 
 
 # F_p and F_p[r]/(r^2 - 2): 2 is not a square mod 3, 5 or 101
@@ -401,21 +455,30 @@ def test_finite_field_power_matches_repeated_products():
     (FqElem(5, 2), FqElem(7, 3), "mixed characteristics"),
     (FqElem(5, 1, 1, 2), FqElem(5, 1, 1, 3), "mixed quadratic extensions"),
 ])
-def test_two_finite_fields_take_the_loop_and_refuse_to_mix(left, right, message):
+def test_two_finite_fields_refuse_to_mix(left, right, message):
+    """The matrix product is refused by the kernel scan, the scalar product
+    by FqElem itself."""
     a = ExactMatrix([[left, left], [left, left]])
     b = ExactMatrix([[right, right], [right, right]])
-    assert _kernel((*a.entries, *zip(*b.entries))) is None
+    with pytest.raises(ValueError, match=NO_KERNEL):
+        _kernel((*a.entries, *zip(*b.entries)))
+    for x, y in ((a, b), (b, a)):
+        with pytest.raises(ValueError, match=NO_KERNEL):
+            x * y
     with pytest.raises(ValueError, match=message):
-        a * b
+        left * right
 
 
-def test_prime_field_times_its_extension_takes_the_loop():
+def test_prime_field_times_its_extension_is_refused():
     a = ExactMatrix([[FqElem(3, i + 2 * j) for j in range(3)] for i in range(2)])
     b = ExactMatrix([[FqElem(3, i - j, j + 1, 2) for j in range(2)] for i in range(3)])
     cols = list(zip(*b.entries))
-    assert _kernel((*a.entries, *cols)) is None
-    with pytest.raises(ValueError, match="mixed quadratic extensions"):
+    with pytest.raises(ValueError, match=NO_KERNEL):
+        _kernel((*a.entries, *cols))
+    with pytest.raises(ValueError, match=NO_KERNEL):
         a * b
+    with pytest.raises(ValueError, match="mixed quadratic extensions"):
+        a.entries[0][0] * b.entries[0][0]
 
 
 def su3_conjugates():
@@ -574,19 +637,18 @@ def test_tau_matches_the_ring_expansion(name):
 
 @pytest.mark.parametrize("ring", ["F9", "quaternion"])
 def test_tau_over_generic_rings_matches_the_ring_expansion(ring):
-    if ring == "F9":
-        m = ExactMatrix([[FqElem(3, 1, 1, r2=2), FqElem(3, 2, 0, r2=2)],
-                         [FqElem(3, 0, 1, r2=2), FqElem(3, 1, 0, r2=2)]])
-    else:
+    """Over F_9 tau matches the ring expansion; a quaternion matrix, over
+    which tau would not be multiplicative, is refused by the constructor."""
+    if ring == "quaternion":
         alg = QuatAlgebra(3, 5)
-        m = ExactMatrix([[alg(1, 1, 0, 0), alg(0, 0, 1, 0)],
+        with pytest.raises(ValueError, match="ring with a kernel"):
+            ExactMatrix([[alg(1, 1, 0, 0), alg(0, 0, 1, 0)],
                          [alg(2, 0, 0, 1), alg(1, 0, 0, 0)]])
+        return
+    m = ExactMatrix([[FqElem(3, 1, 1, r2=2), FqElem(3, 2, 0, r2=2)],
+                     [FqElem(3, 0, 1, r2=2), FqElem(3, 1, 0, r2=2)]])
     for n in range(1, 6):
-        if ring == "quaternion":  # tau is not multiplicative over a noncommutative ring
-            with pytest.raises(ValueError, match="kernel"):
-                tau(n, m)
-        else:
-            assert tau(n, m) == reference_tau(n, m)
+        assert tau(n, m) == reference_tau(n, m)
 
 
 # the fields of 1-3 radicands, Q(sqrt2,sqrt3,sqrt5) with plan factor up to 30
@@ -669,16 +731,13 @@ def test_kernel_results_are_stored_as_row_tuples():
     tuple of row tuples, equal and hash-equal to the same rows passed to
     ExactMatrix, with no int entry."""
     s3 = FieldElem.sqrt_int(field(3), 3)
-    alg = QuatAlgebra(3, 5)
     matrices = [ExactMatrix([[2, 1], [Fraction(1, 3), 5]]),
                 ExactMatrix([[2 + s3, 1], [Fraction(1, 3), 2 - s3]]),
                 ExactMatrix([[FqElem(5, 1), FqElem(5, 2)], [FqElem(5, 3), FqElem(5, 3)]]),
                 ExactMatrix([[FqElem(3, 1, 1, 2), FqElem(3, 2, 0, 2)],
-                             [FqElem(3, 0, 1, 2), FqElem(3, 1, 0, 2)]]),
-                ExactMatrix([[alg(1, 1, 0, 0), alg(0, 0, 1, 0)],
-                             [alg(2, 0, 0, 1), alg(1, 0, 0, 0)]])]
+                             [FqElem(3, 0, 1, 2), FqElem(3, 1, 0, 2)]])]
     results = [m * m for m in matrices]
-    results += [tau(4, m) for m in matrices[:4]]
+    results += [tau(4, m) for m in matrices]
     for got in results:
         assert type(got.entries) is tuple
         assert all(type(row) is tuple for row in got.entries)

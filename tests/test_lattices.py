@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -33,6 +34,7 @@ from hitchinforge.lattices import (
 from hitchinforge.quatalg import QuatAlgebra, gamma_enumerate
 from hitchinforge.symrep import hermitian_h, j_matrix, tau
 from conftest import random_sl2q, random_sl2z
+from test_kernels import _dot
 
 OM = fundamental_unit(3).value
 SIG = apply_galois(GaloisAction.flipping(3), OM)
@@ -94,12 +96,12 @@ def test_is_tau_pgl2_diagonal():
 
 def test_in_su_quat_examples():
     alg = QuatAlgebra(3, 3)
-    ident = ExactMatrix([[alg(1), alg(0)], [alg(0), alg(1)]])
+    ident = [[alg(1), alg(0)], [alg(0), alg(1)]]
     assert in_su_quat(ident, 2, 3, 3, 3)
     th = OM
-    m = ExactMatrix([[alg(th ** 2), alg(0)], [alg(0), alg(th ** -2)]])
+    m = [[alg(th ** 2), alg(0)], [alg(0), alg(th ** -2)]]
     assert in_su_quat(m, 2, 3, 3, 3)
-    mj = ExactMatrix([[alg.j(), alg(0)], [alg(0), alg(1)]])
+    mj = [[alg.j(), alg(0)], [alg(0), alg(1)]]
     assert not in_su_quat(mj, 2, 3, 3, 3)
 
 
@@ -219,9 +221,9 @@ def test_in_g2z_tau_image(rng):
 
 def test_in_sl_quat():
     alg = QuatAlgebra(3, 3)
-    m = ExactMatrix([[alg(2, 0, 1, 0), alg(0)], [alg(0), alg(2, 0, -1, 0)]])
+    m = [[alg(2, 0, 1, 0), alg(0)], [alg(0), alg(2, 0, -1, 0)]]
     assert in_sl_quat(m, 2, 3, 3)
-    m_frac = ExactMatrix([[alg(Fraction(1, 2)), alg(0)], [alg(0), alg(2)]])
+    m_frac = [[alg(Fraction(1, 2)), alg(0)], [alg(0), alg(2)]]
     assert not in_sl_quat(m_frac, 2, 3, 3)
     with pytest.raises(ValueError):
         in_sl_quat(m, 2, 3, 5)
@@ -231,8 +233,108 @@ def test_in_sl_quat_joins_the_fields_of_all_blocks():
     # the blocks of alg(0) lie in Q(sqrt2, sqrt5), those of q also need sqrt3
     alg = QuatAlgebra(2, 5)
     q = alg(fundamental_unit(3).value)
-    assert in_sl_quat(ExactMatrix([[alg(0), q], [q.inverse(), alg(0)]]), 2, 2, 5)
-    assert not in_sl_quat(ExactMatrix([[alg(1), alg(0)], [alg(0), q]]), 2, 2, 5)
+    assert in_sl_quat([[alg(0), q], [q.inverse(), alg(0)]], 2, 2, 5)
+    assert not in_sl_quat([[alg(1), alg(0)], [alg(0), q]], 2, 2, 5)
+
+
+def _reduced_norm_det(m):
+    """The reduced-norm determinant of a 1x1 or 2x2 quaternion matrix:
+    nrd(a) at size 1; at size 2, nrd(a) nrd(d - c a^-1 b) for invertible
+    a, else nrd(b) nrd(c), since exchanging the two block rows has
+    determinant one."""
+    if len(m) == 1:
+        return m[0][0].nred()
+    (a, b), (c, d) = m
+    if a.nred():
+        return a.nred() * (d - c * a.inverse() * b).nred()
+    return b.nred() * c.nred()
+
+
+def _integral(q):
+    return all(c.denominator == 1 if isinstance(c, Fraction) else c.den == 1
+               for c in q.coords)
+
+
+def _oracle_sl(m):
+    return all(map(_integral, sum(m, []))) and _reduced_norm_det(m) == 1
+
+
+def _oracle_su(m, d):
+    """In SL, and sigma(M)* M = I in quaternion arithmetic, each entry of
+    the product a generic-loop dot product."""
+    sigma = GaloisAction.flipping(d)
+    adjoint = [[row[i].conj().apply_galois(sigma) for row in m] for i in range(len(m))]
+    cols = list(zip(*m))
+    return _oracle_sl(m) and all(_dot(adjoint[i], cols[k]) == int(i == k)
+                                 for i in range(len(m)) for k in range(len(m)))
+
+
+def _quat_product(x, y):
+    return [[_dot(row, col) for col in zip(*y)] for row in x]
+
+
+def _norm_one_unit(d):
+    u = fundamental_unit(d).value
+    return u if fundamental_unit(d).norm == 1 else u * u
+
+
+# (a, b) with d the square class of a or b first, then an independent d;
+# d = ab is left out, as field(a, b, ab) refuses dependent radicands
+QUAT_CASES = [(3, 3, 3), (3, 3, 2), (2, 5, 2), (2, 5, 5), (2, 5, 3),
+              (3, 5, 3), (3, 5, 5), (3, 5, 2)]
+
+
+@pytest.mark.parametrize("a, b, d", QUAT_CASES)
+def test_quaternion_predicates_match_the_reduced_norm_and_unitarity(a, b, d):
+    """in_sl_quat and in_su_quat on the block embedding against the
+    quaternion-level oracles: random 1x1 and 2x2 matrices built from
+    norm-one quaternions g of height <= 2 and powers of a norm-one unit u
+    of Z[sqrt(d)] (diagonal, antidiagonal [[0, u^k g], [u^-k g', 0]],
+    triangular and their products), some corrupted."""
+    rng = random.Random(100 * a + 10 * b + d)
+    alg = QuatAlgebra(a, b)
+    gammas = [e.quaternion() for e in gamma_enumerate(a, b, 2)]
+    u, zero = _norm_one_unit(d), alg(0)
+
+    def unit_power():
+        return u ** rng.randint(-2, 2)
+
+    def coordinate():
+        return rng.choice([0, 0, 1, -1, 2, u, -u, u - 1])
+
+    def square():
+        g1, g2, k = rng.choice(gammas), rng.choice(gammas), unit_power()
+        return rng.choice([
+            [[g1 * k, zero], [zero, g2 * k.inverse()]],
+            [[zero, g1 * k], [g2 * k.inverse(), zero]],
+            [[g1, alg(*(coordinate() for _ in range(4)))], [zero, g2]]])
+
+    def corrupt(m):
+        rows = [list(row) for row in m]
+        i, j = rng.randrange(len(m)), rng.randrange(len(m))
+        rows[i][j] = rng.choice([rows[i][j] + 1, rows[i][j] * 2, rows[i][j] * Fraction(1, 2),
+                                 rows[i][j] + alg(0, 0, 0, 1), rows[i][j].conj()])
+        return rows
+
+    inputs = []
+    for _ in range(12):
+        inputs.append([[rng.choice(gammas) * (unit_power() if rng.random() < 0.3 else 1)]])
+        m = square()
+        for _ in range(rng.randint(0, 2)):
+            m = _quat_product(m, square())
+        inputs.append(m)
+    inputs += [corrupt(m) for m in inputs]
+    found = {"sl": 0, "su": 0, "su off the diagonal": 0}
+    for m in inputs:
+        size = len(m)
+        sl, su = _oracle_sl(m), _oracle_su(m, d)
+        assert in_sl_quat(m, size, a, b) is sl, m
+        assert in_su_quat(m, size, a, b, d) is su, m
+        found["sl"] += sl
+        found["su"] += su
+        found["su off the diagonal"] += su and size == 2 and bool(m[0][1])
+    assert all(found.values()), found
+    assert found["sl"] < len(inputs)
 
 
 def test_lattice_spec_dispatch():
