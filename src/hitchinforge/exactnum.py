@@ -10,8 +10,8 @@ Algebraic Number Theory, 4.2; FLINT's fmpq_poly), so a field operation is
 integer arithmetic plus one gcd.  Each field descriptor caches its product
 plan, the monomial pairs with the radicand factor their product picks up,
 and `field` interns descriptors, so equal fields are one object.  An
-inverse descends the tower in closed form, one element per level, and so
-does a sign, decided from signs one level down.  `fundamental_unit` stops
+inverse descends the tower in closed form on integers, building one
+element, and a sign descends it too, decided from signs one level down.  `fundamental_unit` stops
 where the period of the continued fraction of sqrt(d) ends, for every d.
 
 Every matrix entry is of a ring with a kernel, and each matrix product
@@ -25,7 +25,8 @@ codes, in a layout sized by the inner dimension, and decodes into
 interned entries.  A matrix refuses quaternion entries, and a product of
 entries that no one kernel takes (Fractions with FqElems, two fields) is
 a ValueError.  An int or Fraction operand of a ring element is coerced
-into its ring.
+into its ring.  Every elimination is fraction-free, one step on the
+kernels' integer coordinates (`_Elimination`).
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import chain
-from math import gcd, isqrt, lcm
-from operator import mul
+from math import gcd, isqrt, lcm, prod
+from operator import add, mul
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 Scalar = Union[int, Fraction, "RingElem"]
@@ -382,7 +383,9 @@ class FieldElem(RingElem):
     def inverse(self) -> "FieldElem":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero field element")
-        return _field_inverse(self.desc, self.nums, self.den, self.desc.k)
+        conj, norm = _norm_parts(self.desc, self.nums, self.desc.k)
+        den = self.den
+        return FieldElem(self.desc, [c * den for c in conj], norm)
 
     # -- predicates and accessors --------------------------------------
 
@@ -468,21 +471,18 @@ def _split(desc: FieldDescriptor, nums: Sequence[int], level: int):
     return u, v, [x - r * y for x, y in zip(_times(desc, u, u), _times(desc, v, v))]
 
 
-def _field_inverse(desc: FieldDescriptor, nums: Sequence[int], den: int,
-                   level: int) -> FieldElem:
-    """1 / (nums / den) for nonzero integer numerators on the monomials of
-    the first `level` radicands, by descending the tower: x = u + v*sqrt(r)
-    with u, v in the subfield below, so 1/x = (u - v*sqrt(r)) / (u^2 -
-    r*v^2).  The norm's numerators over den^2 and the final product are
-    integer sums, so each level builds one element."""
+def _norm_parts(desc, nums: Sequence[int], level: int) -> tuple[list[int], int]:
+    """(C, N) for nonzero integer numerators x on the monomials of the
+    first `level` radicands: x * C = N, an integer, so 1/x = C/N.  It
+    descends the tower: x = u + v*sqrt(r) with u, v in the subfield below,
+    and x * (u - v*sqrt(r)) = u^2 - r*v^2 is one level down.  Every step is
+    integer sums, so an inverse builds one element."""
     if level == 0:
-        out = [0] * desc.dim
-        out[0] = den
-        return FieldElem(desc, out, nums[0])
-    ninv = _field_inverse(desc, _split(desc, nums, level)[2], den * den, level - 1)
+        return [1] + [0] * (desc.dim - 1), nums[0]
+    below, norm = _norm_parts(desc, _split(desc, nums, level)[2], level - 1)
     bit = 1 << (level - 1)
     conj = [-c if mask & bit else c for mask, c in enumerate(nums)]
-    return FieldElem(desc, _times(desc, conj, ninv.nums), den * ninv.den)
+    return _times(desc, conj, below), norm
 
 
 def _sign(desc: FieldDescriptor, nums: Sequence[int], level: int) -> int:
@@ -733,41 +733,27 @@ class ExactMatrix:
         return t
 
     def det(self):
-        """Determinant by exact Gaussian elimination: the signed product
-        of the echelon pivots."""
+        """Determinant by fraction-free elimination (`_Elimination`)."""
+        return self.rank_and_det()[1]
+
+    def rank_and_det(self) -> tuple:
+        """Rank and determinant of a square matrix, from one elimination."""
         if not self.is_square():
             raise ValueError("determinant of a non-square matrix")
-        rows = [list(r) for r in self.entries]
-        pivots, sign = _echelon(rows, self.ncols)
-        if len(pivots) < self.nrows:
-            return _zero_like(rows[0][0])
-        det = rows[0][0]
-        for i in range(1, self.nrows):
-            det = det * rows[i][i]
-        return det if sign == 1 else -det
+        elim, dens = _Elimination.of_rows(self.entries)
+        return len(elim.pivots), elim.det(dens)
 
     def inverse(self) -> "ExactMatrix":
-        """Inverse by elimination on [A | I] and back-substitution."""
+        """Inverse by fraction-free Gauss-Jordan elimination on [A | I]."""
         if not self.is_square():
             raise ValueError("inverse of a non-square matrix")
-        n = self.nrows
-        ident = ExactMatrix.identity(n, like=self.entries[0][0])
-        aug = [list(r) + list(e) for r, e in zip(self.entries, ident.entries)]
-        if len(_echelon(aug, n)[0]) < n:
+        elim, dens = _Elimination.of_rows(self.entries, identity=True)
+        if len(elim.pivots) < self.nrows:
             raise ZeroDivisionError("matrix is singular")
-        out: list = [None] * n
-        for i in reversed(range(n)):
-            row = aug[i][n:]
-            for j in range(i + 1, n):
-                if aug[i][j]:
-                    factor = aug[i][j]
-                    row = [a - factor * b for a, b in zip(row, out[j])]
-            inv = _invert(aug[i][i])
-            out[i] = [e * inv for e in row]
-        return ExactMatrix(out)
+        return ExactMatrix._from_rows(elim.solve(dens))
 
     def rank(self) -> int:
-        return len(_echelon([list(r) for r in self.entries], self.ncols)[0])
+        return len(_Elimination.of_rows(self.entries)[0].pivots)
 
     # -- predicates ---------------------------------------------------------
 
@@ -807,36 +793,6 @@ class ExactMatrix:
         ) + "]"
 
     __repr__ = __str__
-
-
-def _echelon(rows: list[list], ncols: int) -> tuple[list[int], int]:
-    """Bring rows to row echelon form in place by exact Gaussian
-    elimination on the first ncols columns.  Returns the pivot columns
-    (row i holds the pivot of column pivots[i]) and the sign of the row
-    permutation.  A pivot is inverted only when a row below needs
-    clearing."""
-    pivots: list[int] = []
-    sign = 1
-    for col in range(ncols):
-        top = len(pivots)
-        pivot = next((r for r in range(top, len(rows))
-                      if rows[r][col]), None)
-        if pivot is None:
-            continue
-        if pivot != top:
-            rows[top], rows[pivot] = rows[pivot], rows[top]
-            sign = -sign
-        pivots.append(col)
-        below = [r for r in range(top + 1, len(rows)) if rows[r][col]]
-        if below:
-            prow = rows[top][col:]
-            inv = _invert(prow[0])
-            for r in below:
-                row = rows[r]
-                factor = row[col] * inv
-                # entries left of col are zero in every row from top down
-                rows[r] = row[:col] + [a - factor * b for a, b in zip(row[col:], prow)]
-    return pivots, sign
 
 
 # -- dot products ----------------------------------------------------------
@@ -889,18 +845,21 @@ class _Fused:
     that each pack a polynomial's coefficients (Kronecker substitution)
     without building scalars; `build(nums, den)` makes the one scalar of a
     result entry, and `rationals` says whether `split` reads Fraction
-    entries."""
+    entries.  `divisor` and `exact` divide coordinates for `_Elimination`:
+    exactly over Q and its fields, and mod the `modulus` p over F_q."""
 
-    __slots__ = ("desc", "plan", "split", "build", "unit", "rationals", "products")
+    __slots__ = ("desc", "plan", "split", "build", "unit", "rationals", "products",
+                 "modulus")
 
     def __init__(self, desc, split: Optional[Callable] = None,
                  build: Optional[Callable] = None, rationals: bool = True,
-                 products: Optional[Callable] = None):
+                 products: Optional[Callable] = None, modulus: Optional[int] = None):
         self.desc, self.plan, self.unit = desc, desc.plan, [1] + [0] * (desc.dim - 1)
         self.split = split or partial(_split_field, (0,) * (desc.dim - 1))
         self.build = build or partial(FieldElem, desc)
         self.rationals = rationals
         self.products = products or self._split_products
+        self.modulus = modulus
 
     def _split_products(self, rows: Sequence[Sequence], right: Sequence[Sequence]) -> tuple:
         split, dot = self.split, self.dot
@@ -909,6 +868,27 @@ class _Fused:
 
     def times(self, u: Sequence[int], v: Sequence[int]) -> list[int]:
         return _times(self.desc, u, v)
+
+    def divisor(self, d: Sequence[int]) -> tuple[Optional[list[int]], int]:
+        """(C, N) such that x / d is `exact` of x * C over N: C/N = 1/d by
+        `_norm_parts` (C None over Q, where it is 1), or over F_q C = 1/d
+        mod p and N = 1."""
+        conj, norm = _norm_parts(self.desc, d, self.desc.k)
+        p = self.modulus
+        if p is None:
+            return (conj if self.desc.k else None), norm
+        inv = pow(norm, -1, p)
+        return [c * inv % p for c in conj], 1
+
+    def exact(self, coords: list, norm: int) -> list:
+        """Coordinates divided by the integer norm, which divides each of
+        them; over F_q (norm 1) reduced mod p."""
+        p = self.modulus
+        if p is not None:
+            return [[x % p for x in c] for c in coords]
+        if norm == 1:
+            return coords
+        return [[x // norm for x in c] for c in coords]
 
     def dot(self, a, b):
         (da, ra), (db, rb) = a, b
@@ -945,6 +925,183 @@ def _products(rows: Sequence[Sequence], right: Sequence[Sequence]) -> tuple:
     """The rows, as tuples, of the product of the matrices whose rows are
     `rows` and `right`, by the one kernel of all their entries."""
     return _kernel((*rows, *right)).products(rows, right)
+
+
+# -- fraction-free elimination ----------------------------------------------
+#
+# det, inverse, rank, span_dimension and qforms' congruence diagonalization
+# run one step on the integer coordinates of rows split by their kernel,
+# and build scalars only for results (Bareiss, "Sylvester's identity and
+# multistep integer-preserving Gaussian elimination", Math. Comp. 22, 1968).
+# For pivot p of step t in column c, its row p_j and d the pivot of step
+# t - 1, a row becomes a_j <- (p*a_j - a_c*p_j) / d.  Every entry is a minor
+# of the rows, so the division is exact: over Q an integer division, over
+# Q(sqrt(r)...) a product by d's conjugates and a division by its norm
+# (`_norm_parts`), over F_q a product by 1/d mod p.  A row with a_c = 0 is
+# skipped, not rescaled: its `level` is the last step that touched it, so
+# it holds step t - 1's values times d_level / d, and the next step that
+# touches it divides by d_level instead.  A pivot row is rescaled to its
+# step, and a divisor's conjugates are found, only when a row needs them.
+
+
+def _axpy(plan, p: Sequence[int], u: Sequence, f: Optional[Sequence[int]],
+          v: Optional[Sequence]) -> list[list[int]]:
+    """p*u - f*v, or p*u when f is None, for scalars p, f and vectors u, v
+    on integer coordinates (one list per coordinate), by the plan."""
+    out: list = [None] * len(u)
+    for s, t, st, common in plan:
+        a, b = p[s] * common, f[s] * common if f is not None else 0
+        if b:
+            new = ([a * x - b * y for x, y in zip(u[t], v[t])] if a
+                   else [-b * y for y in v[t]])
+        elif a:
+            new = [a * x for x in u[t]]
+        else:
+            continue
+        out[st] = new if out[st] is None else list(map(add, out[st], new))
+    return [[0] * len(u[0]) if o is None else o for o in out]
+
+
+class _Elimination:
+    """Rows of one kernel's integer coordinates under the step.  `add(r)`
+    reduces row r against every pivot so far and pivots on its first
+    nonzero column; qforms.diagonalize_qform picks its own pivots through
+    `reduce`, `pivot` and `lift`.  `pivots` holds each step's (row, column)
+    and `values` its pivot, so the last of n pivots of n rows is their
+    determinant up to the sign of the column order.  A pivot row keeps the
+    values of the step before its own, which makes `solve` Gauss-Jordan."""
+
+    __slots__ = ("kernel", "rows", "levels", "done", "pivots", "values", "_divisors")
+
+    def __init__(self, kernel: _Fused, rows: Iterable = ()):
+        self.kernel, self.rows, self.levels, self.done = kernel, [], [], []
+        self.pivots: list[tuple[int, int]] = []
+        self.values: list[list[int]] = []
+        self._divisors: dict[int, tuple] = {}
+        for row in rows:
+            self.append(row)
+
+    @classmethod
+    def of_rows(cls, entries: Sequence[Sequence], identity: bool = False):
+        """Each row of a matrix, extended by the identity's row when asked,
+        added; and the rows' denominators."""
+        kernel = _kernel(entries)
+        dens, rows = zip(*map(kernel.split, entries))
+        n = len(rows)
+        if identity:
+            rows = [[list(c) + ([int(i == j) for j in range(n)] if k == 0 else [0] * n)
+                     for k, c in enumerate(row)] for i, row in enumerate(rows)]
+        elim = cls(kernel, rows)
+        for r in range(n):
+            elim.add(r, len(entries[0]))
+        return elim, dens
+
+    def append(self, row: Sequence) -> int:
+        self.rows.append(row)
+        self.levels.append(-1)
+        self.done.append(0)
+        return len(self.rows) - 1
+
+    def pop(self) -> None:
+        for stack in (self.rows, self.levels, self.done):
+            stack.pop()
+
+    def add(self, r: int, width: Optional[int] = None) -> Optional[int]:
+        """Reduce row r and pivot on its first nonzero column if that is
+        among the first `width`; that column, or None."""
+        self.reduce(r)
+        c = next((j for j, e in enumerate(zip(*self.rows[r])) if any(e)), None)
+        if c is None or (width is not None and c >= width):
+            return None
+        self.pivot(r, c)
+        return c
+
+    def reduce(self, r: int) -> None:
+        """Row r reduced against each pivot it has not met yet."""
+        pivots = self.pivots
+        for t in range(self.done[r], len(pivots)):
+            c = pivots[t][1]
+            for x in self.rows[r]:
+                if x[c]:
+                    self._step(r, t)
+                    break
+        self.done[r] = len(pivots)
+
+    def pivot(self, r: int, c: int) -> None:
+        """Make row r, reduced, the next pivot, at column c."""
+        t, level = len(self.pivots), self.levels[r]
+        value = [x[c] for x in self.rows[r]]
+        if level == -1 and t:  # untouched: a product, with no remainder over F_q
+            value = self.kernel.times(self.values[t - 1], value)
+        elif level < t - 1:
+            value = [x for x, in self._combine(self.values[t - 1], [[x] for x in value],
+                                                None, None, level)]
+        self.pivots.append((r, c))
+        self.values.append(value)
+        self.done[r] = t + 1
+
+    def lift(self, r: int, level: int) -> None:
+        """Rescale row r to its values at step `level`."""
+        if self.levels[r] < level:
+            self.rows[r] = self._combine(self.values[level], self.rows[r], None, None,
+                                         self.levels[r])
+            self.levels[r] = level
+
+    def _current(self, t: int) -> list:
+        """The row of pivot t at its own step."""
+        r = self.pivots[t][0]
+        if self.levels[r] < t:
+            self.lift(r, t - 1)
+            self.levels[r] = t
+        return self.rows[r]
+
+    def _step(self, r: int, t: int) -> None:
+        """The one step: row r by pivot t."""
+        prow, row, c = self._current(t), self.rows[r], self.pivots[t][1]
+        self.rows[r] = self._combine(self.values[t], row, [x[c] for x in row], prow,
+                                     self.levels[r])
+        self.levels[r] = t
+
+    def _combine(self, p, u, f, v, level: int) -> list[list[int]]:
+        """(p*u - f*v) / d_level, or p*u / d_level when f is None."""
+        kernel, norm = self.kernel, 1
+        if level >= 0:
+            divisor = self._divisors.get(level)
+            if divisor is None:
+                divisor = self._divisors[level] = kernel.divisor(self.values[level])
+            conj, norm = divisor
+            if conj is not None:
+                p = kernel.times(p, conj)
+                f = f if f is None else kernel.times(f, conj)
+        return kernel.exact(_axpy(kernel.plan, p, u, f, v), norm)
+
+    def det(self, dens: Sequence[int]):
+        """The determinant of n rows over denominators dens."""
+        kernel = self.kernel
+        if len(self.pivots) < len(self.rows):
+            return kernel.build([0] * len(kernel.unit), 1)
+        cols = [c for _, c in self.pivots]
+        odd = sum(a > b for i, a in enumerate(cols) for b in cols[i + 1:]) % 2
+        return kernel.build([-x if odd else x for x in self.values[-1]], prod(dens))
+
+    def solve(self, dens: Sequence[int]) -> tuple:
+        """The rows of A^-1 from the n pivots of [A | I], A's rows over
+        dens: in row order each pivot row is cleared at the later pivots
+        (which are still at their own steps), then divided by its pivot."""
+        kernel, n = self.kernel, len(dens)
+        out: list = [None] * n
+        for i, (r, c) in enumerate(self.pivots):
+            for t in range(i + 1, n):
+                if any(x[self.pivots[t][1]] for x in self.rows[r]):
+                    self._current(i)
+                    self._step(r, t)
+            conj, norm = kernel.divisor([x[c] for x in self.rows[r]])
+            right = [x[n:] for x in self.rows[r]]
+            if conj is not None:
+                right = _axpy(kernel.plan, conj, right, None, None)
+            out[c] = tuple([kernel.build([x[j] * dens[j] for x in right], norm)
+                            for j in range(n)])
+        return tuple(out)
 
 
 def galois_matrix(action: GaloisAction, m: ExactMatrix) -> ExactMatrix:
@@ -991,8 +1148,9 @@ def in_group(m: ExactMatrix, n: int, form: Optional[ExactMatrix] = None,
 
 def span_dimension(mats: Sequence[ExactMatrix]) -> int:
     """Dimension of the algebra spanned by all products of the inputs of
-    length at most 2n-1 (including the empty product), by exact Gaussian
-    elimination on vectorized matrices.  Capped at n^2."""
+    length at most 2n-1 (including the empty product), by fraction-free
+    elimination on vectorized matrices: the echelon rows are kept, and each
+    candidate is reduced against them once.  Capped at n^2."""
     if not mats:
         raise ValueError("need at least one matrix")
     n = mats[0].nrows
@@ -1000,29 +1158,29 @@ def span_dimension(mats: Sequence[ExactMatrix]) -> int:
         if not m.is_square() or m.nrows != n:
             raise ValueError("all matrices must be square of equal size")
     cap = n * n
-
-    basis: list[list] = []  # echelon rows of the vectorized span
+    kernel = _kernel([row for m in mats for row in m.entries])
+    basis = _Elimination(kernel)
 
     def add_matrix(m: ExactMatrix) -> bool:
-        rows = basis + [[e for row in m.entries for e in row]]
-        if len(_echelon(rows, cap)[0]) == len(basis):
+        r = basis.append(kernel.split(list(chain.from_iterable(m.entries)))[1])
+        if basis.add(r) is None:
+            basis.pop()
             return False
-        basis[:] = rows
         return True
 
     frontier = [ExactMatrix.identity(n, like=mats[0].entries[0][0])]
     frontier = [m for m in frontier if add_matrix(m)]
     for _ in range(2 * n - 1):
-        if len(basis) >= cap or not frontier:
+        if len(basis.pivots) >= cap or not frontier:
             break
         new_frontier = []
         for m in frontier:
             for g in mats:
-                prod = m * g
-                if add_matrix(prod):
-                    new_frontier.append(prod)
+                product = m * g
+                if add_matrix(product):
+                    new_frontier.append(product)
         frontier = new_frontier
-    return len(basis)
+    return len(basis.pivots)
 
 
 # -- parsing and printing of exact scalars --------------------------------

@@ -168,13 +168,17 @@ class FqDescriptor:
     y) over the denominator 1, and `times` multiplies them by the plan of
     Q(sqrt(r2)) (F_p keeps its constant entry) with no reduction, so
     coordinates that pack a polynomial's coefficients multiply as
-    polynomials; `build` reduces each output entry mod p once.  Interned in
+    polynomials; `build` reduces each output entry mod p once.  For
+    `exactnum._Elimination` the kernel divides mod p, by the inverse of the
+    norm down the tower of `radicands` (r2, if any).  Interned in
     _FQ_DESCRIPTORS, so each field builds one kernel."""
 
-    __slots__ = ("dim", "plan", "kernel")
+    __slots__ = ("dim", "k", "radicands", "plan", "kernel")
 
     def __init__(self, p: int, r2: Optional[int]):
-        self.dim = 1 if r2 is None else 2
+        self.radicands = () if r2 is None else (r2,)
+        self.k = len(self.radicands)
+        self.dim = 1 << self.k
         self.plan = ((0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1), (1, 1, 0, r2))[:self.dim ** 2]
         if r2 is None:
             def split(vec):
@@ -193,7 +197,8 @@ class FqDescriptor:
             # every field of a row sum is at most top only when the layout
             # covers the inner dimension, not just the columns
             return _LAYOUTS[p, r2, max(len(right), len(right[0]))].times(rows, right)
-        self.kernel = _Fused(self, split, build, rationals=False, products=products)
+        self.kernel = _Fused(self, split, build, rationals=False, products=products,
+                             modulus=p)
 
 
 # -- reduction contexts ------------------------------------------------------

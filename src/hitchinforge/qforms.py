@@ -6,9 +6,11 @@ of sigma-Hermitian matrices over a real quadratic field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache, reduce
+from itertools import chain
 from math import prod
 from typing import Optional, Sequence, Union
 
@@ -16,6 +18,8 @@ from .exactnum import (
     ExactMatrix,
     FieldElem,
     GaloisAction,
+    _Elimination,
+    _RATIONALS,
     _factor,
     _is_prime,
     format_scalar,
@@ -164,9 +168,34 @@ def hasse_scan_places(*values: Union[int, Fraction]) -> list[Place]:
 
 @dataclass(frozen=True)
 class Diagonalization:
+    """The congruence diagonalization P^T S P = D of a symmetric rational
+    matrix S.  `steps` records each step's swap, hyperbolic partner and
+    pivot row (on the order of that step), from which `witness` builds P
+    when it is first read."""
+
     classes: tuple[int, ...]          # square-free square classes (0 on rank defect)
     diagonal: tuple[Fraction, ...]    # actual diagonal entries of P^T S P
-    witness: ExactMatrix              # P with P^T S P diagonal
+    steps: tuple = field(repr=False, compare=False)
+
+    @cached_property
+    def witness(self) -> ExactMatrix:
+        """P with P^T S P diagonal: the product of each step's swap, its
+        hyperbolic substitution (column k += column j) and its elimination
+        (column j -= a_kj / a_kk * column k for j > k)."""
+        n = len(self.classes)
+        factors = []
+        for k, (swap, partner, row) in enumerate(self.steps):
+            if swap is not None:
+                order = list(range(n))
+                order[k], order[swap] = swap, k
+                factors.append([[int(j == order[i]) for j in range(n)] for i in range(n)])
+            if partner is not None:
+                factors.append([[int(i == j or (i, j) == (partner, k)) for j in range(n)]
+                                for i in range(n)])
+            if any(row[k + 1:]):
+                factors.append([[-Fraction(row[j], row[k]) if i == k < j else int(i == j)
+                                 for j in range(n)] for i in range(n)])
+        return reduce(operator.mul, map(ExactMatrix, factors), ExactMatrix.identity(n))
 
 
 def diagonalize_qform(S: ExactMatrix) -> Diagonalization:
@@ -174,56 +203,57 @@ def diagonalize_qform(S: ExactMatrix) -> Diagonalization:
 
     Pivot rule: first nonzero diagonal entry in the remaining block; if the
     diagonal is entirely zero, split a nonzero off-diagonal pair with the
-    hyperbolic substitution.  Rank deficiency yields zero entries.
+    hyperbolic substitution.  Rank deficiency yields zero entries.  This is
+    the symmetric variant of `exactnum._Elimination` on the rows of S over
+    one denominator, with symmetric swaps as a relabelling: D_k is
+    Delta_k / Delta_(k-1) for the leading minors Delta_k, the pivots.
     """
     if not S.is_square():
         raise ValueError("quadratic form matrix must be square")
-    if S != S.transpose():
+    if S.entries != tuple(zip(*S.entries)):
         raise ValueError("quadratic form matrix must be symmetric")
     if not all(isinstance(x, Fraction) for row in S.entries for x in row):
         raise ValueError("quadratic form matrix must be rational")
     n = S.nrows
-    a = [list(row) for row in S.entries]
-    p = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    den, (flat,) = _RATIONALS.split(list(chain.from_iterable(S.entries)))
+    elim = _Elimination(_RATIONALS, ([flat[i * n:(i + 1) * n]] for i in range(n)))
+    rows, order, steps = elim.rows, list(range(n)), []
 
-    def add_col(dst: int, src: int, factor: Fraction) -> None:
-        # congruence op: col_dst += factor*col_src, row_dst += factor*row_src
-        for i in range(n):
-            a[i][dst] += factor * a[i][src]
-        for j in range(n):
-            a[dst][j] += factor * a[src][j]
-        for i in range(n):
-            p[i][dst] += factor * p[i][src]
-
-    def swap(i: int, j: int) -> None:
-        for r in range(n):
-            a[r][i], a[r][j] = a[r][j], a[r][i]
-        a[i], a[j] = a[j], a[i]
-        for r in range(n):
-            p[r][i], p[r][j] = p[r][j], p[r][i]
+    def diagonal_nonzero(i: int) -> bool:
+        elim.reduce(order[i])
+        return rows[order[i]][0][order[i]] != 0
 
     for k in range(n):
-        if a[k][k] == 0:
-            pivot = next((j for j in range(k + 1, n) if a[j][j] != 0), None)
-            if pivot is not None:
-                swap(k, pivot)
-            else:
+        swap = partner = None
+        if not diagonal_nonzero(k):
+            swap = next((j for j in range(k + 1, n) if diagonal_nonzero(j)), None)
+            if swap is None:
+                # every remaining row is reduced now, as the search read it
                 pair = next(((i, j) for i in range(k, n) for j in range(i + 1, n)
-                             if a[i][j] != 0), None)
+                             if rows[order[i]][0][order[j]]), None)
                 if pair is None:
                     break  # remaining block is zero
-                i, j = pair
-                if i != k:
-                    swap(k, i)
-                add_col(k, j, Fraction(1))
-        pv = a[k][k]
-        for j in range(k + 1, n):
-            if a[k][j] != 0:
-                add_col(j, k, -a[k][j] / pv)
+                i, partner = pair
+                swap = i if i != k else None
+            if swap is not None:
+                order[k], order[swap] = order[swap], order[k]
+            if partner is not None:
+                # congruence by column k += column j: row k += row j at one
+                # step's scale, then the column in every remaining row
+                rk, rj = order[k], order[partner]
+                elim.lift(rk, k - 1)
+                elim.lift(rj, k - 1)
+                rows[rk] = [list(map(operator.add, x, y)) for x, y in zip(rows[rk], rows[rj])]
+                for r in order[k:]:
+                    rows[r] = [x[:rk] + [x[rk] + x[rj]] + x[rk + 1:] for x in rows[r]]
+        elim.pivot(order[k], order[k])
+        steps.append((swap, partner, tuple(rows[order[k]][0][c] for c in order)))
 
-    diag = tuple(a[i][i] for i in range(n))
+    minors = [1] + [value for value, in elim.values]
+    diag = [Fraction(b, a * den) for a, b in zip(minors, minors[1:])]
+    diag += [Fraction(0)] * (n - len(diag))
     classes = tuple(square_class(d) if d != 0 else 0 for d in diag)
-    return Diagonalization(classes, diag, ExactMatrix(p))
+    return Diagonalization(classes, tuple(diag), tuple(steps))
 
 
 @dataclass(frozen=True)
@@ -315,10 +345,9 @@ def hermitian_invariants(H: ExactMatrix, d: int) -> HermitianInvariants:
     sigma = GaloisAction.flipping(d)
     if galois_matrix(sigma, H).transpose() != H:
         raise ValueError("matrix is not sigma-Hermitian")
-    rank = H.rank()
+    rank, det = H.rank_and_det()
     if rank < H.nrows:
         return HermitianInvariants(d, rank, "other", 0)
-    det = H.det()
     det = det.rational_value() if isinstance(det, FieldElem) else Fraction(det)
     if is_norm_from(d, det):
         cls = "+"

@@ -33,6 +33,7 @@ from .qforms import (
     form_invariants,
     hasse_scan_places,
     hilbert_symbol,
+    invariants_from_classes,
 )
 
 SignPair = tuple[int, int]
@@ -370,9 +371,9 @@ def so_form_from_cocycle(n: int, a: int, b: int, case: CaseName) -> SoFormResult
         raise AssertionError("constructed form is not diagonal")
     D_rat = ExactMatrix.diagonal([e.rational_value()
                                   for e in D.diagonal_entries()])
-    inv = form_invariants(D_rat)
-    closed = {}
     classes = diagonalize_qform(D_rat).classes
+    inv = invariants_from_classes(classes)
+    closed = {}
     scan = sorted(set(hasse_scan_places(*classes))
                   | set(hasse_scan_places(a_sf, b_sf, -1)),
                   key=Place.sort_key)

@@ -266,8 +266,8 @@ SPARSE = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), COEFFS)
 
 @pytest.mark.parametrize("name", NAMES)
 def test_closed_form_inverse_matches_reference(name, monkeypatch):
-    """The closed-form inverse per tower level against the reference, and
-    one element built per level."""
+    """The closed-form inverse down the tower against the reference, and
+    one element built, as every level is integer sums."""
     desc = FIELDS[name]
     built = []
     init = FieldElem.__init__
@@ -285,7 +285,7 @@ def test_closed_form_inverse_matches_reference(name, monkeypatch):
         monkeypatch.setattr(FieldElem, "__init__", counting)
         inv = x.inverse()
         monkeypatch.undo()
-        assert len(built) == desc.k + 1
+        assert len(built) == 1
         assert_matches(inv, rx.inverse())
         assert x * inv == 1
     check()
