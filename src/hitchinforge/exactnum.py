@@ -14,14 +14,14 @@ inverse descends the tower in closed form on integers, building one
 element, and a sign descends it too, decided from signs one level down.  `fundamental_unit` stops
 where the period of the continued fraction of sqrt(d) ends, for every d.
 
-Every matrix entry is of a ring with a kernel, and each matrix product
-picks its kernel in one pass over both operands and runs the whole
-product there.  Over Q and over one field a vector is split once into
-integer coordinates over one denominator, each output entry is integer
-sums and one scalar, and a Fraction meeting one field's elements is read
-as an element of that field there.  Over one finite field F_q (the kernel
-its entries' descriptor names) the product runs on modp's packed row
-codes, in a layout sized by the inner dimension, and decodes into
+Every matrix entry is of a ring with a kernel, the ring's descriptor
+itself, and each matrix product picks its kernel in one pass over both
+operands and runs the whole product there.  Over Q and over one field a
+vector is split once into integer coordinates over one denominator, each
+output entry is integer sums and one scalar, and a Fraction meeting one
+field's elements is read as an element of that field there.  Over one
+finite field F_q (modp's FqDescriptor) the product runs on modp's packed
+row codes, in a layout sized by the inner dimension, and decodes into
 interned entries.  A matrix refuses quaternion entries, and a product of
 entries that no one kernel takes (Fractions with FqElems, two fields) is
 a ValueError.  An int or Fraction operand of a ring element is coerced
@@ -38,7 +38,10 @@ from functools import cached_property, partial
 from itertools import chain
 from math import gcd, isqrt, lcm, prod
 from operator import add, mul
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional, Sequence, Union
+
+if TYPE_CHECKING:
+    from .modp import FqDescriptor
 
 Scalar = Union[int, Fraction, "RingElem"]
 
@@ -88,16 +91,27 @@ def is_square(n: int) -> bool:
 
 
 def square_class(q: Union[int, Fraction]) -> int:
-    """Square-free integer representative of the square class of q != 0."""
+    """Square-free integer representative of the square class of q != 0.
+    A reduced fraction's parts are coprime, so each is factored alone."""
     q = Fraction(q)
     if q == 0:
         return 0
-    return square_free_part(q.numerator * q.denominator)
+    return square_free_part(q.numerator) * square_free_part(q.denominator)
+
+
+def _times(desc: FieldDescriptor, a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The integer numerators of a product, over the product of the two
+    denominators, by the descriptor's plan."""
+    out = [0] * desc.dim
+    for s, t, st, common in desc.plan:
+        out[st] += a[s] * b[t] * common
+    return out
 
 
 @dataclass(frozen=True)
 class FieldDescriptor:
-    """A multiquadratic tower Q(sqrt(r) for r in radicands).
+    """A multiquadratic tower Q(sqrt(r) for r in radicands), and the
+    kernel of matrices over it (see the dot-products comment below).
 
     Radicands are square-free integers > 1, strictly increasing, at most
     three of them.  They must be multiplicatively independent modulo
@@ -141,9 +155,42 @@ class FieldDescriptor:
                      for s in range(self.dim) for t in range(self.dim))
 
     @cached_property
-    def kernel(self) -> "_Fused":
-        """The fused dot-product kernel of this field, built once."""
-        return _Fused(self)
+    def unit(self) -> list[int]:
+        return [1] + [0] * (self.dim - 1)
+
+    @cached_property
+    def split(self) -> Callable:
+        return partial(_split_field, (0,) * (self.dim - 1))
+
+    @cached_property
+    def build(self) -> Callable:
+        return partial(FieldElem, self)
+
+    times = _times
+
+    def products(self, rows: Sequence[Sequence], right: Sequence[Sequence]) -> tuple:
+        split, dot = self.split, self.dot
+        cols = [split(c) for c in zip(*right)]
+        return tuple([tuple([dot(r, c) for c in cols]) for r in map(split, rows)])
+
+    def dot(self, a, b):
+        (da, ra), (db, rb) = a, b
+        out = [0] * len(ra)
+        for s, t, st, common in self.plan:
+            out[st] += sum(map(mul, ra[s], rb[t])) * common
+        return self.build(out, da * db)
+
+    def divisor(self, d: Sequence[int]) -> tuple[Optional[list[int]], int]:
+        """(C, N) with C/N = 1/d by `_norm_parts`; C is None over Q, where
+        it is 1."""
+        conj, norm = _norm_parts(self, d, self.k)
+        return (conj if self.k else None), norm
+
+    def exact(self, coords: list, norm: int) -> list:
+        """Coordinates divided by the integer norm, which divides each."""
+        if norm == 1:
+            return coords
+        return [[x // norm for x in c] for c in coords]
 
     def __str__(self) -> str:
         roots = ", ".join(f"sqrt({r})" for r in self.radicands)
@@ -178,10 +225,10 @@ def field(*radicands: int) -> FieldDescriptor:
 # is zero.  A RingElem subclass supplies only what differs between rings:
 # _coerce (the other operand in its own ring, or None), the same-ring
 # kernels _add, _sub and _mul, __neg__, inverse, is_zero, __eq__ and
-# __hash__; optionally `desc`, a descriptor whose `kernel` runs matrix
-# products over the ring.  RingElem derives every other operator from
-# these once.  The helpers below are the one place where bare rationals
-# join the protocol.
+# __hash__; optionally `desc`, its ring's descriptor, which is the kernel
+# of matrix products over the ring.  RingElem derives every other operator
+# from these once.  The helpers below are the one place where bare
+# rationals join the protocol.
 
 
 def _zero_like(x):
@@ -451,15 +498,6 @@ _set_desc, _set_nums, _set_den = (FieldElem.__dict__[name].__set__
                                   for name in FieldElem.__slots__)
 
 
-def _times(desc: FieldDescriptor, a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """The integer numerators of a product, over the product of the two
-    denominators, by the descriptor's plan."""
-    out = [0] * desc.dim
-    for s, t, st, common in desc.plan:
-        out[st] += a[s] * b[t] * common
-    return out
-
-
 def _split(desc: FieldDescriptor, nums: Sequence[int], level: int):
     """x = u + v*sqrt(r) for numerators on the monomials of the first
     `level` radicands: the numerators of u, v and the norm u^2 - r*v^2
@@ -623,8 +661,8 @@ class ExactMatrix:
         width = len(rows[0])
         if any(len(r) != width for r in rows):
             raise ValueError("matrix rows have unequal length")
-        # a ring's elements name their kernel's descriptor, `desc`, and a
-        # type with none (RingElem.desc is None) has no kernel
+        # a ring's elements name its descriptor, `desc`, their kernel, and
+        # a type with none (RingElem.desc is None) has no kernel
         kinds = set(map(type, chain.from_iterable(rows)))
         if any(not issubclass(t, (int, Fraction)) and getattr(t, "desc", None) is None
                for t in kinds):
@@ -797,22 +835,32 @@ class ExactMatrix:
 
 # -- dot products ----------------------------------------------------------
 #
-# Every product picks its kernel once, in one pass over all the entries it
-# will see (_kernel): every entry but a Fraction names its kernel by its
-# descriptor `desc`.  A kernel splits a vector once into coordinates over
-# one denominator: (den, one list per coordinate).  Over
-# Q (every entry a Fraction) and over one multiquadratic field (FieldElems
-# of one descriptor, and Fractions, the elements with only a constant
-# coordinate) the coordinates are the integer numerators over the lcm of
-# the denominators, one list per monomial; over one finite field F_p or
-# F_p[r]/(r^2 - r2) (FqElems of one descriptor, no Fraction; modp builds
-# the kernel) they are the integer coordinates x and y over 1, multiplied
-# by the plan of Q(sqrt(r2)).  A dot product of two split vectors is one
-# integer sum per plan entry and one scalar, whose constructor takes the
-# only gcd or the only reduction mod p (Cohen, A Course in Computational
-# Algebraic Number Theory, 4.2).  A finite field's matrix product skips
-# them: it runs on modp's packed row codes.  Every other mix (two fields,
-# Fractions with FqElems) has no kernel and is refused.
+# A ring's descriptor is the kernel of its matrices: a FieldDescriptor for
+# one multiquadratic field, `_RATIONALS` for Q on Fraction entries, and
+# modp's FqDescriptor for one finite field.  Every product picks its kernel
+# once, in one pass over all the entries it will see (_kernel): every entry
+# but a Fraction names its kernel by its descriptor `desc`.  A kernel's
+# `split` turns a vector once into coordinates over one denominator: (den,
+# one list per coordinate).  Over Q and over one field (FieldElems of one
+# descriptor, and Fractions, the elements with only a constant coordinate)
+# they are the integer numerators over the lcm of the denominators, one
+# list per monomial; over F_p or F_p[r]/(r^2 - r2) (FqElems of one
+# descriptor, no Fraction) they are the integer coordinates x and y over 1,
+# multiplied by the plan of Q(sqrt(r2)).  `products(rows, right)` is a
+# whole matrix product of two matrices given by their rows, as row tuples:
+# over Q and a field every row and every column of `right` is split once,
+# and each entry is one `dot`, one integer sum per plan entry and one
+# scalar, whose constructor takes the only gcd (Cohen, A Course in
+# Computational Algebraic Number Theory, 4.2); over F_q it runs modp's
+# `_Layout` row codes on `right`'s rows, in a layout sized by the inner
+# dimension, decoded into interned entries.  `unit` and `times` are the one
+# and the product on integer coordinates of any size, never reduced, so
+# `symrep.tau` multiplies coordinates that each pack a polynomial's
+# coefficients (Kronecker substitution) without building scalars;
+# `build(nums, den)` makes the one scalar of a result entry.  `divisor`
+# and `exact` divide coordinates for `_Elimination`: exactly over Q and its
+# fields, and mod p over F_q.  Every other mix (two fields, Fractions with
+# FqElems) has no kernel and is refused.
 
 
 def _split_rationals(vec: Sequence[Fraction]) -> tuple[int, list[list[int]]]:
@@ -829,83 +877,24 @@ def _split_field(zeros: tuple, vec: Sequence) -> tuple[int, list[tuple[int, ...]
         for x in vec)))
 
 
-class _Fused:
-    """The fused kernel of Q (desc is field(), entries are Fractions), of a
-    finite field (desc is modp's plan-shaped descriptor, with its own
-    split, build and products; no Fractions) or, by default, of one field
-    (entries are FieldElems of desc and Fractions).  Each is built once per
-    descriptor, as `desc.kernel`; it is the only kernel.
-    `products(rows, right)` is a whole matrix product of two matrices
-    given by their rows, as row tuples: by default every row and every
-    column of `right` split once and one `dot` per entry; a finite field's
-    runs modp's `_Layout` row codes on `right`'s rows, in a layout sized by
-    the inner dimension, decoded into interned entries.
-    `unit` and `times` are the one and the product on integer coordinates
-    of any size, never reduced, so `symrep.tau` multiplies coordinates
-    that each pack a polynomial's coefficients (Kronecker substitution)
-    without building scalars; `build(nums, den)` makes the one scalar of a
-    result entry, and `rationals` says whether `split` reads Fraction
-    entries.  `divisor` and `exact` divide coordinates for `_Elimination`:
-    exactly over Q and its fields, and mod the `modulus` p over F_q."""
+class _Rationals(FieldDescriptor):
+    """Q's kernel on all-Fraction entries, whose results are Fractions.
+    Q's other kernel is field(), whose results are FieldElems."""
 
-    __slots__ = ("desc", "plan", "split", "build", "unit", "rationals", "products",
-                 "modulus")
+    split = staticmethod(_split_rationals)
 
-    def __init__(self, desc, split: Optional[Callable] = None,
-                 build: Optional[Callable] = None, rationals: bool = True,
-                 products: Optional[Callable] = None, modulus: Optional[int] = None):
-        self.desc, self.plan, self.unit = desc, desc.plan, [1] + [0] * (desc.dim - 1)
-        self.split = split or partial(_split_field, (0,) * (desc.dim - 1))
-        self.build = build or partial(FieldElem, desc)
-        self.rationals = rationals
-        self.products = products or self._split_products
-        self.modulus = modulus
-
-    def _split_products(self, rows: Sequence[Sequence], right: Sequence[Sequence]) -> tuple:
-        split, dot = self.split, self.dot
-        cols = [split(c) for c in zip(*right)]
-        return tuple([tuple([dot(r, c) for c in cols]) for r in map(split, rows)])
-
-    def times(self, u: Sequence[int], v: Sequence[int]) -> list[int]:
-        return _times(self.desc, u, v)
-
-    def divisor(self, d: Sequence[int]) -> tuple[Optional[list[int]], int]:
-        """(C, N) such that x / d is `exact` of x * C over N: C/N = 1/d by
-        `_norm_parts` (C None over Q, where it is 1), or over F_q C = 1/d
-        mod p and N = 1."""
-        conj, norm = _norm_parts(self.desc, d, self.desc.k)
-        p = self.modulus
-        if p is None:
-            return (conj if self.desc.k else None), norm
-        inv = pow(norm, -1, p)
-        return [c * inv % p for c in conj], 1
-
-    def exact(self, coords: list, norm: int) -> list:
-        """Coordinates divided by the integer norm, which divides each of
-        them; over F_q (norm 1) reduced mod p."""
-        p = self.modulus
-        if p is not None:
-            return [[x % p for x in c] for c in coords]
-        if norm == 1:
-            return coords
-        return [[x // norm for x in c] for c in coords]
-
-    def dot(self, a, b):
-        (da, ra), (db, rb) = a, b
-        out = [0] * len(ra)
-        for s, t, st, common in self.plan:
-            out[st] += sum(map(mul, ra[s], rb[t])) * common
-        return self.build(out, da * db)
+    def build(self, nums: Sequence[int], den: int) -> Fraction:
+        return Fraction(nums[0], den)
 
 
-_RATIONALS = _Fused(field(), _split_rationals, lambda nums, den: Fraction(nums[0], den))
+_RATIONALS = _Rationals(())
 
 
-def _kernel(vectors: Sequence[Sequence]) -> _Fused:
-    """The kernel of the entries of `vectors`, from one pass: Q's if all
-    are Fractions, else the kernel of the first descriptor, which every
-    other entry's descriptor equals (a field's also takes the Fractions,
-    a finite field's none).  Any other mix is a ValueError."""
+def _kernel(vectors: Sequence[Sequence]) -> Union[FieldDescriptor, FqDescriptor]:
+    """The kernel of the entries of `vectors`, from one pass: `_RATIONALS`
+    if all are Fractions, else the first descriptor, which every other
+    entry's descriptor equals (a field's also takes the Fractions, a finite
+    field's none).  Any other mix is a ValueError."""
     desc, rational = None, False
     for x in chain.from_iterable(vectors):
         if type(x) is Fraction:  # first: all-Fraction input is the common case
@@ -915,10 +904,11 @@ def _kernel(vectors: Sequence[Sequence]) -> _Fused:
                 desc = x.desc
             elif x.desc is None or x.desc != desc:
                 raise ValueError("the entries are not of one ring with a kernel")
-    kernel = _RATIONALS if desc is None else desc.kernel
-    if rational and not kernel.rationals:
+    if desc is None:
+        return _RATIONALS
+    if rational and not isinstance(desc, FieldDescriptor):
         raise ValueError("the entries are not of one ring with a kernel")
-    return kernel
+    return desc
 
 
 def _products(rows: Sequence[Sequence], right: Sequence[Sequence]) -> tuple:
@@ -971,10 +961,10 @@ class _Elimination:
     determinant up to the sign of the column order.  A pivot row keeps the
     values of the step before its own, which makes `solve` Gauss-Jordan."""
 
-    __slots__ = ("kernel", "rows", "levels", "done", "pivots", "values", "_divisors")
+    __slots__ = ("kernel", "rows", "levels", "pivots", "values", "_divisors")
 
-    def __init__(self, kernel: _Fused, rows: Iterable = ()):
-        self.kernel, self.rows, self.levels, self.done = kernel, [], [], []
+    def __init__(self, kernel: Union[FieldDescriptor, FqDescriptor], rows: Iterable = ()):
+        self.kernel, self.rows, self.levels = kernel, [], []
         self.pivots: list[tuple[int, int]] = []
         self.values: list[list[int]] = []
         self._divisors: dict[int, tuple] = {}
@@ -999,12 +989,11 @@ class _Elimination:
     def append(self, row: Sequence) -> int:
         self.rows.append(row)
         self.levels.append(-1)
-        self.done.append(0)
         return len(self.rows) - 1
 
     def pop(self) -> None:
-        for stack in (self.rows, self.levels, self.done):
-            stack.pop()
+        self.rows.pop()
+        self.levels.pop()
 
     def add(self, r: int, width: Optional[int] = None) -> Optional[int]:
         """Reduce row r and pivot on its first nonzero column if that is
@@ -1017,15 +1006,16 @@ class _Elimination:
         return c
 
     def reduce(self, r: int) -> None:
-        """Row r reduced against each pivot it has not met yet."""
+        """Row r, not a pivot, reduced against each pivot after its level:
+        a skipped pivot left a zero in its column, and a step keeps the
+        earlier pivot columns zero."""
         pivots = self.pivots
-        for t in range(self.done[r], len(pivots)):
+        for t in range(self.levels[r] + 1, len(pivots)):
             c = pivots[t][1]
             for x in self.rows[r]:
                 if x[c]:
                     self._step(r, t)
                     break
-        self.done[r] = len(pivots)
 
     def pivot(self, r: int, c: int) -> None:
         """Make row r, reduced, the next pivot, at column c."""
@@ -1038,7 +1028,6 @@ class _Elimination:
                                                 None, None, level)]
         self.pivots.append((r, c))
         self.values.append(value)
-        self.done[r] = t + 1
 
     def lift(self, r: int, level: int) -> None:
         """Rescale row r to its values at step `level`."""

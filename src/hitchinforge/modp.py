@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import rshift
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
@@ -23,8 +24,9 @@ from .exactnum import (
     ExactMatrix,
     FieldElem,
     RingElem,
-    _Fused,
     _is_prime,
+    _kernel,
+    _times,
     field,
     format_scalar,
     in_group,
@@ -85,9 +87,9 @@ class FqElem(RingElem):
     def degree(self) -> int:
         return 1 if self.r2 is None else 2
 
-    @property
+    @cached_property  # read for every entry by exactnum._kernel's scan
     def desc(self) -> "FqDescriptor":
-        """The descriptor of this element's field; it holds the kernel."""
+        """The descriptor of this element's field, its kernel."""
         return _FQ_DESCRIPTORS[self.p, self.r2]
 
     def _coerce(self, other) -> Optional["FqElem"]:
@@ -161,44 +163,52 @@ class FqElem(RingElem):
 
 
 class FqDescriptor:
-    """F_p (r2 None) or F_p[r]/(r^2 - r2) as its kernel sees it.  A matrix
-    product is `_Layout.times` on the layout sized by the larger of the
-    inner dimension and the column count, decoded into interned FqElems.
-    For `symrep.tau` an element splits into its integer coordinates x (and
-    y) over the denominator 1, and `times` multiplies them by the plan of
+    """F_p (r2 None) or F_p[r]/(r^2 - r2), and the kernel of its matrices
+    (see exactnum's dot-products comment).  A matrix product is
+    `_Layout.times` on the layout sized by the larger of the inner
+    dimension and the column count, decoded into interned FqElems.  For
+    `symrep.tau` an element splits into its integer coordinates x (and y)
+    over the denominator 1, and `times` multiplies them by the plan of
     Q(sqrt(r2)) (F_p keeps its constant entry) with no reduction, so
     coordinates that pack a polynomial's coefficients multiply as
     polynomials; `build` reduces each output entry mod p once.  For
-    `exactnum._Elimination` the kernel divides mod p, by the inverse of the
-    norm down the tower of `radicands` (r2, if any).  Interned in
-    _FQ_DESCRIPTORS, so each field builds one kernel."""
+    `exactnum._Elimination` `divisor` inverts mod p and `exact` reduces mod
+    p.  Interned in _FQ_DESCRIPTORS, one per field."""
 
-    __slots__ = ("dim", "k", "radicands", "plan", "kernel")
+    __slots__ = ("p", "r2", "dim", "plan", "unit")
 
     def __init__(self, p: int, r2: Optional[int]):
-        self.radicands = () if r2 is None else (r2,)
-        self.k = len(self.radicands)
-        self.dim = 1 << self.k
+        self.p, self.r2 = p, r2
+        self.dim = 1 if r2 is None else 2
         self.plan = ((0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1), (1, 1, 0, r2))[:self.dim ** 2]
-        if r2 is None:
-            def split(vec):
-                return 1, [[e.x for e in vec]]
+        self.unit = [1, 0][:self.dim]
 
-            def build(nums, den):
-                return FqElem(p, nums[0])
-        else:
-            def split(vec):
-                return 1, [[e.x for e in vec], [e.y for e in vec]]
+    times = _times
 
-            def build(nums, den):
-                return FqElem(p, nums[0], nums[1], r2)
+    def split(self, vec: Sequence[FqElem]) -> tuple[int, list[list[int]]]:
+        if self.r2 is None:
+            return 1, [[e.x for e in vec]]
+        return 1, [[e.x for e in vec], [e.y for e in vec]]
 
-        def products(rows, right):
-            # every field of a row sum is at most top only when the layout
-            # covers the inner dimension, not just the columns
-            return _LAYOUTS[p, r2, max(len(right), len(right[0]))].times(rows, right)
-        self.kernel = _Fused(self, split, build, rationals=False, products=products,
-                             modulus=p)
+    def build(self, nums: Sequence[int], den: int) -> FqElem:
+        return FqElem(self.p, *nums, r2=self.r2)
+
+    def products(self, rows, right) -> tuple:
+        # every field of a row sum is at most top only when the layout
+        # covers the inner dimension, not just the columns
+        return _LAYOUTS[self.p, self.r2, max(len(right), len(right[0]))].times(rows, right)
+
+    def divisor(self, d: Sequence[int]) -> tuple[list[int], int]:
+        """(1/d mod p, 1), as 1/(x + y r) = (x - y r) / (x^2 - r2 y^2)."""
+        p = self.p
+        if self.r2 is None:
+            return [pow(d[0], -1, p)], 1
+        x, y = d
+        inv = pow(x * x - self.r2 * y * y, -1, p)
+        return [x * inv % p, -y * inv % p], 1
+
+    def exact(self, coords: list, norm: int) -> list:
+        return [[x % self.p for x in c] for c in coords]
 
 
 # -- reduction contexts ------------------------------------------------------
@@ -419,25 +429,13 @@ class _Layout:
 _LAYOUTS = _Lazy(lambda key: _Layout(*key))  # by (p, r2, n)
 
 
-def _field(gens: Sequence[ExactMatrix]) -> tuple[int, Optional[int]]:
-    """(p, r2) of the one field of every generator entry; r2 is None for
-    the prime field."""
-    if not gens:
-        raise ValueError("need at least one generator")
-    entries = [e for g in gens for row in g.entries for e in row]
-    if not all(isinstance(e, FqElem) for e in entries):
-        raise TypeError("closure needs FqElem entries")
-    if len({e.p for e in entries}) > 1:
-        raise ValueError("mixed characteristics")
-    r2s = {e.r2 for e in entries}  # with one p, one r2 is one FqDescriptor
-    if len(r2s) > 1:
-        raise ValueError("mixed quadratic extensions")
-    return entries[0].p, r2s.pop()
-
-
 def _layout(gens: Sequence[ExactMatrix]) -> _Layout:
-    """The layout of the row codes of the generators."""
-    return _LAYOUTS[(*_field(gens), gens[0].nrows)]
+    """The layout of the row codes of the generators, whose entries must
+    be of one finite field: `_kernel`'s one pass names it."""
+    desc = _kernel([row for g in gens for row in g.entries])
+    if not isinstance(desc, FqDescriptor):  # no generators at all pick Q
+        raise ValueError("the generators are not matrices over one finite field")
+    return _LAYOUTS[desc.p, desc.r2, gens[0].nrows]
 
 
 def _row_action(rows: Sequence[int], layout: _Layout) -> _Lazy:

@@ -79,9 +79,10 @@ def tau(n: int, m: ExactMatrix) -> ExactMatrix:
     det = a * d - b * c
     if not det:
         raise ValueError("matrix is singular")
-    # The expansion runs on the coordinates of m's ring (exactnum._kernel)
-    # by Kronecker substitution: m = M / den with M integral, and column i
-    # lists the coefficients of (a + cY)^(n-1-i) (b + dY)^i over den^(n-1).
+    # The expansion runs on the coordinates of m's ring, through the kernel
+    # protocol of its descriptor (exactnum._kernel), by Kronecker
+    # substitution: m = M / den with M integral, and column i lists the
+    # coefficients of (a + cY)^(n-1-i) (b + dY)^i over den^(n-1).
     # At Y = 2^w each coordinate of a + cY and of b + dY is one integer, so
     # a column is one kernel product of two powers, and its Y^k coefficient
     # is the k-th signed w-bit digit of each coordinate.  Every coefficient

@@ -5,6 +5,7 @@ from math import isqrt, prod
 
 import pytest
 
+from hitchinforge import exactnum
 from hitchinforge.exactnum import (
     ExactMatrix,
     FieldDescriptor,
@@ -57,6 +58,23 @@ def test_square_free_decomposition():
     assert square_free_decomposition(1) == (1, 1)
     assert square_free_decomposition(-18) == (3, -2)
     assert square_class(Fraction(8, 3)) == 6
+
+
+def test_square_class_factors_numerator_and_denominator_apart(monkeypatch):
+    """A reduced fraction's parts are coprime, so each is factored alone:
+    trial division of their product would run up to the square root of
+    its cofactor 8956821383 * 92347 * 81621259."""
+    q = Fraction(1303665352295650, 7537478404873)
+    seen = []
+
+    def recording(n):
+        seen.append(n)
+        return _factor(n)
+
+    monkeypatch.setattr(exactnum, "_factor", recording)
+    assert square_class(q) == 2 * 41 * 71 * 8956821383 * 92347 * 81621259
+    assert seen and q.numerator * q.denominator not in seen
+    assert square_class(Fraction(-50, 27)) == -6
 
 
 def test_descriptor_validation():

@@ -211,6 +211,37 @@ def test_negative_word_length():
     assert trace_set_of_generators(sl_generators(2, 3), word_length=0) == {FqElem(3, 2)}
 
 
+def _unipotent(p, r2=None):
+    one, zero = FqElem(p, 1, 0, r2), FqElem(p, 0, 0, r2)
+    return ExactMatrix([[one, one], [zero, one]])
+
+
+REFUSED_GENERATORS = {
+    "Fraction": lambda: [ExactMatrix([[1, Fraction(1, 2)], [0, 1]])],
+    "FieldElem": lambda: [ExactMatrix([[1, FieldElem.sqrt_int(field(3), 3)], [0, 1]])],
+    "two characteristics": lambda: [_unipotent(3), _unipotent(5)],
+    "F_p next to F_p^2": lambda: [_unipotent(5), _unipotent(5, 2)],
+    "empty": lambda: [],
+}
+
+
+@pytest.mark.parametrize("name", list(REFUSED_GENERATORS))
+def test_closures_refuse_generators_not_over_one_finite_field(name):
+    """Full closures, both trace sets and matrix_order raise one
+    ValueError unless every entry is of one finite field.  matrix_order
+    takes one matrix: the first generator's first row over the last
+    one's second row, as no matrix is empty."""
+    gens = REFUSED_GENERATORS[name]()
+    calls = [group_closure, group_closure_and_traces, trace_set_of_generators,
+             lambda g: trace_set_of_generators(g, word_length=2)]
+    if gens:
+        calls.append(lambda g: matrix_order(
+            ExactMatrix([g[0].entries[0], g[-1].entries[1]])))
+    for call in calls:
+        with pytest.raises(ValueError, match="one ring with a kernel|one finite field"):
+            call(gens)
+
+
 def test_order_formulas():
     assert group_order_formula("SL", 3, 5) == 372000
     assert group_order_formula("SL", 3, 3) == 5616
