@@ -62,12 +62,20 @@ from .symrep import (
 )
 
 SCHEMA = "hitchin-forge/1"
-# the one JSON reader: integer literals of any size are read by exactnum
-_read_json = json.JSONDecoder(parse_int=_text_int).decode
+_decode_json = json.JSONDecoder(parse_int=_text_int).decode
 
 
 class UsageError(Exception):
     pass
+
+
+def _read_json(text: str):
+    """The one JSON reader: exactnum reads integer literals of any size,
+    and nesting too deep for the decoder is a usage error."""
+    try:
+        return _decode_json(text)
+    except RecursionError:
+        raise UsageError("JSON is nested too deeply") from None
 
 
 def _matrix_to_json(m: ExactMatrix) -> list:

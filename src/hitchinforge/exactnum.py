@@ -561,12 +561,11 @@ class GaloisAction:
 
 
 def apply_galois(action: GaloisAction, x: Scalar) -> Scalar:
-    """Apply a Galois sign action; rationals are fixed."""
+    """Apply a Galois sign action to a FieldElem; rationals are fixed."""
     if isinstance(x, (int, Fraction)):
         return x
     if not isinstance(x, FieldElem):
-        # quaternion and other composite scalars implement their own hook
-        return x.apply_galois(action)  # type: ignore[union-attr]
+        raise TypeError(f"no Galois action on {type(x).__name__}")
     out = list(x.nums)
     for mask in range(1, x.desc.dim):
         if not out[mask]:

@@ -116,22 +116,17 @@ class FqElem(RingElem):
         return FqElem(self.p, -self.x, -self.y, self.r2)
 
     def _mul(self, o: "FqElem") -> "FqElem":
-        r2 = self.r2
-        if r2 is None:
-            return FqElem(self.p, self.x * o.x)
-        return FqElem(self.p,
-                      self.x * o.x + r2 * self.y * o.y,
-                      self.x * o.y + self.y * o.x, r2)
+        desc = self.desc
+        return desc.build(desc.times((self.x, self.y), (o.x, o.y)), 1)
 
     def inverse(self) -> "FqElem":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        ninv = pow(self.norm(), -1, self.p)
-        return FqElem(self.p, self.x * ninv, -self.y * ninv, self.r2)
+        return self.desc.build(*self.desc.divisor((self.x, self.y)))
 
     def norm(self) -> int:
-        """x * frobenius(x) = x^2 - r2 y^2 mod p."""
-        return (self.x * self.x - (self.r2 or 0) * self.y * self.y) % self.p
+        """x * frobenius(x), by the descriptor's `norm`."""
+        return self.desc.norm((self.x, self.y))
 
     def frobenius(self) -> "FqElem":
         return FqElem(self.p, self.x, -self.y, self.r2)
@@ -163,17 +158,15 @@ class FqElem(RingElem):
 
 
 class FqDescriptor:
-    """F_p (r2 None) or F_p[r]/(r^2 - r2), and the kernel of its matrices
-    (see exactnum's dot-products comment).  A matrix product is
-    `_Layout.times` on the layout sized by the larger of the inner
-    dimension and the column count, decoded into interned FqElems.  For
-    `symrep.tau` an element splits into its integer coordinates x (and y)
-    over the denominator 1, and `times` multiplies them by the plan of
-    Q(sqrt(r2)) (F_p keeps its constant entry) with no reduction, so
-    coordinates that pack a polynomial's coefficients multiply as
-    polynomials; `build` reduces each output entry mod p once.  For
-    `exactnum._Elimination` `divisor` inverts mod p and `exact` reduces mod
-    p.  Interned in _FQ_DESCRIPTORS, one per field."""
+    """F_p (r2 None) or F_p[r]/(r^2 - r2): the kernel of its matrices (see
+    exactnum's dot-products comment) and of FqElem, whose product, inverse
+    and norm run `times`, `divisor` and `norm` on its coordinates (x, y).
+    A matrix product is `_Layout.times` in the layout sized by the larger
+    of the inner dimension and the column count.  `times` multiplies
+    integer coordinates by the plan of Q(sqrt(r2)) (F_p keeps its constant
+    entry) unreduced, so packed polynomials multiply as polynomials for
+    `symrep.tau`, and `build` reduces mod p; for `exactnum._Elimination`
+    `divisor` inverts and `exact` reduces.  One per field, in _FQ_DESCRIPTORS."""
 
     __slots__ = ("p", "r2", "dim", "plan", "unit")
 
@@ -198,14 +191,17 @@ class FqDescriptor:
         # covers the inner dimension, not just the columns
         return _LAYOUTS[self.p, self.r2, max(len(right), len(right[0]))].times(rows, right)
 
+    def norm(self, d: Sequence[int]) -> int:
+        """N(x + y r) = x^2 - r2 y^2 mod p for d = (x, y), y 0 over F_p."""
+        return (d[0] * d[0] - (self.r2 or 0) * d[1] * d[1]) % self.p
+
     def divisor(self, d: Sequence[int]) -> tuple[list[int], int]:
-        """(1/d mod p, 1), as 1/(x + y r) = (x - y r) / (x^2 - r2 y^2)."""
+        """(1/d mod p, 1), as 1/(x + y r) = (x - y r) / N(x + y r)."""
         p = self.p
         if self.r2 is None:
             return [pow(d[0], -1, p)], 1
-        x, y = d
-        inv = pow(x * x - self.r2 * y * y, -1, p)
-        return [x * inv % p, -y * inv % p], 1
+        inv = pow(self.norm(d), -1, p)
+        return [d[0] * inv % p, -d[1] * inv % p], 1
 
     def exact(self, coords: list, norm: int) -> list:
         return [[x % self.p for x in c] for c in coords]
@@ -270,10 +266,9 @@ def reduce_int_matrix(m: ExactMatrix, p: int) -> ExactMatrix:
 
 
 def matrix_order(m: ExactMatrix) -> int:
-    """Multiplicative order of an invertible FqElem matrix: the order of
-    the cyclic group it generates, from its stabilizer chain."""
-    if m.det() == 0:
-        raise ValueError("a singular matrix has no multiplicative order")
+    """Multiplicative order of an invertible FqElem matrix, the order of
+    the cyclic group it generates, from its stabilizer chain; a singular
+    one never sifts to the identity, so the chain's `_add` refuses it."""
     return _Chain([m], DEFAULT_CLOSURE_CAP).order
 
 
@@ -430,27 +425,24 @@ _LAYOUTS = _Lazy(lambda key: _Layout(*key))  # by (p, r2, n)
 
 
 def _layout(gens: Sequence[ExactMatrix]) -> _Layout:
-    """The layout of the row codes of the generators, whose entries must
-    be of one finite field: `_kernel`'s one pass names it."""
+    """The row-code layout of the generators, the one intake of every
+    closure, run once per call: `_kernel`'s one pass names their one
+    finite field, and every generator must be n x n for one n."""
     desc = _kernel([row for g in gens for row in g.entries])
     if not isinstance(desc, FqDescriptor):  # no generators at all pick Q
         raise ValueError("the generators are not matrices over one finite field")
-    return _LAYOUTS[desc.p, desc.r2, gens[0].nrows]
+    n = gens[0].nrows
+    if any(g.nrows != n or g.ncols != n for g in gens):
+        raise ValueError("the generators are not n x n matrices for one n")
+    return _LAYOUTS[desc.p, desc.r2, n]
 
 
-def _row_action(rows: Sequence[int], layout: _Layout) -> _Lazy:
-    """Lazy table from a row code to the code of that row times the matrix
-    whose row codes are rows."""
-    return _Lazy(layout.product([rows]))
-
-
-def _walk(gens: Sequence[ExactMatrix], cap: int, depth: int) -> set[tuple[int, ...]]:
-    """Breadth-first walk of the products of the generators from the
-    identity: the words of length at most depth.  The first time a row is
-    met, one product gives its images under every generator.  Returns the
-    set of elements; raises CapExceeded (with the partial count, cap + 1)
-    as soon as the set outgrows the cap."""
-    layout = _layout(gens)
+def _walk(gens: Sequence[ExactMatrix], layout: _Layout, cap: int,
+          depth: int) -> set[tuple[int, ...]]:
+    """The words of length at most depth in the generators, in their
+    `_layout`, by a breadth-first walk: a row's first lookup gives its
+    images under every generator.  Raises CapExceeded (with the partial
+    count, cap + 1) as soon as the set of elements outgrows the cap."""
     image = layout.product([layout.codes(g.entries) for g in gens])
     bits, mask = layout.bits, (1 << layout.bits) - 1
     shifts = range(0, bits * len(gens), bits)
@@ -529,7 +521,7 @@ class _Chain:
         for gamma in reversed(path):
             _, beta, (_, s_inv_rows) = trans[gamma]
             rows = tuple(map(cache[beta].__getitem__, s_inv_rows))
-            cache[gamma] = _row_action(rows, self.layout)
+            cache[gamma] = _Lazy(self.layout.product([rows]))
         return cache[gamma]
 
     def _sift(self, rows: tuple[int, ...], level: int
@@ -555,7 +547,7 @@ class _Chain:
             inverse = ExactMatrix(list(map(layout.entries, rows))).inverse()
         except ZeroDivisionError:
             raise ValueError("closure needs invertible generators") from None
-        gen = (_row_action(rows, layout), layout.codes(inverse.entries))
+        gen = (_Lazy(layout.product([rows])), layout.codes(inverse.entries))
         for i in range(level + 1):
             self.strong[i].append(gen)
             self._close(i)
@@ -637,21 +629,20 @@ def _times_each(elements: Iterator[tuple[int, ...]],
 def _traces(elements: Iterable[tuple[int, ...]], layout: _Layout) -> frozenset[FqElem]:
     """Trace set of elements given by their row codes.  Row i shifted
     down by its diagonal's place puts that entry in the lowest fields, so
-    the sum of the shifted rows carries the trace, unreduced, in its lowest
-    field (two over F_p^2), and no field carries into the next.  Several
-    sums give one trace, so each is reduced when first seen; reading stops
-    once all q values of F_q have appeared."""
-    p, r2, width = layout.p, layout.r2, layout.width
-    shifts = [width * layout.dim * i for i in range(len(layout.base))]
-    low = (1 << width * layout.dim) - 1
-    q = p ** layout.dim
+    the sum of the shifted rows is the trace's code, unreduced, and no
+    field carries into the next.  Each sum is reduced when first seen and
+    read from the layout's element table; reading stops once all q values
+    of F_q have appeared."""
+    shifts, reduce, element = layout.shifts, layout.reduce[1], layout.element
+    low = (1 << layout.step) - 1
+    q = layout.p ** layout.dim
     sums: set[int] = set()
     traces: set[FqElem] = set()
     for m in elements:
         s = sum(map(rshift, m, shifts)) & low
         if s not in sums:
             sums.add(s)
-            traces.add(FqElem(p, s & layout.mask, s >> width, r2))
+            traces.add(element[reduce(s)])
             if len(traces) == q:
                 break
     return frozenset(traces)
@@ -849,7 +840,8 @@ def trace_set_of_generators(gens: Sequence[ExactMatrix],
         return _Chain(gens, cap).traces()
     if word_length < 0:
         raise ValueError(f"word length {word_length} is negative")
-    return _traces(_walk(gens, cap, word_length), _layout(gens))
+    layout = _layout(gens)
+    return _traces(_walk(gens, layout, cap, word_length), layout)
 
 
 def _check_family(family: str, n: int, p: int) -> None:

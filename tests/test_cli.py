@@ -8,6 +8,7 @@ import pytest
 
 from hitchinforge.bender import b0_family
 from hitchinforge.cli import _load_bending_spec, _load_matrix, run
+from hitchinforge.symrep import cocycle_matrix
 from hitchinforge.exactnum import (
     ExactMatrix,
     format_scalar,
@@ -650,6 +651,58 @@ def test_lattice_check_has_no_quaternion_kinds(capsys, kind):
     assert len(errors) == 1
     assert errors[0].startswith("hitchin-forge lattice-check: error: argument "
                                 f"--kind: invalid choice: '{kind}'")
+
+
+DEEP = 100_000
+
+
+@pytest.mark.parametrize("argv", [
+    ["symrep", "--n", "3", "--matrix", "[" * DEEP + "]" * DEEP],
+    ["bend", "--spec", '{"n": ' + "[" * DEEP + "]" * DEEP + "}", "--word", "g1"],
+], ids=["matrix", "spec"])
+def test_deeply_nested_json_is_one_line_usage_error(capsys, argv):
+    """Nesting past the decoder's recursion is refused by the one JSON
+    reader, not a RecursionError traceback."""
+    line = _assert_one_line_usage_error(capsys, argv)
+    assert line == "error: JSON is nested too deeply"
+
+
+def test_containment_signs(capsys):
+    """--signs picks one sign pattern; a string that is not two of + and -
+    is a usage error."""
+    code, doc = run_json(capsys, ["containment", "--a", "2", "--b", "3", "--n", "3",
+                                  "--height", "1", "--signs", "+-"])
+    assert code == 0 and doc["patterns"] == ["+-"]
+    assert doc["passed"] == doc["total"] > 0
+    line = _assert_one_line_usage_error(capsys, [
+        "containment", "--a", "2", "--b", "3", "--n", "3", "--signs", "+"])
+    assert line == "error: signs must be two characters drawn from +-"
+
+
+@pytest.mark.parametrize("name, signs", [("T++", (1, 1)), ("T+-", (1, -1)),
+                                         ("T-+", (-1, 1)), ("T--", (-1, -1))])
+def test_named_cocycle_matrices(capsys, name, signs):
+    expected = cocycle_matrix(2, 3, signs)
+    assert _load_matrix(name) == expected
+    code, doc = run_json(capsys, ["symrep", "--n", "3", "--matrix", name])
+    assert code == 0
+    assert doc["matrix"] == [[format_scalar(e) for e in row] for row in expected.entries]
+
+
+def test_bending_spec_from_a_file_matches_the_inline_spec(capsys, tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_text(GENUS2_SPEC)
+    outputs = []
+    for spec in (GENUS2_SPEC, str(path)):
+        code = run(["bend", "--spec", spec, "--check-relator"])
+        outputs.append((code, capsys.readouterr().out))
+    assert outputs[0] == outputs[1] and outputs[0][0] == 0
+
+
+@pytest.mark.parametrize("spec", ["[1]", '"n"', "3", "null"])
+def test_bending_spec_must_be_a_json_object(capsys, spec):
+    line = _assert_one_line_usage_error(capsys, ["bend", "--spec", spec, "--word", "g1"])
+    assert line == "error: bending spec must be a JSON object"
 
 
 def test_unknown_matrix_is_usage_error(capsys):

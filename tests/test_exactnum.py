@@ -33,7 +33,7 @@ from hitchinforge.exactnum import (
     square_free_part,
 )
 from hitchinforge.modp import FqElem, trace_witness
-from hitchinforge.quatalg import QuatAlgebra, embed_blocks, gamma_enumerate
+from hitchinforge.quatalg import QuatAlgebra, QuatElem, embed_blocks, gamma_enumerate
 from hitchinforge.symrep import hermitian_h, tau
 from conftest import primes_up_to
 
@@ -133,6 +133,17 @@ def test_galois_examples():
     s3 = FieldElem.sqrt_int(d, 3)
     sigma = GaloisAction.flipping(3)
     assert apply_galois(sigma, 2 + s3) == 2 - s3
+
+
+def test_galois_action_refuses_other_scalars():
+    """Only rationals and FieldElems take the module's Galois action; a
+    quaternion applies it to its coordinates through its own method."""
+    sigma = GaloisAction.flipping(3)
+    q = QuatElem(QuatAlgebra(3, 5), 1, FieldElem.sqrt_int(field(3), 3))
+    assert q.apply_galois(sigma) == QuatElem(q.algebra, 1, -FieldElem.sqrt_int(field(3), 3))
+    for x in (q, FqElem(5, 2)):
+        with pytest.raises(TypeError, match="no Galois action"):
+            apply_galois(sigma, x)
 
 
 def test_galois_is_ring_automorphism(rng):

@@ -39,7 +39,7 @@ from hitchinforge.modp import (
     trace_set_of_generators,
     trace_witness,
 )
-from hitchinforge import modp
+from hitchinforge import exactnum, modp
 from hitchinforge.modp import (
     DEFAULT_CLOSURE_CAP,
     _Chain,
@@ -181,7 +181,7 @@ def test_word_walk_matches_matrix_products(name):
     build, length = WORD_SETS[name]
     gens = build()
     words = _words(gens, length)
-    assert len(_walk(gens, DEFAULT_CLOSURE_CAP, length)) == len(words)
+    assert len(_walk(gens, modp._layout(gens), DEFAULT_CLOSURE_CAP, length)) == len(words)
     assert trace_set(gens, word_length=length) == {m.trace() for m in words}
 
 
@@ -242,6 +242,77 @@ def test_closures_refuse_generators_not_over_one_finite_field(name):
             call(gens)
 
 
+MISSHAPEN_GENERATORS = {
+    "3x3 then 4x4": lambda: [sl_generators(3, 5)[0], sl_generators(4, 5)[0]],
+    "4x4 then 3x3": lambda: [sl_generators(4, 5)[0], sl_generators(3, 5)[0]],
+    "2x3": lambda: _fq_matrices(5, [[1, 1, 0], [0, 1, 0]]),
+}
+
+
+@pytest.mark.parametrize("name", list(MISSHAPEN_GENERATORS))
+def test_closures_refuse_generators_not_n_by_n_for_one_n(name):
+    """Generators of two sizes, or one that is not square, are one
+    ValueError from every closure entry point, not an order of the first
+    generator's rows or an IndexError."""
+    gens = MISSHAPEN_GENERATORS[name]()
+    calls = [group_closure, group_closure_and_traces, trace_set_of_generators,
+             lambda g: trace_set_of_generators(g, word_length=2)]
+    if len(gens) == 1:
+        calls.append(lambda g: matrix_order(g[0]))
+    for call in calls:
+        with pytest.raises(ValueError, match="n x n matrices for one n"):
+            call(gens)
+
+
+def test_a_word_trace_set_lays_out_its_generators_once(monkeypatch):
+    """The 55 SU(3, 3) generators are scanned by one `_kernel` pass, for
+    the walk and the trace decode together."""
+    gens = su3_generators(3)[0]
+    assert len(gens) == 55
+    calls = []
+    kernel = exactnum._kernel
+
+    def counted(rows):
+        calls.append(len(rows))
+        return kernel(rows)
+    monkeypatch.setattr(exactnum, "_kernel", counted)
+    monkeypatch.setattr(modp, "_kernel", counted)
+    assert trace_set_of_generators(gens, word_length=2) == trace_set(gens, word_length=2)
+    assert calls == [55 * 3, 55 * 3]     # the call above, then trace_set's
+    calls.clear()
+    trace_set_of_generators(gens, word_length=2)
+    assert calls == [55 * 3]
+
+
+def test_matrix_order_computes_no_determinant(monkeypatch):
+    """The chain alone refuses a singular matrix: it never sifts to the
+    identity, so its residue reaches `_Chain._add`."""
+    def no_det(self):
+        raise AssertionError("matrix_order computed a determinant")
+    monkeypatch.setattr(ExactMatrix, "det", no_det)
+    assert matrix_order(_fq_matrices(7, [[0, -1], [1, 1]])[0]) == 6
+    singular = _fq_matrices(5, [[1, 1], [1, 1]], [[0, 0], [0, 0]], [[1, 2], [2, 4]],
+                            [[1, 0, 0], [0, 1, 0], [0, 0, 0]])
+    for m in singular:
+        with pytest.raises(ValueError, match="invertible"):
+            matrix_order(m)
+
+
+@pytest.mark.parametrize("build, word_length", [
+    (lambda: sl_generators(3, 5), None), (lambda: sl_generators(3, 5), 3),
+    (lambda: su3_generators(3)[0], None), (lambda: su3_generators(3)[0][:6], 2)],
+    ids=["SL3-5", "SL3-5-words", "SU3-3", "SU3-3-words"])
+def test_traces_are_the_layouts_interned_elements(build, word_length):
+    """Every trace is decoded by the element table every entry is read
+    from, keyed by its reduced code x + (y << width)."""
+    gens = build()
+    layout = modp._layout(gens)
+    traces = trace_set_of_generators(gens, word_length=word_length)
+    assert traces
+    for t in traces:
+        assert t is layout.element[t.x + (t.y << layout.width)]
+
+
 def test_order_formulas():
     assert group_order_formula("SL", 3, 5) == 372000
     assert group_order_formula("SL", 3, 3) == 5616
@@ -273,7 +344,7 @@ def test_row_action_is_the_matrix_product(p, r2, n):
         return ExactMatrix([[fq() for _ in range(n)] for _ in range(nrows)])
     for _ in range(5):
         ms = [matrix(n) for _ in range(3)]
-        table = modp._row_action(layout.codes(ms[0].entries), layout)
+        table = modp._Lazy(layout.product([layout.codes(ms[0].entries)]))
         stacked = layout.product([layout.codes(m.entries) for m in ms])
         for _ in range(40):
             row = matrix(1)
@@ -366,7 +437,7 @@ def _reference_traces(walked, layout):
 
 def _assert_chain_matches_walk(gens):
     layout = modp._layout(gens)
-    walked = _walk(gens, DEFAULT_CLOSURE_CAP, DEFAULT_CLOSURE_CAP)
+    walked = _walk(gens, layout, DEFAULT_CLOSURE_CAP, DEFAULT_CLOSURE_CAP)
     chain = _Chain(gens, DEFAULT_CLOSURE_CAP)
     enumerated = list(chain.elements())
     assert chain.order == len(walked) == len(enumerated)
