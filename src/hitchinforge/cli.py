@@ -262,9 +262,14 @@ def _spec_int(value, name: str, low: Optional[int] = None) -> int:
 
 
 def _load_bending_spec(text: str) -> BendingSpec:
+    """A spec inline, or in the file named by text that is not JSON; text
+    whose first non-space character is '{' is an inline spec, so its JSON
+    error is the message."""
     try:
         data = _read_json(text)
-    except json.JSONDecodeError:
+    except json.JSONDecodeError as e:
+        if text.lstrip().startswith("{"):
+            raise UsageError(f"bending spec is not valid JSON: {e}") from None
         with open(text) as fh:
             data = _read_json(fh.read())
     if not isinstance(data, dict):

@@ -26,7 +26,9 @@ interned entries.  A matrix refuses quaternion entries, and a product of
 entries that no one kernel takes (Fractions with FqElems, two fields) is
 a ValueError.  An int or Fraction operand of a ring element is coerced
 into its ring.  Every elimination is fraction-free, one step on the
-kernels' integer coordinates (`_Elimination`).
+kernels' integer coordinates (`_Elimination`), and the isometry test
+sigma(M)^T J M = J compares Kronecker-packed rows of those coordinates
+(`preserves_form`), building no scalar.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from fractions import Fraction
 from functools import cached_property, partial
 from itertools import chain
 from math import gcd, isqrt, lcm, prod
-from operator import add, mul
+from operator import add, mul, sub
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional, Sequence, Union
 
 if TYPE_CHECKING:
@@ -167,6 +169,10 @@ class FieldDescriptor:
         return partial(FieldElem, self)
 
     times = _times
+
+    def signs(self, action: Optional[GaloisAction]) -> tuple[int, ...]:
+        """The sign of each coordinate under a Galois action (`_signs`)."""
+        return _signs(self.radicands, action)
 
     def products(self, rows: Sequence[Sequence], right: Sequence[Sequence]) -> tuple:
         split, dot = self.split, self.dot
@@ -560,22 +566,24 @@ class GaloisAction:
         raise ValueError(f"no sign recorded for sqrt({radicand})")
 
 
+def _signs(radicands: tuple[int, ...], action: Optional[GaloisAction]) -> tuple[int, ...]:
+    """The one sign rule: the sign of each monomial, indexed by its mask
+    over `radicands`, under a Galois action (all +1 for None); every
+    radicand must have a recorded sign."""
+    out = [1]
+    for r in radicands:
+        s = 1 if action is None else action.sign_of(r)
+        out += [s * x for x in out]
+    return tuple(out)
+
+
 def apply_galois(action: GaloisAction, x: Scalar) -> Scalar:
     """Apply a Galois sign action to a FieldElem; rationals are fixed."""
     if isinstance(x, (int, Fraction)):
         return x
     if not isinstance(x, FieldElem):
         raise TypeError(f"no Galois action on {type(x).__name__}")
-    out = list(x.nums)
-    for mask in range(1, x.desc.dim):
-        if not out[mask]:
-            continue
-        s = 1
-        for i, r in enumerate(x.desc.radicands):
-            if mask >> i & 1:
-                s *= action.sign_of(r)
-        out[mask] *= s
-    return FieldElem(x.desc, out, x.den)
+    return FieldElem(x.desc, list(map(mul, x.nums, x.desc.signs(action))), x.den)
 
 
 # -- Pell units ---------------------------------------------------------
@@ -854,9 +862,12 @@ class ExactMatrix:
 # `_Layout` row codes on `right`'s rows, in a layout sized by the inner
 # dimension, decoded into interned entries.  `unit` and `times` are the one
 # and the product on integer coordinates of any size, never reduced, so
-# `symrep.tau` multiplies coordinates that each pack a polynomial's
-# coefficients (Kronecker substitution) without building scalars;
-# `build(nums, den)` makes the one scalar of a result entry.  `divisor`
+# `symrep.tau` and `preserves_form` multiply coordinates that each pack a
+# polynomial's coefficients or a matrix row (Kronecker substitution) without
+# building scalars; `signs(action)` is a Galois action's sign on each
+# coordinate, by the one rule `_signs` (over F_p^2 the Frobenius is the
+# action negating sqrt(r2)); `build(nums, den)` makes the one scalar of a
+# result entry.  `divisor`
 # and `exact` divide coordinates for `_Elimination`: exactly over Q and its
 # fields, and mod p over F_q.  Every other mix (two fields, Fractions with
 # FqElems) has no kernel and is refused.
@@ -1097,39 +1108,107 @@ def galois_matrix(action: GaloisAction, m: ExactMatrix) -> ExactMatrix:
     return m.map_entries(lambda e: apply_galois(action, e))
 
 
-def preserves_form(m: ExactMatrix, j: ExactMatrix,
-                   twist: Optional[Callable] = None,
-                   up_to_scalar: bool = False) -> bool:
-    """twist(M)^T J M = J, or = lambda*J for some scalar when up_to_scalar.
+# -- the isometry test -----------------------------------------------------
+#
+# sigma(M)^T J M = J is decided on the kernel's integer coordinates, with no
+# scalar and no matrix product.  M and J are split once, M = M'/dm and J =
+# J'/dj, so G' = sigma(M')^T J' M' is G's numerator over dm^2 dj and G = J
+# when G' = dm^2 J'.  A row of n coordinates packs into one integer per
+# coordinate by Kronecker substitution, sum_j x_j 2^(w j) (`_pack`), and
+# packing commutes with `times` by a scalar, so row k of J'M' is sum_l
+# times(J'_kl, M'_l) over J's nonzero entries only, and row i of G' is
+# sum_k times(sigma(M'_ki), (J'M')_k) over M's nonzero entries only, sigma
+# one sign per coordinate (the kernel's `signs`).  Every G'_ij is a sum of
+# at most nnz(J) triple products, each coordinate of which is at most
+# (dim F)^2 A^2 B, F the largest plan factor and A, B the largest
+# |coordinate| of M' and J'; w is one bit above the bound of the compared
+# difference, so a packed difference is zero exactly when each signed
+# digit (`_digits`) is, and over F_q the digits are reduced mod p by the
+# kernel's `exact`.  Up to a scalar, G = lambda J with J_p the first
+# nonzero entry of J is G'_i J'_p = J'_i G'_p for every row i.
 
-    twist is an entrywise map (the identity when None): a Galois action
-    for unitary groups or a Frobenius.  A rational J needs no cast: the
-    kernel of M's field takes its Fraction entries."""
+
+def _pack(values: Sequence[int], w: int) -> int:
+    """sum_k values[k] 2^(w k), for values of any sign."""
+    out = 0
+    for v in reversed(values):
+        out = (out << w) + v
+    return out
+
+
+def _digits(v: int, w: int, count: int) -> list[int]:
+    """The signed digits d_0..d_(count-1) of v = sum_k d_k 2^(w k), each
+    |d_k| < 2^(w - 1)."""
+    half, mask = 1 << w - 1, (1 << w) - 1
+    v += half * ((1 << w * count) - 1) // mask
+    return [(v >> w * k & mask) - half for k in range(count)]
+
+
+def preserves_form(m: ExactMatrix, j: ExactMatrix,
+                   action: Optional[GaloisAction] = None,
+                   up_to_scalar: bool = False) -> bool:
+    """sigma(M)^T J M = J, or = lambda*J for some scalar when up_to_scalar,
+    sigma the Galois action on M's entries (none when None): a conjugation
+    for unitary groups, and over F_p^2 the Frobenius, the action negating
+    sqrt(r2).  A rational J needs no cast: the kernel of M's field takes
+    its Fraction entries.  Decided on integer coordinates (see the comment
+    above); no scalar is built."""
     if m.ncols != j.nrows or not m.is_square() or not j.is_square():
         raise ValueError("incompatible dimensions")
-    mt = m if twist is None else m.map_entries(twist)
-    got = mt.transpose() * j * m
-    if got == j:
-        return True
-    if not up_to_scalar:
-        return False
-    pivot = next(((g, e) for grow, jrow in zip(got.entries, j.entries)
-                  for g, e in zip(grow, jrow) if e), None)
-    if pivot is None:
+    n, kernel = m.nrows, _kernel((*m.entries, *j.entries))
+    signs = kernel.signs(action)
+    dm, mc = kernel.split(list(chain.from_iterable(m.entries)))
+    jc = kernel.split(list(chain.from_iterable(j.entries)))[1]
+    m_entries, j_entries = list(zip(*mc)), list(zip(*jc))
+    nonzero = [(k, l, e) for k in range(n)
+               for l, e in enumerate(j_entries[k * n:k * n + n]) if any(e)]
+    if up_to_scalar and not nonzero:
         raise ValueError("form matrix is zero")
-    lam = pivot[0] * _invert(pivot[1])
-    return got == j.map_entries(lambda e: e * lam)
+    dim, factor = len(mc), max(abs(common) for *_, common in kernel.plan)
+    top_j = max((abs(x) for *_, e in nonzero for x in e), default=0)
+    top_g = len(nonzero) * (dim * factor) ** 2 * max(map(abs, chain(*mc))) ** 2 * top_j
+    bound = 2 * dim * factor * top_g * top_j if up_to_scalar else top_g + dm * dm * top_j
+    w = bound.bit_length() + 1
+
+    def packed(coords, row: int) -> list[int]:
+        return [_pack(c[row * n:row * n + n], w) for c in coords]
+
+    m_rows = [packed(mc, l) for l in range(n)]
+    jm: list = [None] * n
+    for k, l, e in nonzero:
+        t = kernel.times(e, m_rows[l])
+        jm[k] = t if jm[k] is None else list(map(add, jm[k], t))
+    g = []
+    for i in range(n):
+        row = [0] * dim
+        for k in range(n):
+            e = m_entries[k * n + i]
+            if jm[k] is not None and any(e):
+                row = list(map(add, row, kernel.times(list(map(mul, signs, e)), jm[k])))
+        g.append(row)
+    if up_to_scalar:
+        k, l, pivot = nonzero[0]
+        value = [_digits(x, w, n)[l] for x in g[k]]
+        targets = [kernel.times(packed(jc, i), value) for i in range(n)]
+        g = [kernel.times(row, pivot) for row in g]
+    else:
+        targets = [[dm * dm * x for x in packed(jc, i)] for i in range(n)]
+    for row, target in zip(g, targets):
+        diff = list(map(sub, row, target))
+        if any(diff) and any(map(any, kernel.exact([_digits(x, w, n) for x in diff], 1))):
+            return False
+    return True
 
 
 def in_group(m: ExactMatrix, n: int, form: Optional[ExactMatrix] = None,
-             twist: Optional[Callable] = None) -> bool:
+             action: Optional[GaloisAction] = None) -> bool:
     """Membership in the determinant-one group of n x n matrices that
-    preserve form under twist: M is n x n, twist(M)^T J M = J when a form
-    J is given (see preserves_form), and det M = 1.  Integrality is the
-    caller's condition."""
+    preserve form under a Galois action: M is n x n, sigma(M)^T J M = J
+    when a form J is given (see preserves_form), and det M = 1.
+    Integrality is the caller's condition."""
     if m.nrows != n or m.ncols != n:
         return False
-    if form is not None and not preserves_form(m, form, twist):
+    if form is not None and not preserves_form(m, form, action):
         return False
     return m.det() == 1
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from itertools import chain
 from typing import Optional, Sequence
 
@@ -22,7 +21,6 @@ from .exactnum import (
     FieldElem,
     GaloisAction,
     _invert,
-    apply_galois,
     field,
     in_group,
     is_square,
@@ -82,8 +80,7 @@ def _in_su(m: ExactMatrix, n: int, d: int, form: ExactMatrix) -> bool:
     if m.nrows != n or m.ncols != n:
         return False
     mm = m.lift(field(d))
-    return is_integral_matrix(mm) and in_group(
-        mm, n, form, partial(apply_galois, GaloisAction.flipping(d)))
+    return is_integral_matrix(mm) and in_group(mm, n, form, GaloisAction.flipping(d))
 
 
 def in_su_sqrt_d(m: ExactMatrix, n: int, d: int) -> bool:
@@ -266,7 +263,7 @@ def containment_check(a: int, b: int, n: int,
     patterns = applicable_sign_patterns(a, b) if signs is None else [signs]
     # hermitian_h refuses a pattern that no Galois element realizes
     hmats = {p: hermitian_h(n, a, b, p) for p in patterns}
-    twists = {p: partial(apply_galois, _sign_action(a, b, p)) for p in patterns}
+    actions = {p: _sign_action(a, b, p) for p in patterns}
     elements = gamma_enumerate(a, b, height)
     failures = []
     checked = 0
@@ -274,7 +271,7 @@ def containment_check(a: int, b: int, n: int,
         m = tau(n, g.matrix())
         for p in patterns:
             checked += 1
-            if not preserves_form(m, hmats[p], twists[p]):
+            if not preserves_form(m, hmats[p], actions[p]):
                 failures.append((g.quadruple(), p))
     return ContainmentReport(a, b, n, height, tuple(patterns),
                              checked, checked - len(failures),

@@ -23,9 +23,11 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 from .exactnum import (
     ExactMatrix,
     FieldElem,
+    GaloisAction,
     RingElem,
     _is_prime,
     _kernel,
+    _signs,
     _times,
     field,
     format_scalar,
@@ -165,8 +167,10 @@ class FqDescriptor:
     of the inner dimension and the column count.  `times` multiplies
     integer coordinates by the plan of Q(sqrt(r2)) (F_p keeps its constant
     entry) unreduced, so packed polynomials multiply as polynomials for
-    `symrep.tau`, and `build` reduces mod p; for `exactnum._Elimination`
-    `divisor` inverts and `exact` reduces.  One per field, in _FQ_DESCRIPTORS."""
+    `symrep.tau` and `exactnum.preserves_form`, and `build` reduces mod p;
+    for `exactnum._Elimination` `divisor` inverts and `exact` reduces, and
+    `signs` reads a Galois action on the coordinates.  One per field, in
+    _FQ_DESCRIPTORS."""
 
     __slots__ = ("p", "r2", "dim", "plan", "unit")
 
@@ -185,6 +189,11 @@ class FqDescriptor:
 
     def build(self, nums: Sequence[int], den: int) -> FqElem:
         return FqElem(self.p, *nums, r2=self.r2)
+
+    def signs(self, action: Optional[GaloisAction]) -> tuple[int, ...]:
+        """One sign per coordinate: F_p^2 is read on the plan of Q(sqrt(r2)),
+        so its Frobenius is the action negating sqrt(r2)."""
+        return _signs(() if self.r2 is None else (self.r2,), action)
 
     def products(self, rows, right) -> tuple:
         # every field of a row sum is at most top only when the layout
@@ -918,8 +927,9 @@ def trace_witness(family: str, n: int, p: int, a) -> TraceWitness:
         m = _block_witness(n, p, (a.x - (n - 2)) % p)
         form = reduce_int_matrix(symplectic_form(n), p) if family == "Sp" else None
         trace = FqElem(p, a.x)
-    twist = FqElem.frobenius if family == "SU" else None
-    if not in_group(m, n, form, twist):
+    # the Hermitian form of SU is read under the Frobenius, which negates sqrt(r2)
+    frobenius = GaloisAction.from_signs({trace.r2: -1}) if family == "SU" else None
+    if not in_group(m, n, form, frobenius):
         raise AssertionError(f"{family} witness fails its defining equations")
     if m.trace() != trace:
         raise AssertionError(f"{family} witness trace is not {trace}")

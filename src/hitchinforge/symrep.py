@@ -21,6 +21,7 @@ from .exactnum import (
     FieldElem,
     GaloisAction,
     Scalar,
+    _digits,
     _kernel,
     galois_matrix,
     field,
@@ -102,13 +103,11 @@ def tau(n: int, m: ExactMatrix) -> ExactMatrix:
         return out
 
     pa, pb = powers(a, c), powers(b, d)
-    half, mask, scale = 1 << w - 1, (1 << w) - 1, den ** (n - 1)
-    bias = half * sum(1 << w * k for k in range(n))
+    scale = den ** (n - 1)
     cols = []
     for i in range(n):
-        packed = [x + bias for x in kernel.times(pa[n - 1 - i], pb[i])]
-        cols.append([kernel.build([(v >> w * k & mask) - half for v in packed], scale)
-                     for k in range(n)])
+        digits = [_digits(x, w, n) for x in kernel.times(pa[n - 1 - i], pb[i])]
+        cols.append([kernel.build(coeffs, scale) for coeffs in zip(*digits)])
     return ExactMatrix._from_rows(tuple(zip(*cols)))
 
 

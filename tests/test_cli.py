@@ -699,6 +699,28 @@ def test_bending_spec_from_a_file_matches_the_inline_spec(capsys, tmp_path):
     assert outputs[0] == outputs[1] and outputs[0][0] == 0
 
 
+@pytest.mark.parametrize("spec", ['{"n": 3,', '  {"n": 3, "sl2_assignment"}'],
+                         ids=["truncated", "indented"])
+def test_malformed_inline_bending_spec_reports_the_json_error(capsys, spec):
+    """Text that starts with '{' is an inline spec, not a file name."""
+    line = _assert_one_line_usage_error(capsys, ["bend", "--spec", spec, "--word", "g1"])
+    assert line.startswith("error: bending spec is not valid JSON: ")
+
+
+def test_bending_spec_that_is_not_json_names_a_file(capsys, tmp_path):
+    """Any other text that is not JSON is a path: a missing file is the
+    file's error, and a file of malformed JSON the decoder's."""
+    missing = tmp_path / "missing.json"
+    line = _assert_one_line_usage_error(
+        capsys, ["bend", "--spec", str(missing), "--word", "g1"])
+    assert line.startswith("error: [Errno 2] No such file") and str(missing) in line
+    broken = tmp_path / "broken.json"
+    broken.write_text('{"n": 3,')
+    line = _assert_one_line_usage_error(
+        capsys, ["bend", "--spec", str(broken), "--word", "g1"])
+    assert "No such file" not in line and "line 1 column" in line
+
+
 @pytest.mark.parametrize("spec", ["[1]", '"n"', "3", "null"])
 def test_bending_spec_must_be_a_json_object(capsys, spec):
     line = _assert_one_line_usage_error(capsys, ["bend", "--spec", spec, "--word", "g1"])

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from functools import partial
 from itertools import combinations, permutations
@@ -506,16 +507,18 @@ def _galois_case():
     rows = [list(r) for r in m.entries]
     rows[0][0] = rows[0][0] + 1
     h = hermitian_h(3, 3, 3, (-1, -1)).lift(desc)
-    return (partial(apply_galois, GaloisAction.flipping(3)), h, m,
-            ExactMatrix(rows))
+    sigma = GaloisAction.flipping(3)
+    return sigma, partial(apply_galois, sigma), h, m, ExactMatrix(rows)
 
 
 def _frobenius_case():
-    """The unitary trace witness over F_9 and a corrupted copy."""
+    """The unitary trace witness over F_9 and a corrupted copy; the
+    Frobenius is the action negating sqrt(r2)."""
     w = trace_witness("SU", 3, 3, 1)
     rows = [list(r) for r in w.matrix.entries]
     rows[0][1] = rows[0][1] + 1
-    return FqElem.frobenius, w.form, w.matrix, ExactMatrix(rows)
+    return (GaloisAction.from_signs({w.trace.r2: -1}), FqElem.frobenius, w.form,
+            w.matrix, ExactMatrix(rows))
 
 
 def _quaternion_case():
@@ -532,16 +535,17 @@ def _quaternion_case():
     zero = g.zero_like()
     good, bad = embed_blocks([[g * u, zero], [zero, g]], [[g * u * 2, zero], [zero, g]])
     omega = ExactMatrix([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
-    return partial(apply_galois, sigma), omega, good, bad
+    return sigma, partial(apply_galois, sigma), omega, good, bad
 
 
 @pytest.mark.parametrize("case", [_galois_case, _frobenius_case, _quaternion_case],
                          ids=["galois", "frobenius", "quaternion"])
 def test_preserves_form_twists_match_the_product(case):
-    twist, j, good, bad = case()
+    """Each case's action against the entrywise twist of the old product."""
+    action, twist, j, good, bad = case()
     for m, expected in ((good, True), (bad, False)):
         assert (m.map_entries(twist).transpose() * j * m == j) is expected
-        assert preserves_form(m, j, twist) is expected
+        assert preserves_form(m, j, action) is expected
 
 
 def test_in_group_fails_on_each_condition_alone():
@@ -566,8 +570,151 @@ def test_in_group_fails_on_each_condition_alone():
 @pytest.mark.parametrize("case", [_galois_case, _frobenius_case],
                          ids=["galois", "frobenius"])
 def test_in_group_twisted_form(case):
-    twist, j, good, bad = case()
-    assert in_group(good, 3, j, twist)
-    assert not in_group(bad, 3, j, twist)
+    action, _, j, good, bad = case()
+    assert in_group(good, 3, j, action)
+    assert not in_group(bad, 3, j, action)
     # without the twist the Hermitian equation is a different one
     assert not in_group(good, 3, j)
+
+
+# -- the isometry test against the scalar path it replaced -------------------
+
+
+def scalar_preserves_form(m, j, twist=None, up_to_scalar=False):
+    """The old path, kept as the oracle: each entry twisted by an entrywise
+    map, two matrix products and a comparison of scalars; up to a scalar,
+    lambda from the first nonzero entry of J."""
+    mt = m if twist is None else m.map_entries(twist)
+    got = mt.transpose() * j * m
+    if got == j:
+        return True
+    if not up_to_scalar:
+        return False
+    g, e = next((g, e) for grow, jrow in zip(got.entries, j.entries)
+                for g, e in zip(grow, jrow) if e)
+    lam = g * _invert(e)
+    return got == j.map_entries(lambda x: x * lam)
+
+
+def _rational(rng, size):
+    return Fraction(rng.randint(-size, size), rng.randint(1, 4))
+
+
+# ring name -> (a random element of coordinates up to size, the action and
+# the entrywise twist it replaces); F_p's Frobenius is the identity
+FORM_RINGS = {
+    "Q": (_rational, GaloisAction.flipping(3), partial(apply_galois, GaloisAction.flipping(3))),
+    "Q(sqrt3)": (lambda rng, size: FieldElem(field(3), [_rational(rng, size) for _ in range(2)]),
+                 GaloisAction.flipping(3), partial(apply_galois, GaloisAction.flipping(3))),
+    "Q(sqrt2,sqrt3,sqrt5)": (
+        lambda rng, size: FieldElem(field(2, 3, 5), [_rational(rng, size) for _ in range(8)]),
+        GaloisAction.from_signs({2: -1, 3: 1, 5: -1}),
+        partial(apply_galois, GaloisAction.from_signs({2: -1, 3: 1, 5: -1}))),
+    "F7": (lambda rng, size: FqElem(7, rng.randrange(7)),
+           GaloisAction.from_signs({}), FqElem.frobenius),
+    "F49": (lambda rng, size: FqElem(7, rng.randrange(7), rng.randrange(7), 3),
+            GaloisAction.from_signs({3: -1}), FqElem.frobenius),
+}
+
+
+def _nonzero(elem, rng, size):
+    while True:
+        x = elem(rng, size)
+        if x:
+            return x
+
+
+def _isometry(elem, twist, form, n, rng, size):
+    """M and J with twist(M)^T J M = J.  M0 cycles the first k coordinates
+    (k = n, or 2 for a rank-deficient J), so M0^k = 1 and J0, the sum of
+    (M0^t)^T S M0^t over t < k, is preserved by M0: S is one entry for a
+    monomial J0, dense, or of rank one for a rank-deficient J0.  Unless J0
+    is monomial, both are conjugated by a unipotent A: A^-1 M0 A preserves
+    twist(A)^T J0 A."""
+    x = _nonzero(elem, rng, size)
+    one, zero = _one_like(x), _zero_like(x)
+    k = 2 if form == "rank-deficient" else n
+    m0 = ExactMatrix([[one if (i < k and c == (i + 1) % k) or (i >= k and c == i) else zero
+                       for c in range(n)] for i in range(n)])
+    if form == "monomial":
+        s = [[x if (i, c) == (0, 1) else zero for c in range(n)] for i in range(n)]
+    elif form == "dense":
+        s = [[elem(rng, size) for _ in range(n)] for _ in range(n)]
+    else:
+        u, v = [elem(rng, size) for _ in range(n)], [elem(rng, size) for _ in range(n)]
+        s = [[a * b for b in v] for a in u]
+    s, power, j0 = ExactMatrix(s), ExactMatrix.identity(n, like=x), None
+    for _ in range(k):
+        term = power.transpose() * s * power
+        j0 = term if j0 is None else j0 + term
+        power = power * m0
+    if form == "monomial":
+        return m0, j0
+    a = ExactMatrix([[one if i == c else elem(rng, size) if c > i else zero
+                      for c in range(n)] for i in range(n)])
+    twisted = a if twist is None else a.map_entries(twist)
+    return a.inverse() * m0 * a, twisted.transpose() * j0 * a
+
+
+def _perturbed(m, rng, elem, size):
+    rows = [list(r) for r in m.entries]
+    i, c = rng.randrange(m.nrows), rng.randrange(m.ncols)
+    rows[i][c] = rows[i][c] + _nonzero(elem, rng, size)
+    return ExactMatrix(rows)
+
+
+@pytest.mark.parametrize("form", ["monomial", "dense", "rank-deficient"])
+@pytest.mark.parametrize("twisted", [False, True], ids=["plain", "twisted"])
+@pytest.mark.parametrize("ring", sorted(FORM_RINGS))
+def test_preserves_form_matches_the_scalar_path(ring, twisted, form):
+    """Random isometries of monomial, dense and rank-deficient forms, their
+    single-entry perturbations, scalar multiples and random matrices, with
+    and without the twist, at n = 3 and 4, and at n = 3 with coordinates
+    near +-10^600 over Q and its fields: the coordinate test answers as the
+    scalar path, exactly and up to a scalar."""
+    elem, action, twist = FORM_RINGS[ring]
+    if not twisted:
+        action = twist = None
+    rng = random.Random(f"{ring}-{twisted}-{form}")
+    cases = [(3, 9), (4, 9)] + ([] if ring.startswith("F") else [(3, 10 ** 600)])
+    for n, size in cases:
+        m, j = _isometry(elem, twist, form, n, rng, size)
+        bad = _perturbed(m, rng, elem, size)
+        scaled = m * _nonzero(elem, rng, size)
+        noise = ExactMatrix([[elem(rng, size) for _ in range(n)] for _ in range(n)])
+        assert scalar_preserves_form(m, j, twist)
+        assert not scalar_preserves_form(bad, j, twist)
+        assert scalar_preserves_form(scaled, j, twist, True)
+        for cand in (m, bad, scaled, noise):
+            for up in (False, True):
+                want = scalar_preserves_form(cand, j, twist, up)
+                assert preserves_form(cand, j, action, up) is want, (n, size, up)
+
+
+def test_preserves_form_keeps_its_refusals():
+    """Bad shapes, a mixed ring, a zero form up to a scalar, and an action
+    with no sign for one of the field's radicands are ValueErrors.  A zero
+    form is preserved exactly by every matrix."""
+    ident2, ident3 = ExactMatrix.identity(2), ExactMatrix.identity(3)
+    s2, s3 = FieldElem.sqrt_int(field(2, 3), 2), FieldElem.sqrt_int(field(2, 3), 3)
+    for m, j in ((ExactMatrix([[1, 0, 0], [0, 1, 0]]), ident3),
+                 (ident2, ident3),
+                 (ident2, ExactMatrix([[1, 0, 0], [0, 1, 0]]))):
+        with pytest.raises(ValueError, match="incompatible dimensions"):
+            preserves_form(m, j)
+    f5 = ExactMatrix([[FqElem(5, 1), FqElem(5, 0)], [FqElem(5, 0), FqElem(5, 1)]])
+    other = ExactMatrix.diagonal([FieldElem.sqrt_int(field(3), 3)] * 2)
+    for m, j in ((f5, ident2), (ExactMatrix.diagonal([FieldElem.sqrt_int(field(2), 2)] * 2),
+                               other)):
+        with pytest.raises(ValueError, match="not of one ring"):
+            preserves_form(m, j)
+    zero = ExactMatrix([[0, 0], [0, 0]])
+    assert preserves_form(ident2, zero)
+    with pytest.raises(ValueError, match="form matrix is zero"):
+        preserves_form(ident2, zero, up_to_scalar=True)
+    both = ExactMatrix.diagonal([s2 + s3, 1])
+    with pytest.raises(ValueError, match=r"no sign recorded for sqrt\(2\)"):
+        preserves_form(both, ident2, GaloisAction.flipping(3))
+    f49 = ExactMatrix.diagonal([FqElem(7, 1, 1, 3), FqElem(7, 1, 0, 3)])
+    with pytest.raises(ValueError, match=r"no sign recorded for sqrt\(3\)"):
+        preserves_form(f49, f49, GaloisAction.flipping(2))

@@ -10,6 +10,7 @@ FqDescriptor."""
 import random
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
+from functools import partial
 from math import comb, gcd
 
 import pytest
@@ -21,9 +22,11 @@ from hitchinforge.exactnum import (
     ExactMatrix,
     FieldDescriptor,
     FieldElem,
+    GaloisAction,
     _RATIONALS,
     _kernel,
     _products,
+    apply_galois,
     field,
     fundamental_unit,
     in_group,
@@ -36,6 +39,7 @@ from hitchinforge import modp
 from hitchinforge.modp import FqDescriptor, FqElem, trace_witness
 from hitchinforge.quatalg import QuatAlgebra
 from hitchinforge.symrep import j_matrix, so_form_from_cocycle, tau
+from test_exactnum import _frobenius_case, _galois_case, scalar_preserves_form
 
 RINGS = {"Q": field(), "Q(sqrt3)": field(3), "Q(sqrt2,sqrt3)": field(2, 3)}
 KERNELS = (FieldDescriptor, FqDescriptor)
@@ -704,6 +708,80 @@ def test_tau_runs_no_dot_product(monkeypatch):
                            [FqElem(7, 0, 5, 3), FqElem(7, 2, 2, 3)]])]:
         for n in range(1, 10):
             assert tau(n, m) == reference_tau(n, m)
+
+
+def test_preserves_form_runs_no_product_and_builds_no_element(monkeypatch):
+    """The isometry test runs on coordinates: with every matrix product
+    refused and every FieldElem and FqElem construction counted, it
+    decides twisted isometries, their perturbations and their scalar
+    multiples, exactly and up to a scalar, over Q(sqrt3) and F_9, and
+    builds no element.  Each scalar c has sigma(c) c != 1: 2, and 1 + r
+    over F_9 = F_3[r]/(r^2 - 2), where 2 * 2 = 1."""
+    cases = []
+    for case, c in ((_galois_case, 2), (_frobenius_case, FqElem(3, 1, 1, 2))):
+        action, _, j, good, bad = case()
+        cases += [(good, j, action, False, True), (good, j, action, True, True),
+                  (bad, j, action, False, False), (bad, j, action, True, False),
+                  (good * c, j, action, False, False), (good * c, j, action, True, True)]
+    built = []
+    field_init, fq_post_init = FieldElem.__init__, FqElem.__post_init__
+
+    def counted(init):
+        def wrapper(self, *args, **kwargs):
+            built.append(type(self))
+            init(self, *args, **kwargs)
+        return wrapper
+
+    def refuse(rows, right):
+        raise AssertionError("preserves_form ran a matrix product")
+
+    monkeypatch.setattr(exactnum, "_products", refuse)
+    monkeypatch.setattr(FieldElem, "__init__", counted(field_init))
+    monkeypatch.setattr(FqElem, "__post_init__", counted(fq_post_init))
+    for m, j, action, up, expected in cases:
+        assert preserves_form(m, j, action, up) is expected
+    assert built == []
+
+
+@pytest.mark.parametrize("ring", [*WIDE_FIELDS, None, R2_61],
+                         ids=[*map(str, WIDE_FIELDS), "F_p", "F_p^2"])
+def test_form_digits_hold_the_largest_sums(monkeypatch, ring):
+    """Slots sized by the bound of the compared difference: M = x * ones and
+    J = y * ones with every coordinate of x and y +size, over Q and fields
+    of 1-3 radicands (size 1 and about 10^600) and over F_p and F_p^2 at
+    p = 2^61 - 1 (size p - 1), so that every triple product adds at full
+    size.  sigma(M)^T J M = sigma(x) x n^2 J, which fails exactly and holds
+    up to a scalar, where the pivot's value is read from its digits; a
+    perturbed M fails both.  Every decoded digit string packs back to the
+    integer it came from, and each answer is the scalar path's."""
+    def checked(v, w, count):
+        out = digits(v, w, count)
+        assert exactnum._pack(out, w) == v
+        return out
+
+    digits = exactnum._digits
+    monkeypatch.setattr(exactnum, "_digits", checked)
+    if isinstance(ring, FieldDescriptor):
+        entries = [signed_entries(ring, size, (1, 1)) for size in (1, 10 ** 600 + 7)]
+        action = GaloisAction.flipping(*ring.radicands) if ring.radicands else None
+    else:
+        p = MERSENNE_61
+        entries = [[FqElem(p, p - 1, 0 if ring is None else p - 1, ring)] * 2]
+        action = None if ring is None else GaloisAction.from_signs({ring: -1})
+    for x, y in entries:
+        for n in range(2, 6):
+            m = ExactMatrix([[x] * n] * n)
+            j = ExactMatrix([[y] * n] * n)
+            rows = [list(r) for r in m.entries]
+            rows[n - 1][0] = rows[n - 1][0] + 1
+            for sigma in (None, action):
+                twist = None if sigma is None else (
+                    partial(apply_galois, sigma) if isinstance(ring, FieldDescriptor)
+                    else FqElem.frobenius)
+                for cand, up, expected in ((m, False, False), (m, True, True),
+                                           (ExactMatrix(rows), True, False)):
+                    assert scalar_preserves_form(cand, j, twist, up) is expected
+                    assert preserves_form(cand, j, sigma, up) is expected, (n, sigma, up)
 
 
 def test_kernel_results_are_stored_as_row_tuples():
