@@ -20,6 +20,7 @@ from .exactnum import (
     field,
     format_scalar,
     lift,
+    preserves_form,
     span_dimension,
     value_radicands,
 )
@@ -30,7 +31,6 @@ from .lattices import (
     in_so_q,
     in_su_sqrt_d,
     is_tau_pgl2_diagonal,
-    preserves_form,
 )
 from .symrep import j_matrix
 
@@ -500,12 +500,3 @@ def density_certificate(spec: BendingSpec, target: str) -> DensityCertificate:
         required_breaks=required_breaks_for(target, n),
         assumptions=(GUICHARD_ASSUMPTION,),
     )
-
-
-def distinct_bendings(b: ExactMatrix, k1: int, k2: int) -> bool:
-    """Whether the k1-th and k2-th powers of the bending matrix differ;
-    distinct powers give non-conjugate bent representations (for diagonal
-    matrices of infinite multiplicative order commuting with the curve)."""
-    if not b.is_diagonal():
-        raise ValueError("bending matrices are diagonal")
-    return b ** k1 != b ** k2

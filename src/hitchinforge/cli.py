@@ -38,9 +38,10 @@ from .exactnum import (
     format_scalar,
     fundamental_unit,
     parse_scalar,
+    preserves_form,
 )
 from .g2core import in_g2
-from .lattices import LATTICE_KINDS, LatticeSpec, containment_check, preserves_form
+from .lattices import LATTICE_KINDS, LatticeSpec, containment_check
 from .modp import (
     DEFAULT_CLOSURE_CAP,
     FAMILIES,

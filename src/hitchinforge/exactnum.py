@@ -1335,7 +1335,7 @@ def parse_scalar(text: str) -> Scalar:
         coeff = Fraction(_text_int(num or "1"), _text_int(den or "1")) * sign
         if m.group("sqrt"):
             s, rad = square_free_decomposition(_text_int(m.group("rad")))
-            terms.append((coeff * s, rad))
+            terms.append((coeff * s, rad) if rad else (Fraction(0), 1))
         else:
             terms.append((coeff, 1))
         pos = m.end()

@@ -1,11 +1,10 @@
 """The explicit 7-dimensional cross product compatible with the
-antidiagonal form in dimension 7, the split octonion algebra built on it,
-and the exceptional-group membership predicate.
+antidiagonal form in dimension 7, and the exceptional-group membership
+predicate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -86,41 +85,6 @@ def cross7(x: Vec7, y: Vec7) -> Vec7:
         24 * (x3 * y7 - x7 * y3) - 6 * (x4 * y6 - x6 * y4),
         6 * (x4 * y7 - x7 * y4) - 4 * (x5 * y6 - x6 * y5),
     ])
-
-
-@dataclass(frozen=True)
-class Octonion:
-    """Split octonion: a scalar part plus a 7-vector, multiplied via the
-    cross product and the antidiagonal pairing."""
-
-    t: Scalar
-    v: Vec7
-
-    @classmethod
-    def unit(cls) -> "Octonion":
-        return cls(Fraction(1), Vec7([0] * 7))
-
-    def conj(self) -> "Octonion":
-        return Octonion(self.t, -self.v)
-
-    def __add__(self, other: "Octonion") -> "Octonion":
-        return Octonion(self.t + other.t, self.v + other.v)
-
-    def __sub__(self, other: "Octonion") -> "Octonion":
-        return Octonion(self.t - other.t, self.v - other.v)
-
-
-def oct_mul(p: Octonion, q: Octonion) -> Octonion:
-    """(t,v)(s,w) = (ts - v^T J7 w, tw + sv + v x w)."""
-    t, v = p.t, p.v
-    s, w = q.t, q.v
-    return Octonion(t * s - v.pair_j7(w),
-                    w.scale(t) + v.scale(s) + cross7(v, w))
-
-
-def oct_norm(p: Octonion) -> Scalar:
-    """N(t,v) = t^2 + v^T J7 v; multiplicative for the product above."""
-    return p.t * p.t + p.v.pair_j7(p.v)
 
 
 _BASIS_PAIRS = [(i, j) for i in range(1, 8) for j in range(i + 1, 8)]

@@ -29,7 +29,7 @@ from .exactnum import (
 )
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class Place:
     """A place of Q: a finite prime, or the real place (prime=None)."""
 

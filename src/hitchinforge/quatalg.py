@@ -5,7 +5,6 @@ lattice of integer quaternions with its diagonal/Pell structure.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -298,22 +297,3 @@ def gamma_enumerate(a: int, b: int, height: int) -> list[GammaElement]:
                     out.append(GammaElement(a, b, -x0, x1, x2, x3))
     out.sort(key=GammaElement.quadruple)
     return out
-
-
-class LiftKind(enum.Enum):
-    DIAGONAL = "diagonal"
-    DISJOINT_LIFT = "disjoint_lift"
-    DEGENERATE = "degenerate"
-
-
-def diagonal_lift_disjointness(g: GammaElement) -> LiftKind:
-    """Trichotomy for the axis geodesic of a norm-one element: diagonal
-    elements (x2 = x3 = 0) fix the axis; otherwise the translate is
-    disjoint when (x0^2 - a*x1^2)(x0^2 - a*x1^2 - 1) > 0, and the boundary
-    values 0 and 1 of x0^2 - a*x1^2 are reported, not decided."""
-    if g.x2 == 0 and g.x3 == 0:
-        return LiftKind.DIAGONAL
-    t = g.x0 ** 2 - g.a * g.x1 ** 2
-    if t * (t - 1) > 0:
-        return LiftKind.DISJOINT_LIFT
-    return LiftKind.DEGENERATE

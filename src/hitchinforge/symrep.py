@@ -212,22 +212,6 @@ def hermitian_h(n: int, a: int, b: int, signs: SignPair) -> ExactMatrix:
     return H
 
 
-def cocycle_commutes_with_form(n: int, signs: SignPair,
-                               strict: bool = False) -> bool:
-    """Commutation of the cocycle image with the invariant form.
-
-    Exact commutation holds for odd n (and for the determinant-one sign
-    cases in any dimension); the determinant -1 cases anticommute in even
-    dimension, which is still commutation projectively.  `strict` demands
-    the exact version.
-    """
-    J = j_matrix(n)
-    T = tau(n, cocycle_matrix(2, 3, signs))
-    if J * T == T * J:
-        return True
-    return (not strict) and J * T == -(T * J)
-
-
 # -- Hilbert 90: diagonal orthogonal forms from the cocycle -----------------
 
 CaseName = Literal["trivial", "degree-2", "degree-4"]

@@ -24,7 +24,7 @@ from hitchinforge.exactnum import (
     field,
     fundamental_unit,
 )
-from hitchinforge.g2core import Octonion, Vec7, cross7, in_g2, oct_mul, oct_norm
+from hitchinforge.g2core import Vec7, cross7, in_g2
 from hitchinforge.lattices import containment_check
 from hitchinforge.modp import (
     find_nonsurjective_prime,
@@ -41,6 +41,7 @@ from hitchinforge.modp import (
 from hitchinforge.qforms import Place, form_invariants
 from hitchinforge.symrep import j_matrix, so_form_from_cocycle, tau
 from conftest import random_sl2q, random_sl2z
+from octonions import Octonion, oct_mul, oct_norm
 
 
 class Budget:

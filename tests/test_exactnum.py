@@ -299,6 +299,16 @@ def test_scalar_parsing_roundtrip():
         parse_scalar("sqrt(-3)+")
 
 
+def test_a_zero_radicand_reads_as_zero():
+    """`coeff 'sqrt(' int ')'` admits 0 as it admits the squares 1 and 4."""
+    for text, value in [("sqrt(0)", 0), ("2+3sqrt(0)", 2)]:
+        x = parse_scalar(text)
+        assert isinstance(x, Fraction) and x == value
+    x = parse_scalar("sqrt(3)+sqrt(0)")
+    assert isinstance(x, FieldElem) and x.desc == field(3)
+    assert x == parse_scalar("sqrt(3)")
+
+
 
 @pytest.mark.parametrize("n", [0, 7, -7, 10 ** 600, -(10 ** 5000 + 3), 2 ** 20000],
                          ids=["0", "7", "-7", "10^600", "-(10^5000+3)", "2^20000"])

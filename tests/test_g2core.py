@@ -8,9 +8,10 @@ from hitchinforge.exactnum import (
     field,
     fundamental_unit,
 )
-from hitchinforge.g2core import Octonion, Vec7, cross7, in_g2, oct_mul, oct_norm
+from hitchinforge.g2core import Vec7, cross7, in_g2
 from hitchinforge.symrep import tau
 from conftest import random_sl2z
+from octonions import Octonion, oct_mul, oct_norm
 
 
 def _rvec(rng):

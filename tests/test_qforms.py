@@ -33,6 +33,15 @@ def test_place_validation():
     assert str(Place.finite(7)) == "7"
 
 
+def test_sort_key_is_the_only_order_of_places():
+    scan = sorted(hasse_scan_places(-15, 7), key=Place.sort_key)
+    assert scan == [P2, Place.finite(3), Place.finite(5), Place.finite(7), INF]
+    for a, b in [(INF, P2), (P2, Place.finite(3))]:
+        with pytest.raises(TypeError, match="'<' not supported between "
+                                            "instances of 'Place' and 'Place'"):
+            a < b
+
+
 def test_hilbert_symbol_examples():
     assert hilbert_symbol(-1, -1, INF) == -1
     assert hilbert_symbol(-1, -1, P2) == -1

