@@ -20,7 +20,6 @@ from .exactnum import (
     field,
     format_scalar,
     lift,
-    preserves_form,
     span_dimension,
     value_radicands,
 )
@@ -30,7 +29,6 @@ from .lattices import (
     in_g2z,
     in_so_q,
     in_su_sqrt_d,
-    is_tau_pgl2_diagonal,
 )
 from .symrep import j_matrix
 
@@ -146,12 +144,22 @@ def b0_breaking_profile(kind: Union[B0Kind, str], b: ExactMatrix,
 
 
 def _closure_profile(b: ExactMatrix, n: int) -> dict[str, bool]:
-    """Which of the candidate closed subgroups contain b: the one
-    computation behind both the family profiles and the "breaks" of a
-    density certificate."""
+    """Which of the candidate closed subgroups contain the diagonal b: the
+    one computation behind both the family profiles and the "breaks" of a
+    density certificate.  Read from b's entries w: b^T J b = lambda J for
+    the antidiagonal J when every w_i w_(n-1-i) is one value, and b is a
+    scalar multiple of a symmetric-power image of a 2x2 diagonal matrix
+    when w is a geometric progression, w_i w_(i+2) = w_(i+1)^2."""
+    if (b.nrows, b.ncols) != (n, n):
+        raise ValueError("incompatible dimensions")
+    if not b.is_diagonal():
+        raise ValueError("predicate is defined for diagonal matrices only")
+    w = b.diagonal_entries()
+    if not all(w):
+        raise ValueError("diagonal entries must be nonzero")
     profile = {
-        "preserves_form": preserves_form(b, j_matrix(n), up_to_scalar=True),
-        "tau_pgl2": is_tau_pgl2_diagonal(b),
+        "preserves_form": all(x * y == w[0] * w[-1] for x, y in zip(w, reversed(w))),
+        "tau_pgl2": all(w[i] * w[i + 2] == w[i + 1] ** 2 for i in range(len(w) - 2)),
     }
     if n == 7:
         profile["in_g2"] = in_g2(b)

@@ -98,7 +98,7 @@ def _load_matrix(text: str) -> ExactMatrix:
             raise UsageError("built-in antidiagonal forms range J2..J9")
         return j_matrix(n)
     if text.startswith("T") and len(text) == 3 and set(text[1:]) <= {"+", "-"}:
-        return cocycle_matrix(2, 3, _parse_signs(text[1:]))
+        return cocycle_matrix(_parse_signs(text[1:]))
     if text.startswith("B0:"):
         parts = text.split(":")
         if not 3 <= len(parts) <= 5:

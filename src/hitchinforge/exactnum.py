@@ -39,7 +39,7 @@ from fractions import Fraction
 from functools import cached_property, partial
 from itertools import chain
 from math import gcd, isqrt, lcm, prod
-from operator import add, mul, sub
+from operator import add, mul
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional, Sequence, Union
 
 if TYPE_CHECKING:
@@ -1124,8 +1124,7 @@ def galois_matrix(action: GaloisAction, m: ExactMatrix) -> ExactMatrix:
 # |coordinate| of M' and J'; w is one bit above the bound of the compared
 # difference, so a packed difference is zero exactly when each signed
 # digit (`_digits`) is, and over F_q the digits are reduced mod p by the
-# kernel's `exact`.  Up to a scalar, G = lambda J with J_p the first
-# nonzero entry of J is G'_i J'_p = J'_i G'_p for every row i.
+# kernel's `exact`.  Each row of G' - dm^2 J' is tested as it is built.
 
 
 def _pack(values: Sequence[int], w: int) -> int:
@@ -1145,14 +1144,12 @@ def _digits(v: int, w: int, count: int) -> list[int]:
 
 
 def preserves_form(m: ExactMatrix, j: ExactMatrix,
-                   action: Optional[GaloisAction] = None,
-                   up_to_scalar: bool = False) -> bool:
-    """sigma(M)^T J M = J, or = lambda*J for some scalar when up_to_scalar,
-    sigma the Galois action on M's entries (none when None): a conjugation
-    for unitary groups, and over F_p^2 the Frobenius, the action negating
-    sqrt(r2).  A rational J needs no cast: the kernel of M's field takes
-    its Fraction entries.  Decided on integer coordinates (see the comment
-    above); no scalar is built."""
+                   action: Optional[GaloisAction] = None) -> bool:
+    """sigma(M)^T J M = J, sigma the Galois action on M's entries (none
+    when None): a conjugation for unitary groups, and over F_p^2 the
+    Frobenius, the action negating sqrt(r2).  A rational J needs no cast:
+    the kernel of M's field takes its Fraction entries.  Decided on
+    integer coordinates (see the comment above); no scalar is built."""
     if m.ncols != j.nrows or not m.is_square() or not j.is_square():
         raise ValueError("incompatible dimensions")
     n, kernel = m.nrows, _kernel((*m.entries, *j.entries))
@@ -1162,13 +1159,10 @@ def preserves_form(m: ExactMatrix, j: ExactMatrix,
     m_entries, j_entries = list(zip(*mc)), list(zip(*jc))
     nonzero = [(k, l, e) for k in range(n)
                for l, e in enumerate(j_entries[k * n:k * n + n]) if any(e)]
-    if up_to_scalar and not nonzero:
-        raise ValueError("form matrix is zero")
     dim, factor = len(mc), max(abs(common) for *_, common in kernel.plan)
     top_j = max((abs(x) for *_, e in nonzero for x in e), default=0)
     top_g = len(nonzero) * (dim * factor) ** 2 * max(map(abs, chain(*mc))) ** 2 * top_j
-    bound = 2 * dim * factor * top_g * top_j if up_to_scalar else top_g + dm * dm * top_j
-    w = bound.bit_length() + 1
+    w = (top_g + dm * dm * top_j).bit_length() + 1
 
     def packed(coords, row: int) -> list[int]:
         return [_pack(c[row * n:row * n + n], w) for c in coords]
@@ -1178,24 +1172,13 @@ def preserves_form(m: ExactMatrix, j: ExactMatrix,
     for k, l, e in nonzero:
         t = kernel.times(e, m_rows[l])
         jm[k] = t if jm[k] is None else list(map(add, jm[k], t))
-    g = []
     for i in range(n):
-        row = [0] * dim
+        row = [-dm * dm * x for x in packed(jc, i)]
         for k in range(n):
             e = m_entries[k * n + i]
             if jm[k] is not None and any(e):
                 row = list(map(add, row, kernel.times(list(map(mul, signs, e)), jm[k])))
-        g.append(row)
-    if up_to_scalar:
-        k, l, pivot = nonzero[0]
-        value = [_digits(x, w, n)[l] for x in g[k]]
-        targets = [kernel.times(packed(jc, i), value) for i in range(n)]
-        g = [kernel.times(row, pivot) for row in g]
-    else:
-        targets = [[dm * dm * x for x in packed(jc, i)] for i in range(n)]
-    for row, target in zip(g, targets):
-        diff = list(map(sub, row, target))
-        if any(diff) and any(map(any, kernel.exact([_digits(x, w, n) for x in diff], 1))):
+        if any(row) and any(map(any, kernel.exact([_digits(x, w, n) for x in row], 1))):
             return False
     return True
 

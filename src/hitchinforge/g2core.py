@@ -36,9 +36,6 @@ class Vec7:
     def __add__(self, other: "Vec7") -> "Vec7":
         return Vec7([a + b for a, b in zip(self.coords, other.coords)])
 
-    def __sub__(self, other: "Vec7") -> "Vec7":
-        return Vec7([a - b for a, b in zip(self.coords, other.coords)])
-
     def __neg__(self) -> "Vec7":
         return Vec7([-a for a in self.coords])
 

@@ -20,7 +20,6 @@ from .exactnum import (
     ExactMatrix,
     FieldElem,
     GaloisAction,
-    _invert,
     field,
     in_group,
     is_square,
@@ -101,22 +100,6 @@ def diagonal_su_nonsplit_conditions(m: ExactMatrix, d: int) -> bool:
         return False
     w = [lift(x, field(d)) for x in m.diagonal_entries()]
     return w == w[::-1]
-
-
-def is_tau_pgl2_diagonal(b: ExactMatrix) -> bool:
-    """Whether a diagonal matrix is a scalar multiple of the
-    symmetric-power image of a 2x2 diagonal matrix: equivalent to its
-    entries forming a geometric progression."""
-    if not b.is_square() or not b.is_diagonal():
-        raise ValueError("predicate is defined for diagonal matrices only")
-    diag = b.diagonal_entries()
-    if not all(diag):
-        raise ValueError("diagonal entries must be nonzero")
-    if len(diag) == 1:
-        return True
-    ratio = diag[0] * _invert(diag[1])
-    return all(diag[i] * _invert(diag[i + 1]) == ratio
-               for i in range(1, len(diag) - 1))
 
 
 def in_su_quat(m: Sequence[Sequence[QuatElem]], size: int, a: int, b: int,

@@ -168,18 +168,11 @@ def trace_poly(n: int) -> TracePoly:
     return TracePoly(n, tuple(cur))
 
 
-def cocycle_matrix(a: int, b: int, signs: SignPair) -> ExactMatrix:
-    """The 2x2 matrix attached to a Galois element acting on sqrt(a) and
-    sqrt(b) by the given signs: I; diag(1,-1); antidiag(1,1); or the
-    rotation [[0,1],[-1,0]] when both flip.
-
-    A pattern no Galois element realizes is rejected (see
-    applicable_sign_patterns).
-    """
+def cocycle_matrix(signs: SignPair) -> ExactMatrix:
+    """The 2x2 matrix attached to a Galois element acting on two square
+    roots by the given signs: I; diag(1,-1); antidiag(1,1); or the
+    rotation [[0,1],[-1,0]] when both flip."""
     sa, sb = signs
-    if (sa, sb) not in applicable_sign_patterns(a, b):
-        raise ValueError(f"sign pattern {_pattern_name(signs)} is not "
-                         f"realizable for (a,b)=({a},{b})")
     return ExactMatrix([[1, 0], [0, sb]] if sa == 1 else [[0, 1], [sb, 0]])
 
 
@@ -189,8 +182,7 @@ def tau_of_lifted_cocycle(n: int, signs: SignPair) -> ExactMatrix:
     The two determinant -1 cases lift by multiplying with sqrt(-1), which
     contributes the rational factor (-1)^((n-1)/2); n must be odd then.
     """
-    t = cocycle_matrix(2, 3, signs)  # matrix shape depends only on signs
-    image = tau(n, t)
+    image = tau(n, cocycle_matrix(signs))
     if signs in ((1, -1), (-1, 1)):
         if n % 2 == 0:
             raise ValueError("determinant -1 cases only lift for odd n")
@@ -201,10 +193,14 @@ def tau_of_lifted_cocycle(n: int, signs: SignPair) -> ExactMatrix:
 
 def hermitian_h(n: int, a: int, b: int, signs: SignPair) -> ExactMatrix:
     """The rational matrix J * tau(n, T)^(-1) for the cocycle matrix T of
-    the given sign pattern.  It is symmetric or antisymmetric (checked),
-    and T's image commutes with J."""
+    the given sign pattern, which a Galois element of Q(sqrt(a), sqrt(b))
+    must realize (see applicable_sign_patterns).  It is symmetric or
+    antisymmetric (checked), and T's image commutes with J."""
+    if tuple(signs) not in applicable_sign_patterns(a, b):
+        raise ValueError(f"sign pattern {_pattern_name(signs)} is not "
+                         f"realizable for (a,b)=({a},{b})")
     J = j_matrix(n)
-    T = tau(n, cocycle_matrix(a, b, signs))
+    T = tau(n, cocycle_matrix(signs))
     H = J * T.inverse()
     Ht = H.transpose()
     if Ht != H and Ht != -H:

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from hitchinforge.bender import (
     BendingSpec,
     CurveSpec,
     SurfacePresentation,
+    _closure_profile,
     _sl2_density_evidence,
     b0_breaking_profile,
     b0_family,
@@ -24,13 +26,15 @@ from hitchinforge.exactnum import (
     ExactMatrix,
     FieldElem,
     GaloisAction,
+    _invert,
     apply_galois,
     field,
     fundamental_unit,
     lift,
 )
 from hitchinforge.quatalg import GammaElement
-from hitchinforge.symrep import tau
+from hitchinforge.symrep import j_matrix, tau
+from test_exactnum import scalar_preserves_form
 
 OM = fundamental_unit(3).value
 SIG = apply_galois(GaloisAction.flipping(3), OM)
@@ -61,6 +65,99 @@ def test_b0_family_membership_and_breaking(name, n):
         profile = b0_breaking_profile(name, b, n)
         expected = B0_EXPECTED_PROFILE[B0Kind.from_name(name)]
         assert profile == expected, (name, k, profile)
+
+
+# -- the closure profile against the rules it replaced -----------------------
+
+
+def _old_tau_pgl2(b):
+    """The old ratio rule: every ratio of consecutive diagonal entries is
+    the first."""
+    diag = b.diagonal_entries()
+    if len(diag) == 1:
+        return True
+    ratio = diag[0] * _invert(diag[1])
+    return all(diag[i] * _invert(diag[i + 1]) == ratio for i in range(1, len(diag) - 1))
+
+
+def _old_rules(b, n):
+    """The profile's two answers by the old paths: the scalar isometry test
+    up to a scalar, lambda from the first nonzero entry of J, and the
+    ratio rule."""
+    return {"preserves_form": scalar_preserves_form(b, j_matrix(n), None, True),
+            "tau_pgl2": _old_tau_pgl2(b)}
+
+
+# an element of coordinates at most 4 in size: a Fraction, or over Q(sqrt3)
+DIAGONAL_RINGS = {
+    "Q": lambda rng: Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+    "Q(sqrt3)": lambda rng: FieldElem(field(3), [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                                                 for _ in range(2)]),
+}
+
+
+def _random_diagonal(rng, elem, n):
+    """n nonzero entries: independent ones, or a geometric progression
+    c r^i or a form-preserving w_i w_(n-1-i) = lambda, half of these two
+    with one entry scaled."""
+    def nonzero():
+        while True:
+            x = elem(rng)
+            if x:
+                return x
+
+    shape = rng.choice(["geometric", "form", "independent"])
+    if shape == "independent":
+        return [nonzero() for _ in range(n)]
+    if shape == "geometric":
+        c, r = nonzero(), nonzero()
+        w = [c * r ** i for i in range(n)]
+    else:
+        half = [nonzero() for _ in range(n // 2)]
+        middle = [nonzero()] if n % 2 else []
+        lam = middle[0] ** 2 if middle else nonzero()
+        w = half + middle + [lam / x for x in reversed(half)]
+    if rng.randrange(2):
+        w[rng.randrange(n)] *= nonzero()
+    return w
+
+
+def test_closure_profile_matches_the_old_rules():
+    """Every family at k = 0..5 and 1,200 seeded random diagonals of sizes
+    2-8 over Q and Q(sqrt3): the profile's "preserves_form" and
+    "tau_pgl2" answer as the old up-to-scalar isometry test and the old
+    ratio rule, and each answer of each rule is common."""
+    cases = [(b0_family(name, n, OM, k), n) for name, n in KIND_DIMENSIONS for k in range(6)]
+    for ring, elem in sorted(DIAGONAL_RINGS.items()):
+        rng = random.Random(f"closure-profile-{ring}")
+        for _ in range(600):
+            n = rng.randint(2, 8)
+            cases.append((ExactMatrix.diagonal(_random_diagonal(rng, elem, n)), n))
+    answers = Counter()
+    for b, n in cases:
+        want = _old_rules(b, n)
+        got = _closure_profile(b, n)
+        assert {name: got[name] for name in want} == want, (b, n)
+        answers.update(want.items())
+    assert min(answers[rule, value] for rule in ("preserves_form", "tau_pgl2")
+               for value in (False, True)) > len(cases) // 5, answers
+
+
+def test_closure_profile_reads_a_geometric_diagonal():
+    """The profile's "tau_pgl2" is a geometric progression of the diagonal,
+    and any other matrix is refused: one not n x n first, as the old
+    isometry test did, then one not diagonal or with a zero entry."""
+    for diag, geometric in (([OM ** 2, ONE, OM ** -2], True),
+                            ([OM ** 4, ONE, OM ** -2], False)):
+        assert _closure_profile(ExactMatrix.diagonal(diag), 3)["tau_pgl2"] is geometric
+    assert _closure_profile(ExactMatrix.identity(6), 6)["tau_pgl2"]
+    for b, n, message in ((ExactMatrix([[1, 1], [0, 1]]), 2, "diagonal matrices only"),
+                          (ExactMatrix.diagonal([1, 0]), 2, "diagonal entries must be nonzero"),
+                          (ExactMatrix([[1, 0, 0], [0, 1, 0]]), 2, "incompatible dimensions"),
+                          (ExactMatrix.identity(5), 7, "incompatible dimensions"),
+                          (ExactMatrix.diagonal([1, 0]), 3, "incompatible dimensions")):
+        with pytest.raises(ValueError, match=message):
+            _closure_profile(b, n)
 
 
 @pytest.mark.parametrize("kind", [5, None, ["SU_split_a"], "SU_split"],

@@ -284,6 +284,21 @@ def test_certify_density(capsys):
     assert doc["assumptions"] == ["Hitchin + Guichard classification"]
 
 
+@pytest.mark.parametrize("b_matrix, line", [
+    ([["1", "1", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+     "error: predicate is defined for diagonal matrices only"),
+    ([["2", "0", "0"], ["0", "0", "0"], ["0", "0", "1"]],
+     "error: diagonal entries must be nonzero"),
+], ids=["non-diagonal", "singular"])
+def test_certify_density_refuses_a_bending_matrix_it_cannot_profile(capsys, b_matrix,
+                                                                   line):
+    data = json.loads(FREE_SPEC)
+    del data["b0"]
+    data["b_matrix"] = b_matrix
+    argv = ["certify-density", "--spec", json.dumps(data), "--target", "SLn"]
+    assert _assert_one_line_usage_error(capsys, argv) == line
+
+
 def test_reduce_modp(capsys):
     code, doc = run_json(capsys, ["reduce-modp", "--p", "11", "--d", "3",
                                   "--value", "2+sqrt(3)"])
@@ -689,7 +704,7 @@ def test_containment_signs(capsys):
 @pytest.mark.parametrize("name, signs", [("T++", (1, 1)), ("T+-", (1, -1)),
                                          ("T-+", (-1, 1)), ("T--", (-1, -1))])
 def test_named_cocycle_matrices(capsys, name, signs):
-    expected = cocycle_matrix(2, 3, signs)
+    expected = cocycle_matrix(signs)
     assert _load_matrix(name) == expected
     code, doc = run_json(capsys, ["symrep", "--n", "3", "--matrix", name])
     assert code == 0

@@ -1,12 +1,14 @@
-"""The library's public surface is what its certificates and the benchmark
-use.  Every top-level name of src/hitchinforge that does not start with
-`_` (a function, a class or an assignment) must be reached: read by
-another module of src/ (as a name, an attribute or a `from` import), read
-by its own module outside its own definition, or named as a word in
+"""The library's surface is what its certificates and the benchmark use.
+Every top-level name of src/hitchinforge (a function, a class or an
+assignment; dunder names aside), public or private, must be reached: read
+by another module of src/ (as a name, an attribute or a `from` import),
+read by its own module outside its own definition, or named as a word in
 bench/*.py, whose tracer binds functions by their names as strings.  A
 name only the tests reach belongs in tests/, beside the oracles that use
-it; the few that wait for a caller are listed with the ROADMAP item that
-gives them one."""
+it; the few public ones that wait for a caller are listed with the
+ROADMAP item that gives them one.  Every name a module binds by a `from`
+import must be read by that module, so a simplification leaves no helper
+and no import behind."""
 
 import ast
 import re
@@ -26,7 +28,8 @@ AWAITING_A_CALLER = {
 
 
 def definitions(tree: ast.Module) -> dict[str, ast.stmt]:
-    """The module's public top-level names, each with its defining statement."""
+    """The module's top-level names but dunders, each with its defining
+    statement."""
     out = {}
     for stmt in tree.body:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -36,7 +39,8 @@ def definitions(tree: ast.Module) -> dict[str, ast.stmt]:
             names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
         else:
             continue
-        out.update((name, stmt) for name in names if not name.startswith("_"))
+        out.update((name, stmt) for name in names
+                   if not (name.startswith("__") and name.endswith("__")))
     return out
 
 
@@ -55,8 +59,8 @@ def reads(stmts: Iterable[ast.stmt]) -> set[str]:
 
 
 def unreached(src: dict[str, str], bench_text: str) -> set[str]:
-    """The public top-level names of the modules in `src` (name -> source)
-    that no module of it and no word of `bench_text` reaches."""
+    """The top-level names of the modules in `src` (name -> source) that
+    no module of it and no word of `bench_text` reaches."""
     trees = {name: ast.parse(text) for name, text in src.items()}
     bench_words = set(re.findall(r"\w+", bench_text))
     out = set()
@@ -69,6 +73,23 @@ def unreached(src: dict[str, str], bench_text: str) -> set[str]:
     return out
 
 
+def unused_imports(src: dict[str, str]) -> set[str]:
+    """The names bound by a `from` import (other than `__future__`) in a
+    module of `src` that the module never loads."""
+    out = set()
+    for module, text in src.items():
+        nodes = list(ast.walk(ast.parse(text)))
+        loaded = {n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        out.update(f"{module}.{alias.asname or alias.name}"
+                   for n in nodes if isinstance(n, ast.ImportFrom) and n.module != "__future__"
+                   for alias in n.names if (alias.asname or alias.name) not in loaded)
+    return out
+
+
+def test_every_from_import_is_read():
+    assert unused_imports({p.stem: p.read_text() for p in SRC}) == set()
+
+
 def test_every_public_name_is_reached_or_awaits_its_item():
     src = {p.stem: p.read_text() for p in SRC}
     bench_text = "\n".join(p.read_text() for p in BENCH)
@@ -77,7 +98,9 @@ def test_every_public_name_is_reached_or_awaits_its_item():
 
 def test_the_scan_finds_each_kind_of_reach():
     src = {
-        "a": "def used_here(): pass\n"
+        "a": "from __future__ import annotations\n"
+             "from operator import add, sub as minus, mul\n"
+             "def used_here(): pass\n"
              "def by_attr(): pass\n"
              "def by_import(): pass\n"
              "def by_bench(): pass\n"
@@ -85,8 +108,13 @@ def test_the_scan_finds_each_kind_of_reach():
              "class Alone:\n    def make(self): return Alone()\n"
              "CONST = 1\n"
              "def _private(): pass\n"
-             "x = used_here()\n",
-        "b": "from .a import by_import\nimport a\na.by_attr()\n",
+             "def _helper(): return add\n"
+             "def _imported(): pass\n"
+             "__version__ = '1'\n"
+             "x = used_here() or _helper()\n",
+        "b": "from .a import by_import, _imported\nimport a\na.by_attr()\n"
+             "def f():\n    from .a import used_here\n    return by_import(), mul\n",
     }
     assert unreached(src, "WRAP = ('by_bench',)") == {
-        "a.lonely", "a.Alone", "a.CONST", "a.x"}
+        "a.lonely", "a.Alone", "a.CONST", "a.x", "a._private", "b.f"}
+    assert unused_imports(src) == {"a.minus", "a.mul", "b._imported", "b.used_here"}
