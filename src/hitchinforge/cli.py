@@ -278,8 +278,8 @@ def _load_bending_spec(text: str) -> BendingSpec:
     for key in ("n", "sl2_assignment"):
         if key not in data:
             raise UsageError(f"bending spec has no {key!r}")
-    if "b0" not in data and "b_matrix" not in data:
-        raise UsageError("bending spec has neither 'b0' nor 'b_matrix'")
+    if ("b0" in data) == ("b_matrix" in data):
+        raise UsageError("bending spec needs exactly one of 'b0' and 'b_matrix'")
     n = _spec_int(data["n"], "n", 2)
     if not isinstance(data["sl2_assignment"], dict) or not data["sl2_assignment"]:
         raise UsageError("bending spec 'sl2_assignment' must be a nonempty object")

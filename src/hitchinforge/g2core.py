@@ -39,9 +39,6 @@ class Vec7:
     def __neg__(self) -> "Vec7":
         return Vec7([-a for a in self.coords])
 
-    def scale(self, s) -> "Vec7":
-        return Vec7([a * s for a in self.coords])
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Vec7):
             return NotImplemented

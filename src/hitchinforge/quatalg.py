@@ -57,9 +57,6 @@ class QuatAlgebra:
     def j(self) -> "QuatElem":
         return QuatElem(self, 0, 0, 1, 0)
 
-    def ij(self) -> "QuatElem":
-        return QuatElem(self, 0, 0, 0, 1)
-
 
 def _coerce_coeff(x) -> Scalar:
     if isinstance(x, int):

@@ -25,6 +25,7 @@ from .exactnum import (
     _kernel,
     galois_matrix,
     field,
+    square_class,
     square_free_part,
 )
 from .qforms import (
@@ -217,66 +218,39 @@ CaseName = Literal["trivial", "degree-2", "degree-4"]
 class SoFormResult:
     diagonal_matrix: ExactMatrix
     invariants: FormInvariants
-    basis_inverse: ExactMatrix       # (f(v_1) | ... | f(v_n)) = S^(-1)
     closed_form_hasse: dict[Place, int]
 
 
 def _averaging_vectors(n: int, case: CaseName, desc) -> list[list[Scalar]]:
-    """The explicit v_i whose averaged images give the congruence basis.
-    Indexing is 1-based in the formulas below; k = (n-1)/2."""
-    k = (n - 1) // 2
-    half = Fraction(1, 2)
-    quarter = Fraction(1, 4)
-
-    v: dict[int, list[Scalar]] = {}
-
-    def put(idx: int, vec: dict[int, Scalar]) -> None:
-        if idx in v:
-            return  # center index collides with the loop at its boundary
-        col = [Fraction(0)] * n
-        for pos, val in vec.items():
-            col[pos - 1] = val
-        v[idx] = col
-
-    a = desc.radicands[0]
-    sa = FieldElem.sqrt_int(desc, a)
-    if case == "degree-2":
-        if n % 4 == 1:
-            put(k + 1, {k + 1: half})
-            for i in range(1, k // 2 + 1):
-                put(2 * i - 1, {2 * i - 1: half, 2 * k - 2 * i + 3: half})
-                put(2 * i, {2 * i: half, 2 * k - 2 * i + 2: -half})
-                put(2 * k - 2 * i + 2, {2 * i: sa * half,
-                                        2 * k - 2 * i + 2: sa * half})
-                put(2 * k - 2 * i + 3, {2 * i - 1: sa * half,
-                                        2 * k - 2 * i + 3: sa * (-half)})
-        else:
-            put(k + 1, {k + 1: sa * half})
-            for i in range(1, (k + 1) // 2 + 1):
-                put(2 * i - 1, {2 * i - 1: Fraction(1)})
-                put(2 * i, {2 * i: Fraction(1)})
-                put(2 * k - 2 * i + 2, {2 * k - 2 * i + 2: sa})
-                put(2 * k - 2 * i + 3, {2 * k - 2 * i + 3: -sa})
-        return [v[i] for i in range(1, n + 1)]
-
-    b = desc.radicands[1]
-    sb = FieldElem.sqrt_int(desc, b)
+    """The explicit v_1..v_n whose averaged images give the congruence
+    basis.  One rule on the pairs (i, i' = n+1-i), i = 1..k, k = (n-1)/2:
+    v_i and v_i' lie in the span of e_i and e_i', with coefficients set
+    by the parity of i, and the centre is v_(k+1) = c e_(k+1)."""
+    half, quarter = Fraction(1, 2), Fraction(1, 4)
+    # in degree 2 both square roots are sqrt(a), as in _galois_group
+    sa = FieldElem.sqrt_int(desc, desc.radicands[0])
+    sb = FieldElem.sqrt_int(desc, desc.radicands[-1])
     sab = sa * sb
-    if n % 4 == 1:
-        put(k + 1, {k + 1: quarter})
-        for i in range(1, k // 2 + 1):
-            put(2 * i - 1, {2 * i - 1: sa * half})
-            put(2 * i, {2 * i: sb * half})
-            put(2 * k - 2 * i + 2, {2 * k - 2 * i + 2: sab * (-half)})
-            put(2 * k - 2 * i + 3, {2 * k - 2 * i + 3: half})
-    else:
-        put(k + 1, {k + 1: sa * quarter})
-        for i in range(1, (k + 1) // 2 + 1):
-            put(2 * i - 1, {2 * i - 1: sb * half})
-            put(2 * i, {2 * i: half})
-            put(2 * k - 2 * i + 2, {2 * k - 2 * i + 2: sa * half})
-            put(2 * k - 2 * i + 3, {2 * k - 2 * i + 3: sab * half})
-    return [v[i] for i in range(1, n + 1)]
+    # (case, n mod 4) -> c, then (v_i, v_i') for odd i and for even i,
+    # each vector as its coefficients on (e_i, e_i')
+    c, odd, even = {
+        ("degree-2", 1): (half, ((half, half), (sa * half, -sa * half)),
+                          ((half, -half), (sa * half, sa * half))),
+        ("degree-2", 3): (sa * half, ((1, 0), (0, -sa)), ((1, 0), (0, sa))),
+        ("degree-4", 1): (quarter, ((sa * half, 0), (0, half)),
+                          ((sb * half, 0), (0, -sab * half))),
+        ("degree-4", 3): (sa * quarter, ((sb * half, 0), (0, sab * half)),
+                          ((half, 0), (0, sa * half))),
+    }[case, n % 4]
+    k = (n - 1) // 2
+    v: list[list[Scalar]] = [[Fraction(0)] * n for _ in range(n)]
+    v[k][k] = c
+    for i in range(1, k + 1):
+        pair = (i - 1, n - i)    # 0-based positions of e_i and e_i'
+        for vec, coeffs in zip(pair, odd if i % 2 else even):
+            for pos, x in zip(pair, coeffs):
+                v[vec][pos] = x
+    return v
 
 
 def _galois_group(case: CaseName, a: int, b: int) -> list[tuple[SignPair, GaloisAction]]:
@@ -314,8 +288,9 @@ def so_form_from_cocycle(n: int, a: int, b: int, case: CaseName) -> SoFormResult
     over the Galois group, with each Galois element weighted by the image
     of a determinant-one lift of its cocycle matrix; a trivial cocycle
     leaves the antidiagonal form, whose congruence diagonalization is the
-    basis.  The result is asserted diagonal, and its Hasse invariants are
-    asserted equal to the closed form at every scanned place.
+    basis.  The result is asserted diagonal, its square classes are read
+    off that diagonal, and its Hasse invariants are asserted equal to the
+    closed form at every scanned place.
 
     Cases: trivial (both a and b square), degree-2 (a not a square; the
     quadratic field carries both square roots), degree-4 (a, b, ab all
@@ -349,9 +324,8 @@ def so_form_from_cocycle(n: int, a: int, b: int, case: CaseName) -> SoFormResult
     D = s_inv.transpose() * j_matrix(n) * s_inv
     if not D.is_diagonal():
         raise AssertionError("constructed form is not diagonal")
-    D_rat = ExactMatrix.diagonal([e.rational_value()
-                                  for e in D.diagonal_entries()])
-    classes = diagonalize_qform(D_rat).classes
+    diagonal = [e.rational_value() for e in D.diagonal_entries()]
+    classes = [square_class(e) for e in diagonal]
     inv = invariants_from_classes(classes)
     closed = {}
     scan = sorted(set(hasse_scan_places(*classes))
@@ -364,4 +338,4 @@ def so_form_from_cocycle(n: int, a: int, b: int, case: CaseName) -> SoFormResult
                 f"Hasse invariant at {place} is {inv.hasse(place)}, "
                 f"closed form gives {expected}")
         closed[place] = expected
-    return SoFormResult(D_rat, inv, s_inv, closed)
+    return SoFormResult(ExactMatrix.diagonal(diagonal), inv, closed)

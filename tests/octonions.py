@@ -24,12 +24,17 @@ class Octonion:
         return cls(Fraction(1), Vec7([0] * 7))
 
 
+def scale(v: Vec7, s) -> Vec7:
+    """s v, coordinate by coordinate."""
+    return Vec7([a * s for a in v.coords])
+
+
 def oct_mul(p: Octonion, q: Octonion) -> Octonion:
     """(t,v)(s,w) = (ts - v^T J7 w, tw + sv + v x w)."""
     t, v = p.t, p.v
     s, w = q.t, q.v
     return Octonion(t * s - v.pair_j7(w),
-                    w.scale(t) + v.scale(s) + cross7(v, w))
+                    scale(w, t) + scale(v, s) + cross7(v, w))
 
 
 def oct_norm(p: Octonion) -> Scalar:

@@ -397,6 +397,21 @@ def test_malformed_bending_spec_is_one_line_usage_error(capsys, missing, named):
     assert named in lines[0]
 
 
+@pytest.mark.parametrize("b_matrix", [
+    [["2", "0", "0"], ["0", "1", "0"], ["0", "0", "1/2"]],
+    [["1"]],
+], ids=["3x3", "1x1"])
+def test_bending_spec_with_both_b0_and_b_matrix_is_one_line_usage_error(capsys,
+                                                                        b_matrix):
+    """A spec names its bending matrix once: b0 beside a b_matrix, even one
+    of the wrong size, is refused rather than read as b0 alone."""
+    data = json.loads(FREE_SPEC)
+    data["b_matrix"] = b_matrix
+    argv = ["certify-density", "--spec", json.dumps(data), "--target", "SLn"]
+    assert _assert_one_line_usage_error(capsys, argv) == (
+        "error: bending spec needs exactly one of 'b0' and 'b_matrix'")
+
+
 def _assert_one_line_usage_error(capsys, argv):
     assert run(argv) == 2
     captured = capsys.readouterr()

@@ -399,7 +399,7 @@ def test_witness_is_built_only_when_read(monkeypatch):
 
 # -- callers that eliminate once --------------------------------------------------
 
-def test_so_form_diagonalizes_its_diagonal_once(monkeypatch):
+def test_so_form_reads_its_diagonal_without_diagonalizing(monkeypatch):
     calls, invariants = [], []
     diagonalize = qforms.diagonalize_qform
     monkeypatch.setattr(symrep, "diagonalize_qform",
@@ -407,7 +407,12 @@ def test_so_form_diagonalizes_its_diagonal_once(monkeypatch):
     monkeypatch.setattr(symrep, "form_invariants",
                         lambda m: invariants.append(m))
     res = symrep.so_form_from_cocycle(5, 3, 5, "degree-2")
-    assert len(calls) == 1 and invariants == []
+    assert calls == [] and invariants == []
+    # the trivial case's one call is J's witness (its closed form reads
+    # form_invariants of J)
+    monkeypatch.setattr(symrep, "form_invariants", qforms.form_invariants)
+    symrep.so_form_from_cocycle(5, 1, 4, "trivial")
+    assert len(calls) == 1 and calls[0] == symrep.j_matrix(5)
     assert res.invariants == qforms.invariants_from_classes(
         diagonalize(res.diagonal_matrix).classes)
 

