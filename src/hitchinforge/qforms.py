@@ -7,9 +7,9 @@ of sigma-Hermitian matrices over a real quadratic field.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache, reduce
+from functools import lru_cache
 from itertools import chain
 from math import prod
 from typing import Optional, Sequence, Union
@@ -168,34 +168,11 @@ def hasse_scan_places(*values: Union[int, Fraction]) -> list[Place]:
 
 @dataclass(frozen=True)
 class Diagonalization:
-    """The congruence diagonalization P^T S P = D of a symmetric rational
-    matrix S.  `steps` records each step's swap, hyperbolic partner and
-    pivot row (on the order of that step), from which `witness` builds P
-    when it is first read."""
+    """The diagonal D of a congruence diagonalization P^T S P = D of a
+    symmetric rational matrix S, and its square classes."""
 
     classes: tuple[int, ...]          # square-free square classes (0 on rank defect)
     diagonal: tuple[Fraction, ...]    # actual diagonal entries of P^T S P
-    steps: tuple = field(repr=False, compare=False)
-
-    @cached_property
-    def witness(self) -> ExactMatrix:
-        """P with P^T S P diagonal: the product of each step's swap, its
-        hyperbolic substitution (column k += column j) and its elimination
-        (column j -= a_kj / a_kk * column k for j > k)."""
-        n = len(self.classes)
-        factors = []
-        for k, (swap, partner, row) in enumerate(self.steps):
-            if swap is not None:
-                order = list(range(n))
-                order[k], order[swap] = swap, k
-                factors.append([[int(j == order[i]) for j in range(n)] for i in range(n)])
-            if partner is not None:
-                factors.append([[int(i == j or (i, j) == (partner, k)) for j in range(n)]
-                                for i in range(n)])
-            if any(row[k + 1:]):
-                factors.append([[-Fraction(row[j], row[k]) if i == k < j else int(i == j)
-                                 for j in range(n)] for i in range(n)])
-        return reduce(operator.mul, map(ExactMatrix, factors), ExactMatrix.identity(n))
 
 
 def diagonalize_qform(S: ExactMatrix) -> Diagonalization:
@@ -217,7 +194,7 @@ def diagonalize_qform(S: ExactMatrix) -> Diagonalization:
     n = S.nrows
     den, (flat,) = _RATIONALS.split(list(chain.from_iterable(S.entries)))
     elim = _Elimination(_RATIONALS, ([flat[i * n:(i + 1) * n]] for i in range(n)))
-    rows, order, steps = elim.rows, list(range(n)), []
+    rows, order = elim.rows, list(range(n))
 
     def diagonal_nonzero(i: int) -> bool:
         elim.reduce(order[i])
@@ -247,13 +224,12 @@ def diagonalize_qform(S: ExactMatrix) -> Diagonalization:
                 for r in order[k:]:
                     rows[r] = [x[:rk] + [x[rk] + x[rj]] + x[rk + 1:] for x in rows[r]]
         elim.pivot(order[k], order[k])
-        steps.append((swap, partner, tuple(rows[order[k]][0][c] for c in order)))
 
     minors = [1] + [value for value, in elim.values]
     diag = [Fraction(b, a * den) for a, b in zip(minors, minors[1:])]
     diag += [Fraction(0)] * (n - len(diag))
     classes = tuple(square_class(d) if d != 0 else 0 for d in diag)
-    return Diagonalization(classes, tuple(diag), tuple(steps))
+    return Diagonalization(classes, tuple(diag))
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,6 @@ from .qforms import (
     FormInvariants,
     Place,
     diagonalize_qform,
-    form_invariants,
     hasse_scan_places,
     hilbert_symbol,
     invariants_from_classes,
@@ -221,15 +220,13 @@ class SoFormResult:
     closed_form_hasse: dict[Place, int]
 
 
-def _averaging_vectors(n: int, case: CaseName, desc) -> list[list[Scalar]]:
-    """The explicit v_1..v_n whose averaged images give the congruence
-    basis.  One rule on the pairs (i, i' = n+1-i), i = 1..k, k = (n-1)/2:
-    v_i and v_i' lie in the span of e_i and e_i', with coefficients set
-    by the parity of i, and the centre is v_(k+1) = c e_(k+1)."""
+def _averaging_vectors(n: int, case: CaseName, sa: FieldElem,
+                       sb: FieldElem) -> list[list[Scalar]]:
+    """The explicit v_1..v_n, on the roots sa and sb, whose averaged images
+    give the congruence basis.  One rule on the pairs (i, i' = n+1-i),
+    i = 1..k, k = (n-1)/2: v_i and v_i' lie in the span of e_i and e_i',
+    with coefficients set by the parity of i; the centre is c e_(k+1)."""
     half, quarter = Fraction(1, 2), Fraction(1, 4)
-    # in degree 2 both square roots are sqrt(a), as in _galois_group
-    sa = FieldElem.sqrt_int(desc, desc.radicands[0])
-    sb = FieldElem.sqrt_int(desc, desc.radicands[-1])
     sab = sa * sb
     # (case, n mod 4) -> c, then (v_i, v_i') for odd i and for even i,
     # each vector as its coefficients on (e_i, e_i')
@@ -253,11 +250,9 @@ def _averaging_vectors(n: int, case: CaseName, desc) -> list[list[Scalar]]:
     return v
 
 
-def _galois_group(case: CaseName, a: int, b: int) -> list[tuple[SignPair, GaloisAction]]:
+def _galois_group(a: int, b: int) -> list[tuple[SignPair, GaloisAction]]:
     """Sign patterns and field actions of the Galois group used in the
-    averaging map, per extension degree."""
-    if case == "degree-2":  # both square roots act as sqrt(a)
-        b = a
+    averaging map, on the square roots of a and b (or of a alone, a = b)."""
     return [(p, _sign_action(a, b, p)) for p in applicable_sign_patterns(a, b)]
 
 
@@ -265,10 +260,9 @@ def so_form_closed_hasse(n: int, a: int, b: int, case: CaseName,
                          place: Place) -> int:
     """The closed-form Hasse invariant of the constructed diagonal form:
     a power of (-1,-1) tensored with a symbol (a, .) depending on the
-    congruence class of n mod 4 and the extension degree."""
-    if case == "trivial":
-        base = form_invariants(j_matrix(n))
-        return base.hasse(place)
+    congruence class of n mod 4 and the extension degree.  The trivial case
+    is its a = b = 1 instance, J's own: J is k hyperbolic planes plus
+    <(-1)^k>, k = (n-1)/2, whose Hasse invariant is (-1,-1)^e."""
     if n % 4 == 1:
         e = (n - 1) // 4
         second = (-1) ** e if case == "degree-2" else b ** e
@@ -286,11 +280,10 @@ def so_form_from_cocycle(n: int, a: int, b: int, case: CaseName) -> SoFormResult
 
     The congruence basis is assembled by averaging the explicit vectors
     over the Galois group, with each Galois element weighted by the image
-    of a determinant-one lift of its cocycle matrix; a trivial cocycle
-    leaves the antidiagonal form, whose congruence diagonalization is the
-    basis.  The result is asserted diagonal, its square classes are read
-    off that diagonal, and its Hasse invariants are asserted equal to the
-    closed form at every scanned place.
+    of a determinant-one lift of its cocycle matrix, and asserted diagonal;
+    a trivial cocycle leaves J, whose congruence diagonalization gives the
+    diagonal.  Its rank, discriminant and signature are asserted to be J's
+    and its Hasse invariants the closed form's, a complete check.
 
     Cases: trivial (both a and b square), degree-2 (a not a square; the
     quadratic field carries both square roots), degree-4 (a, b, ab all
@@ -298,6 +291,8 @@ def so_form_from_cocycle(n: int, a: int, b: int, case: CaseName) -> SoFormResult
     """
     if n < 3 or n % 2 == 0:
         raise ValueError("n must be odd and at least 3")
+    if a < 1 or b < 1:
+        raise ValueError("a and b must be positive integers")
     if case not in ("trivial", "degree-2", "degree-4"):
         raise ValueError(f"unknown case {case!r}")
     a_sf, b_sf = square_free_part(a), square_free_part(b)
@@ -310,23 +305,31 @@ def so_form_from_cocycle(n: int, a: int, b: int, case: CaseName) -> SoFormResult
         raise ValueError("degree-4 case needs a, b, ab all non-square")
 
     if case == "trivial":
-        s_inv = diagonalize_qform(j_matrix(n)).witness.lift(field())
+        diagonal = list(diagonalize_qform(j_matrix(n)).diagonal)
     else:
-        desc = field(a_sf) if case == "degree-2" else field(a_sf, b_sf)
+        # the two square roots, in the user's order: in degree 2 both are sqrt(a)
+        radicands = (a_sf, a_sf if case == "degree-2" else b_sf)
+        roots = [FieldElem.sqrt_int(field(*radicands), r) for r in radicands]
         # the averaged basis: sum over the Galois group of the weight
         # tau(lifted cocycle) times the Galois image of the v_i
-        basis = ExactMatrix(list(zip(*_averaging_vectors(n, case, desc))))
+        basis = ExactMatrix(list(zip(*_averaging_vectors(n, case, *roots))))
         s_inv = reduce(operator.add, (
             tau_of_lifted_cocycle(n, signs) * galois_matrix(action, basis)
-            for signs, action in _galois_group(case, a_sf, b_sf)))
+            for signs, action in _galois_group(*radicands)))
         if not s_inv.det():
             raise AssertionError("averaged vectors are not a basis")
-    D = s_inv.transpose() * j_matrix(n) * s_inv
-    if not D.is_diagonal():
-        raise AssertionError("constructed form is not diagonal")
-    diagonal = [e.rational_value() for e in D.diagonal_entries()]
+        D = s_inv.transpose() * j_matrix(n) * s_inv
+        if not D.is_diagonal():
+            raise AssertionError("constructed form is not diagonal")
+        diagonal = [e.rational_value() for e in D.diagonal_entries()]
     classes = [square_class(e) for e in diagonal]
+    if 0 in classes:
+        raise AssertionError("constructed form is degenerate")
     inv = invariants_from_classes(classes)
+    k = (n - 1) // 2   # J is k hyperbolic planes plus <(-1)^k>
+    if (inv.rank, inv.disc, inv.signature) != (n, 1, (k + 1 - k % 2, k + k % 2)):
+        raise AssertionError(f"constructed form has rank, discriminant and signature "
+                             f"{inv.rank}, {inv.disc}, {inv.signature}, unlike J")
     closed = {}
     scan = sorted(set(hasse_scan_places(*classes))
                   | set(hasse_scan_places(a_sf, b_sf, -1)),

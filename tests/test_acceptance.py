@@ -129,7 +129,7 @@ def test_criterion_3_orthogonal_form_recipe():
     with Budget("3 orthogonal form recipe", 5):
         for n in (5, 7):
             for case in ("degree-2", "degree-4"):
-                for a, b in ((3, 5), (2, 3)):
+                for a, b in ((3, 5), (2, 3), (5, 3), (3, 2)):
                     res = so_form_from_cocycle(n, a, b, case)
                     got = [Fraction(e) if isinstance(e, Fraction)
                            else e.rational_value()

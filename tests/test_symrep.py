@@ -28,6 +28,7 @@ from hitchinforge.symrep import (
     trace_poly,
 )
 from conftest import random_sl2q
+from test_elimination import old_diagonalize
 
 
 def test_tau_examples():
@@ -214,11 +215,10 @@ def test_galois_group_matches_the_old_lists():
         if square_free_part(a) == 1:
             continue
         for b in SIGN_GRID:
-            assert _galois_group("degree-2", a, b) == _old_galois_group(
-                "degree-2", a, b)
+            # degree 2 reads sqrt(a) as both roots
+            assert _galois_group(a, a) == _old_galois_group("degree-2", a, b)
             if 1 not in {square_free_part(b), square_free_part(a * b)}:
-                assert _galois_group("degree-4", a, b) == _old_galois_group(
-                    "degree-4", a, b)
+                assert _galois_group(a, b) == _old_galois_group("degree-4", a, b)
 
 
 # The Hilbert-90 vectors as they were written out before one rule on the
@@ -287,8 +287,10 @@ def _old_averaging_vectors(n, case, desc):
 ], ids=lambda v: v if isinstance(v, str) else "Q(" + ",".join(f"sqrt{r}" for r in v) + ")")
 def test_averaging_vectors_match_the_old_loops(case, radicands):
     desc = field(*radicands)
+    # the old loops read the sorted radicands, first and last, as here
+    roots = [FieldElem.sqrt_int(desc, radicands[i]) for i in (0, -1)]
     for n in range(3, 26, 2):
-        basis = ExactMatrix(list(zip(*_averaging_vectors(n, case, desc))))
+        basis = ExactMatrix(list(zip(*_averaging_vectors(n, case, *roots))))
         old = ExactMatrix(list(zip(*_old_averaging_vectors(n, case, desc))))
         assert basis == old, n
 
@@ -379,6 +381,27 @@ def test_so_form_trivial_case(n):
     assert res.diagonal_matrix.diagonal_entries() == dg.diagonal
     for place, sign in res.closed_form_hasse.items():
         assert sign == form_invariants(j_matrix(n)).hasse(place)
+
+
+def test_so_form_trivial_case_matches_the_congruence_witness():
+    """The trivial route as it was, kept as the oracle: the diagonal is
+    P^T J P for the congruence loops' P, and the closed form at a = b = 1
+    is J's own Hasse invariant at every scanned place and at 2..23 and
+    inf."""
+    places = [Place.finite(p) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23)]
+    places.append(Place.real())
+    for n in range(3, 26, 2):
+        J = j_matrix(n)
+        witness = old_diagonalize(J)[2]
+        res = so_form_from_cocycle(n, 1, 1, "trivial")
+        assert res.diagonal_matrix == witness.transpose() * J * witness, n
+        inv = form_invariants(J)
+        assert res.invariants == inv
+        for place in places:
+            assert so_form_closed_hasse(n, 1, 1, "trivial", place) == \
+                inv.hasse(place), (n, place)
+        for place, sign in res.closed_form_hasse.items():
+            assert sign == inv.hasse(place), (n, place)
 
 
 def test_so_form_case_mismatch():
