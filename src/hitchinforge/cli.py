@@ -234,7 +234,9 @@ def _parse_signs(text: str) -> tuple[int, int]:
 
 
 def _cmd_g2_check(args) -> int:
-    if args.tau_word:
+    if args.tau_word is not None and args.matrix is not None:
+        raise UsageError("g2-check takes --matrix or --tau-word, not both")
+    if args.tau_word is not None:
         word = parse_word(args.tau_word)
         gens = {"s": ExactMatrix([[0, -1], [1, 0]]),
                 "t": ExactMatrix([[1, 1], [0, 1]])}

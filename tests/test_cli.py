@@ -261,8 +261,17 @@ def test_g2_check(capsys):
     assert code == 1 and not doc["in_g2"]
 
 
+def test_g2_check_reads_an_empty_tau_word_as_the_identity(capsys):
+    code, doc = run_json(capsys, ["g2-check", "--tau-word", ""])
+    assert code == 0 and doc["in_g2"]
+    assert doc["matrix"] == [["1" if i == j else "0" for j in range(7)] for i in range(7)]
+
+
 def test_g2_check_usage_errors(capsys):
+    both = "g2-check takes --matrix or --tau-word, not both"
     for argv, message in ((["g2-check"], "g2-check needs --matrix or --tau-word"),
+                          (["g2-check", "--tau-word", "t", "--matrix", "J7"], both),
+                          (["g2-check", "--tau-word", "", "--matrix", "J7"], both),
                           (["g2-check", "--tau-word", "s u"],
                            "tau words use generators s and t")):
         assert run(argv) == 2

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 from hitchinforge.exactnum import (
     ExactMatrix,
@@ -8,7 +9,7 @@ from hitchinforge.exactnum import (
     field,
     fundamental_unit,
 )
-from hitchinforge.g2core import Vec7, cross7, in_g2
+from hitchinforge.g2core import _TERMS, Vec7, cross7, in_g2
 from hitchinforge.symrep import tau
 from conftest import random_sl2z
 from octonions import Octonion, oct_mul, oct_norm, scale
@@ -33,6 +34,22 @@ def test_cross_basis_examples():
     assert cross7(e(1), e(4)) == scale(e(1), 6)
     assert cross7(e(2), e(3)) == scale(e(1), -4)
     assert cross7(e(1), e(2)).is_zero()
+
+
+def test_cross_terms_carry_the_slot_bound():
+    """in_g2 checks every row of cross7's term table and sizes its slots
+    by it: 15 terms, one per basis pair with a nonzero product, so each
+    e_i x e_j has one nonzero coordinate at most; every row has a term; 148
+    is the largest row weight sum |c| and 120 the largest |c|."""
+    e = Vec7.basis
+    products = [cross7(e(i), e(j)).coords for i, j in combinations(range(1, 8), 2)]
+    assert all(sum(map(bool, p)) <= 1 for p in products)
+    assert len(_TERMS) == sum(map(any, products)) == 15
+    assert {r for r, *_ in _TERMS} == set(range(7))
+    assert max(sum(abs(c) for r, *_, c in _TERMS if r == row) for row in range(7)) == 148
+    assert max(abs(c) for *_, c in _TERMS) == 120
+    for r, a, b, c in _TERMS:
+        assert cross7(e(a + 1), e(b + 1)) == Vec7([c if k == r else 0 for k in range(7)])
 
 
 def test_cross_alternating(rng):

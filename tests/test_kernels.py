@@ -16,7 +16,7 @@ from math import comb, gcd
 import pytest
 from hypothesis import given, strategies as st
 
-from hitchinforge import exactnum
+from hitchinforge import exactnum, g2core
 from hitchinforge.bender import b0_family
 from hitchinforge.exactnum import (
     ExactMatrix,
@@ -33,12 +33,13 @@ from hitchinforge.exactnum import (
 )
 from hitchinforge import symrep
 from hitchinforge.exactnum import preserves_form
-from hitchinforge.g2core import _BASIS_PAIRS, J7, Vec7, cross7, in_g2
+from hitchinforge.g2core import J7, Vec7, cross7, in_g2
 from hitchinforge.lattices import containment_check
 from hitchinforge import modp
 from hitchinforge.modp import FqDescriptor, FqElem, trace_witness
 from hitchinforge.quatalg import QuatAlgebra
 from hitchinforge.symrep import j_matrix, so_form_from_cocycle, tau
+from test_elimination import _calls
 from test_exactnum import _frobenius_case, _galois_case, scalar_preserves_form
 
 RINGS = {"Q": field(), "Q(sqrt3)": field(3), "Q(sqrt2,sqrt3)": field(2, 3)}
@@ -520,6 +521,9 @@ def test_finite_field_data_takes_its_kernel(monkeypatch, call):
     assert {type(k) for k in kernels} - {FieldDescriptor, type(_RATIONALS)} == {FqDescriptor}
 
 
+BASIS_PAIRS = [(i, j) for i in range(1, 8) for j in range(i + 1, 8)]
+
+
 def reference_in_g2(m):
     """in_g2 as it was checked before the kernels: one generic matrix-vector
     product per basis pair."""
@@ -529,7 +533,7 @@ def reference_in_g2(m):
     return all(
         Vec7([_dot(row, cross7(Vec7.basis(i), Vec7.basis(j)).coords)
               for row in m.entries]) == cross7(cols[i - 1], cols[j - 1])
-        for i, j in _BASIS_PAIRS)
+        for i, j in BASIS_PAIRS)
 
 
 def test_g2_basis_images_take_the_kernel_of_the_matrix_ring(monkeypatch):
@@ -547,10 +551,130 @@ def test_g2_basis_images_take_the_kernel_of_the_matrix_ring(monkeypatch):
         return kernel
 
     monkeypatch.setattr(exactnum, "_kernel", recording)
+    monkeypatch.setattr(g2core, "_kernel", recording)
     for m in members + others:
         kinds.clear()
         assert in_g2(m) == reference_in_g2(m) == (m in members)
         assert kinds and all(issubclass(kind, FieldDescriptor) for kind in kinds)
+
+
+def _sl2(x, y):
+    """[[1, y], [x, xy + 1]], of determinant one over any ring."""
+    return ExactMatrix([[1, y], [x, x * y + 1]])
+
+
+def _so7_diagonal(u):
+    """The SO_n7 bending pattern diag(u^2, u^-2, 1, 1, 1, u^2, u^-2): in
+    SO(J7), and outside G2 for u^4 != 1."""
+    one, v = u / u, 1 / u
+    return ExactMatrix.diagonal([u * u, v * v, one, one, one, u * u, v * v])
+
+
+def _g2_cases(ring, x, y):
+    """Members tau7(g), tau7(h), their product and an inverse, and the
+    non-members tau7(g) D tau7(g)^-1 of SO(J7) minus G2, D of the SO_n7
+    pattern, for g, h dense matrices of determinant one over the ring."""
+    if ring == "Q":
+        r, u = Fraction(1), Fraction(2)
+    else:
+        desc = RINGS[ring]
+        r = FieldElem.sqrt_int(desc, desc.radicands[-1])
+        u = 2 + r if ring == "Q(sqrt3)" else FieldElem.sqrt_int(desc, 2) + r
+    g, h = tau(7, _sl2(x + r, y - 2 * r)), tau(7, _sl2(y * r / 3, Fraction(1, 2) - x))
+    members = [g, h, g * h, h.inverse()]
+    others = [g * _so7_diagonal(u) * g.inverse(), h.inverse() * _so7_diagonal(u) * h]
+    return members, others
+
+
+@pytest.mark.parametrize("ring", sorted(RINGS))
+@pytest.mark.parametrize("x, y", [(3, 5), (10 ** 5 + 7, 10 ** 5 + 3), (10 ** 50 + 7, 10 ** 50 + 3)],
+                         ids=["small", "near 10^60", "near 10^600"])
+def test_in_g2_agrees_with_the_scalar_oracle(ring, x, y):
+    """tau7 images over Q, Q(sqrt3) and Q(sqrt2,sqrt3), with products and
+    inverses, are members, and dense conjugates of the SO_n7 diagonal are
+    not: the packed check and the scalar cross products agree, with small
+    coordinates and with coordinates near 10^60 and 10^600."""
+    members, others = _g2_cases(ring, x, y)
+    for m in members + others:
+        assert all(m.entries[i][j] for i in range(7) for j in range(7))
+        assert in_g2(m) is reference_in_g2(m) is (m in members)
+        assert in_group(m, 7, J7)
+
+
+@pytest.mark.parametrize("size", [10 ** 60 + 7, 10 ** 600 + 7], ids=["10^60", "10^600"])
+def test_in_g2_slots_hold_the_largest_difference(monkeypatch, size):
+    """The slot width meets its bound: with the form test skipped and only
+    row 4 of the cross product checked (its terms e1 x e7, e2 x e6 and
+    e3 x e5 have weights 120, 20 and 8, 148 together), a matrix with
+    entries +-A in columns 1 and 7 of rows 1-3 and 5-7 and -A at (4, 4) puts
+    2 * 148 A^2 + 120 A, the whole bound, in the slot of the pair (1, 7).
+    Its digits are the scalar differences, and that slot would not fit a
+    slot one bit narrower, whose signed digits are below 2^(w - 2)."""
+    a = Fraction(size)
+    rows = [[Fraction(0)] * 7 for _ in range(7)]
+    for top, bottom, c in [(0, 6, 120), (1, 5, 20), (2, 4, -8)]:
+        rows[top][0], rows[top][6] = a, -a if c > 0 else a
+        rows[bottom][0], rows[bottom][6] = a, a if c > 0 else -a
+    rows[3][3] = -a
+    m = ExactMatrix(rows)
+    decoded = []
+
+    def recorded(v, w, count):
+        out = digits(v, w, count)
+        assert g2core._pack(out, w) == v
+        decoded.append((out, w))
+        return out
+
+    digits = g2core._digits
+    monkeypatch.setattr(g2core, "in_group", lambda *args: True)
+    monkeypatch.setattr(g2core, "_TERMS", [t for t in g2core._TERMS if t[0] == 3])
+    monkeypatch.setattr(g2core, "_digits", recorded)
+    assert not in_g2(m)
+    (out, w), = decoded
+    cols = [Vec7([rows[r][c] for r in range(7)]) for c in range(7)]
+    want = [(cross7(cols[i], cols[j]).coords[3]
+             - sum(rows[3][k] * cross7(Vec7.basis(i + 1), Vec7.basis(j + 1)).coords[k]
+                   for k in range(7)))
+            for j in range(7) for i in range(7)]
+    assert out == want
+    bound = 2 * 148 * size * size + 120 * size
+    assert out[0 + 7 * 6] == max(map(abs, out)) == bound
+    assert w == bound.bit_length() + 1 and bound >= 1 << w - 2
+
+
+def test_in_g2_refuses_other_shapes_and_finite_fields():
+    """A matrix that is not 7 x 7 is no member, and FqElem entries raise
+    the one ValueError of `_kernel`, as in_group raises it."""
+    assert in_g2(ExactMatrix.identity(5)) is False
+    assert in_g2(ExactMatrix([[1] * 6] * 7)) is False
+    fq = ExactMatrix.identity(7, like=FqElem(5, 1))
+    for check in (in_g2, lambda m: in_group(m, 7, J7)):
+        with pytest.raises(ValueError, match="^the entries are not of one ring with a kernel$"):
+            check(fq)
+
+
+def _scalars_built(fn) -> int:
+    """The FieldElems and Fractions fn() builds, counted as calls of their
+    constructors' Python code (Python 3.12 builds a reduced Fraction by
+    `_from_coprime_ints`, which skips `__new__`)."""
+    codes = [FieldElem.__init__.__code__, Fraction.__new__.__code__]
+    if hasattr(Fraction, "_from_coprime_ints"):
+        codes.append(Fraction._from_coprime_ints.__func__.__code__)
+    return sum(_calls(code, fn)[1] for code in codes)
+
+
+@pytest.mark.parametrize("case", ["G2 bending", "tau7 over Q", "tau7 over Q(sqrt3)"])
+def test_in_g2_builds_no_scalar_beyond_in_group(case):
+    """The cross check runs on coordinates: in_g2 builds exactly the
+    FieldElems and Fractions of its in_group call, on a G2 bending matrix
+    and on tau7 images."""
+    s3 = FieldElem.sqrt_int(field(3), 3)
+    make = {"G2 bending": lambda: b0_family("G2", 7, fundamental_unit(3).value, 2),
+            "tau7 over Q": lambda: tau(7, _sl2(Fraction(3, 2), 5)),
+            "tau7 over Q(sqrt3)": lambda: tau(7, _sl2(2 + s3, Fraction(1, 3) - s3))}[case]
+    assert in_g2(make())
+    assert _scalars_built(partial(in_g2, make())) == _scalars_built(
+        partial(in_group, make(), 7, J7)) > 0
 
 
 def test_a_field_builds_its_kernel_once():
